@@ -13,7 +13,7 @@ from .errors import (
 )
 from .ingest import CrashCorpus, CrashEvent, RawLogRecord, build_corpus, parse_record
 from .sequencer import EventSequence, LabeledPair, build_sequences, partition_windows
-from .prompt import PromptBundle, Shot, build_shots, render_cause_prompt, render_time_prompt
+from .prompt import PromptBundle, Shot, render_cause_prompt
 from .predictor import (
     BackendConfig,
     BaselineModel,
@@ -56,7 +56,6 @@ __all__ = [
     "baseline_answer",
     "build_corpus",
     "build_sequences",
-    "build_shots",
     "extract_prediction",
     "fit_baseline",
     "generate_corpus",
@@ -66,7 +65,6 @@ __all__ = [
     "parse_record",
     "partition_windows",
     "render_cause_prompt",
-    "render_time_prompt",
     "rouge_1",
     "rouge_l",
     "run_all",

@@ -1,9 +1,11 @@
 """Run configuration: file schema, defaults, and strict loading.
 
-The config file is JSON with one key per RunConfig field group. Unknown
-keys are rejected rather than ignored so typos fail loudly. Everything
-has a default; an empty file is a valid run against the shipped data
-files and the baseline backend.
+The config file is JSON with one key per RunConfig field group. Every
+value is checked against the type of its dataclass field, `null` only
+where the field is typed `X | None`. Unknown keys are rejected rather
+than ignored so typos fail loudly. Everything has a default; an empty
+file is a valid run against the shipped data files and the baseline
+backend.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Mapping
+from types import UnionType
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .predictor import BackendConfig
-from .synthgen import DEFAULT_START, GeneratorConfig
+from .synthgen import GeneratorConfig
 
 
 @dataclass(frozen=True)
@@ -63,166 +66,79 @@ class RunConfig:
             raise ConfigError("split counts must be positive")
 
 
-def _require_keys(section: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+# RunConfig fields that the file nests under one "split" object.
+SPLIT_FIELDS = ("train_pairs", "validation_pairs")
+DATE_FORMAT = "%Y-%m-%d"
+
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _object(value: Any, where: str) -> Mapping[str, Any]:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    return value
+
+
+def _fields_of(cls: type, data: Mapping[str, Any], prefix: str, names) -> dict[str, Any]:
+    """Decode every key of data, each one of names, by the type of that field of cls."""
+    unknown = set(data) - set(names)
     if unknown:
+        where = prefix.rstrip(".") or "config"
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    hints = get_type_hints(cls)
+    return {name: _decode(value, hints[name], prefix + name) for name, value in data.items()}
 
 
-def _parse_start_date(text: str) -> datetime:
-    try:
-        parsed = datetime.strptime(text, "%Y-%m-%d")
-    except ValueError as err:
-        raise ConfigError(f"generator.start_date: {err}") from None
-    return parsed.replace(tzinfo=timezone.utc)
-
-
-def _parse_paths(section: Mapping[str, Any]) -> RunPaths:
-    _require_keys(section, {"logs", "catalog", "template", "stopwords", "out_dir"}, "paths")
-    defaults = RunPaths()
-    kwargs = {}
-    for name in ("logs", "catalog", "template", "stopwords", "out_dir"):
-        value = section.get(name, getattr(defaults, name))
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"paths.{name} must be a string")
-        kwargs[name] = value
-    if kwargs["out_dir"] is None:
-        raise ConfigError("paths.out_dir must not be null")
-    return RunPaths(**kwargs)
-
-
-def _parse_backend(section: Mapping[str, Any]) -> BackendConfig:
-    allowed = {
-        "kind",
-        "endpoint",
-        "model_name",
-        "timeout",
-        "max_in_flight",
-        "retry_limit",
-        "backoff_base",
-        "max_output_tokens",
-        "script_path",
-    }
-    _require_keys(section, allowed, "backend")
-    kwargs: dict[str, Any] = {}
-    for name in allowed:
-        if name in section:
-            kwargs[name] = section[name]
-    for name in ("timeout", "backoff_base"):
-        if name in kwargs:
-            if isinstance(kwargs[name], bool) or not isinstance(kwargs[name], (int, float)):
-                raise ConfigError(f"backend.{name} must be a number")
-            kwargs[name] = float(kwargs[name])
-    for name in ("max_in_flight", "retry_limit", "max_output_tokens"):
-        if name in kwargs and (isinstance(kwargs[name], bool) or not isinstance(kwargs[name], int)):
-            raise ConfigError(f"backend.{name} must be an integer")
-    for name in ("kind", "endpoint", "model_name", "script_path"):
-        if name in kwargs and kwargs[name] is not None and not isinstance(kwargs[name], str):
-            raise ConfigError(f"backend.{name} must be a string")
-    return BackendConfig(**kwargs)
-
-
-def _parse_normalization(section: Mapping[str, Any]) -> NormalizationFlags:
-    allowed = {"lowercase", "strip_punctuation", "remove_stopwords"}
-    _require_keys(section, allowed, "normalization")
-    kwargs = {}
-    for name in allowed:
-        if name in section:
-            if not isinstance(section[name], bool):
-                raise ConfigError(f"normalization.{name} must be a boolean")
-            kwargs[name] = section[name]
-    return NormalizationFlags(**kwargs)
-
-
-def _parse_generator(section: Mapping[str, Any]) -> GeneratorConfig:
-    allowed = {
-        "seed",
-        "n_systems",
-        "days",
-        "per_system_rate",
-        "cause_catalog",
-        "start_date",
-        "noise_fraction",
-        "bursty",
-    }
-    _require_keys(section, allowed, "generator")
-    kwargs: dict[str, Any] = {}
-    for name in ("seed", "n_systems", "days"):
-        if name in section and section[name] is not None:
-            if isinstance(section[name], bool) or not isinstance(section[name], int):
-                raise ConfigError(f"generator.{name} must be an integer")
-            kwargs[name] = section[name]
-    for name in ("per_system_rate", "noise_fraction"):
-        if name in section:
-            if isinstance(section[name], bool) or not isinstance(section[name], (int, float)):
-                raise ConfigError(f"generator.{name} must be a number")
-            kwargs[name] = float(section[name])
-    if "bursty" in section:
-        if not isinstance(section["bursty"], bool):
-            raise ConfigError("generator.bursty must be a boolean")
-        kwargs["bursty"] = section["bursty"]
-    if "start_date" in section:
-        if not isinstance(section["start_date"], str):
-            raise ConfigError("generator.start_date must be a YYYY-MM-DD string")
-        kwargs["start_date"] = _parse_start_date(section["start_date"])
-    if section.get("cause_catalog") is not None:
-        catalog = section["cause_catalog"]
-        if not isinstance(catalog, list):
-            raise ConfigError("generator.cause_catalog must be a list")
-        entries = []
-        for row in catalog:
-            if not (isinstance(row, list) and len(row) == 3):
-                raise ConfigError("generator.cause_catalog rows must be [code, label, weight]")
-            code, label, weight = row
-            if not isinstance(code, str) or not isinstance(label, str):
-                raise ConfigError("generator.cause_catalog code and label must be strings")
-            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-                raise ConfigError("generator.cause_catalog weight must be a number")
-            entries.append((code, label, float(weight)))
-        kwargs["cause_catalog"] = tuple(entries)
-    return GeneratorConfig(**kwargs)
+def _decode(value: Any, hint: Any, where: str) -> Any:
+    """One JSON value as the field type hint; where names it in errors."""
+    if dataclasses.is_dataclass(hint):
+        names = [field.name for field in dataclasses.fields(hint)]
+        return hint(**_fields_of(hint, _object(value, where), where + ".", names))
+    if get_origin(hint) is UnionType:
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        return _decode(value, hint, where)
+    if value is None:
+        raise ConfigError(f"{where} must not be null")
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        args = get_args(hint)
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where} must hold {len(args)} items")
+        return tuple(
+            _decode(item, arg, f"{where}[{i}]") for i, (item, arg) in enumerate(zip(value, args))
+        )
+    if hint is datetime:
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a YYYY-MM-DD string")
+        try:
+            return datetime.strptime(value, DATE_FORMAT).replace(tzinfo=timezone.utc)
+        except ValueError as err:
+            raise ConfigError(f"{where}: {err}") from None
+    if hint is bool:
+        valid = isinstance(value, bool)
+    else:
+        valid = not isinstance(value, bool) and isinstance(
+            value, (int, float) if hint is float else hint
+        )
+    if not valid:
+        raise ConfigError(f"{where} must be {_KINDS[hint]}")
+    return float(value) if hint is float else value
 
 
 def parse_run_config(data: Mapping[str, Any]) -> RunConfig:
-    allowed = {
-        "seed",
-        "paths",
-        "window_days",
-        "shots_k",
-        "history_cap",
-        "split",
-        "backend",
-        "normalization",
-        "generator",
-    }
-    _require_keys(data, allowed, "config")
-    kwargs: dict[str, Any] = {}
-    for name in ("seed", "window_days", "shots_k", "history_cap"):
-        if name in data:
-            if isinstance(data[name], bool) or not isinstance(data[name], int):
-                raise ConfigError(f"{name} must be an integer")
-            kwargs[name] = data[name]
-    if "split" in data:
-        if not isinstance(data["split"], dict):
-            raise ConfigError("split must be an object")
-        _require_keys(data["split"], {"train_pairs", "validation_pairs"}, "split")
-        for name in ("train_pairs", "validation_pairs"):
-            if name in data["split"]:
-                value = data["split"][name]
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"split.{name} must be an integer")
-                kwargs[name] = value
-    for name, parser in (
-        ("paths", _parse_paths),
-        ("backend", _parse_backend),
-        ("normalization", _parse_normalization),
-        ("generator", _parse_generator),
-    ):
-        if name in data:
-            if not isinstance(data[name], dict):
-                raise ConfigError(f"{name} must be an object")
-            kwargs[name] = parser(data[name])
-    return RunConfig(**kwargs)
+    data = dict(_object(data, "config"))
+    split = _object(data.pop("split", {}), "split")
+    names = [field.name for field in dataclasses.fields(RunConfig)]
+    top = [name for name in names if name not in SPLIT_FIELDS]
+    return RunConfig(
+        **_fields_of(RunConfig, data, "", top),
+        **_fields_of(RunConfig, split, "split.", SPLIT_FIELDS),
+    )
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -234,57 +150,29 @@ def load_run_config(path: str | Path) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file is not valid JSON: {err}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
     return parse_run_config(data)
 
 
+def _encode(value: Any) -> Any:
+    if dataclasses.is_dataclass(value):
+        return {
+            field.name: _encode(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
+    if isinstance(value, datetime):
+        return value.strftime(DATE_FORMAT)
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
+
+
 def resolved_dict(config: RunConfig) -> dict[str, Any]:
-    """Every field, JSON-ready, suitable for the manifest and for replay."""
-    generator = config.generator
-    return {
-        "seed": config.seed,
-        "paths": dataclasses.asdict(config.paths),
-        "window_days": config.window_days,
-        "shots_k": config.shots_k,
-        "history_cap": config.history_cap,
-        "split": {
-            "train_pairs": config.train_pairs,
-            "validation_pairs": config.validation_pairs,
-        },
-        "backend": dataclasses.asdict(config.backend),
-        "normalization": dataclasses.asdict(config.normalization),
-        "generator": {
-            "seed": generator.seed,
-            "n_systems": generator.n_systems,
-            "days": generator.days,
-            "per_system_rate": generator.per_system_rate,
-            "cause_catalog": [list(row) for row in generator.cause_catalog]
-            if generator.cause_catalog is not None
-            else None,
-            "start_date": generator.start_date.strftime("%Y-%m-%d"),
-            "noise_fraction": generator.noise_fraction,
-            "bursty": generator.bursty,
-        },
-    }
+    """Every field, JSON-ready, in the file's shape: parse_run_config inverts it."""
+    resolved = _encode(config)
+    resolved["split"] = {name: resolved.pop(name) for name in SPLIT_FIELDS}
+    return resolved
 
 
 def config_digest(config: RunConfig) -> str:
     payload = json.dumps(resolved_dict(config), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def replay_config(resolved: Mapping[str, Any]) -> RunConfig:
-    """Rebuild a RunConfig from a manifest's resolved config block."""
-    data = dict(resolved)
-    generator = dict(data.get("generator") or {})
-    if generator.get("cause_catalog") is not None:
-        generator["cause_catalog"] = [list(row) for row in generator["cause_catalog"]]
-    data["generator"] = {k: v for k, v in generator.items() if v is not None or k == "seed"}
-    if data["generator"].get("seed") is None:
-        data["generator"].pop("seed", None)
-    backend = dict(data.get("backend") or {})
-    data["backend"] = {k: v for k, v in backend.items() if v is not None}
-    paths = dict(data.get("paths") or {})
-    data["paths"] = paths
-    return parse_run_config(data)

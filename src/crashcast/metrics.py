@@ -122,7 +122,6 @@ class CategoryReport:
     rouge1: RougeScore
     rougeL: RougeScore
     item_count: int
-    items: tuple[ScoredItem, ...]
 
 
 def _mean_score(scores: Sequence[RougeScore]) -> RougeScore:
@@ -135,7 +134,7 @@ def _mean_score(scores: Sequence[RougeScore]) -> RougeScore:
 
 
 def aggregate(items: Sequence[ScoredItem]) -> list[CategoryReport]:
-    """Arithmetic mean per category and metric; items kept for the report."""
+    """Arithmetic mean per category and metric."""
     if not items:
         raise EmptyEvaluation("no items to aggregate")
     reports = []
@@ -148,7 +147,6 @@ def aggregate(items: Sequence[ScoredItem]) -> list[CategoryReport]:
                 rouge1=r1,
                 rougeL=rl,
                 item_count=len(items),
-                items=tuple(items),
             )
         )
     return reports

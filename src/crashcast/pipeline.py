@@ -14,7 +14,8 @@ import hashlib
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -226,7 +227,10 @@ def sequence_stage(config: RunConfig) -> list[EventSequence]:
 
 
 def load_sequences(config: RunConfig) -> list[EventSequence]:
-    windows = windows_from_lines(_read_lines(out_dir_of(config) / WINDOWS_FILE))
+    try:
+        windows = windows_from_lines(_read_lines(out_dir_of(config) / WINDOWS_FILE))
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"bad window line in {WINDOWS_FILE}: {err!r}") from None
     if not windows:
         raise DataError(f"{WINDOWS_FILE} holds no windows")
     return sequences_from_windows(windows)
@@ -364,14 +368,39 @@ def _bundle_for(
 
 
 def predict_stage(config: RunConfig) -> list[dict[str, Any]]:
+    """Answer every validation pair, at most `width` pairs in flight.
+
+    The first backend error stops submission; the rows finished so far
+    are flushed before it propagates.
+    """
     out_dir = out_dir_of(config)
-    sequences = load_sequences(config)
-    sequences_by_id = {seq.system_id: seq for seq in sequences}
+    sequences_by_id = {seq.system_id: seq for seq in load_sequences(config)}
     split = _read_json(out_dir / SPLIT_FILE)
-    train = _restore_pairs(split["train"], sequences_by_id, config.window_days)
-    validation = _restore_pairs(split["validation"], sequences_by_id, config.window_days)
+    try:
+        train = _restore_pairs(split["train"], sequences_by_id, config.window_days)
+        validation = _restore_pairs(split["validation"], sequences_by_id, config.window_days)
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"bad pair list in {SPLIT_FILE}: {err!r}") from None
     validation.sort(key=lambda p: (p.system_id, p.index))
 
+    if config.backend.kind == "baseline":
+
+        def answer(pair: LabeledPair) -> PredictionRaw:
+            try:
+                return baseline_answer(pair.history)
+            except HistoryTooShort:
+                return PredictionRaw("", "", "baseline")
+
+    else:
+        template = (
+            load_template(config.paths.template) if config.paths.template else default_template()
+        )
+        backend = make_backend(config.backend)
+
+        def answer(pair: LabeledPair) -> PredictionRaw:
+            return _predict_one(backend, _bundle_for(config, template, pair, train))
+
+    width = config.backend.max_in_flight if config.backend.kind == "remote-llm" else 1
     rows: dict[tuple[str, int], dict[str, Any]] = {}
 
     def row_of(pair: LabeledPair, raw: PredictionRaw) -> dict[str, Any]:
@@ -392,42 +421,17 @@ def predict_stage(config: RunConfig) -> list[dict[str, Any]]:
         _write_text(out_dir / PREDICTIONS_FILE, "\n".join(lines) + ("\n" if lines else ""))
         return ordered
 
-    if config.backend.kind == "baseline":
-        for pair in validation:
-            try:
-                raw = baseline_answer(pair.history)
-            except HistoryTooShort:
-                raw = PredictionRaw("", "", "baseline")
-            rows[(pair.system_id, pair.index)] = row_of(pair, raw)
-        return flush()
-
-    template = (
-        load_template(config.paths.template) if config.paths.template else default_template()
-    )
-    backend = make_backend(config.backend)
-
-    if config.backend.kind == "scripted" or config.backend.max_in_flight == 1:
-        try:
-            for pair in validation:
-                bundle = _bundle_for(config, template, pair, train)
-                raw = _predict_one(backend, bundle)
-                rows[(pair.system_id, pair.index)] = row_of(pair, raw)
-        except BackendError:
-            flush()
-            raise
-        return flush()
-
-    bundles = [(pair, _bundle_for(config, template, pair, train)) for pair in validation]
+    pending = iter(validation)
     try:
-        with ThreadPoolExecutor(max_workers=config.backend.max_in_flight) as pool:
-            futures = {
-                pool.submit(_predict_one, backend, bundle): pair
-                for pair, bundle in bundles
-            }
-            for future in as_completed(futures):
-                pair = futures[future]
-                raw = future.result()
-                rows[(pair.system_id, pair.index)] = row_of(pair, raw)
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            in_flight = {pool.submit(answer, pair): pair for pair in islice(pending, width)}
+            while in_flight:
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    pair = in_flight.pop(future)
+                    rows[(pair.system_id, pair.index)] = row_of(pair, future.result())
+                for pair in islice(pending, len(done)):
+                    in_flight[pool.submit(answer, pair)] = pair
     except BackendError:
         flush()
         raise
@@ -570,9 +574,10 @@ def run_all(config: RunConfig) -> dict[str, Any]:
 
     def timed(name, fn):
         started = time.perf_counter()
-        result = fn()
-        timings[name] = time.perf_counter() - started
-        return result
+        try:
+            return fn()
+        finally:
+            timings[name] = time.perf_counter() - started
 
     try:
         if not config.paths.logs:

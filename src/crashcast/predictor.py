@@ -1,11 +1,11 @@
 """Produce next-crash answers from interchangeable backends.
 
-Three backend kinds share one calling convention (prompt text in, answer
-text out): a remote model served over a chat-style HTTP protocol, a
-deterministic per-type Poisson baseline with closed-form minimum-Bayes-risk
-answers, and a scripted double for tests. The baseline renders its answers
-through the same sentence template the prompts teach, so everything
-downstream is backend-agnostic.
+Three backend kinds: a remote model served over a chat-style HTTP
+protocol and a scripted double for tests share one calling convention,
+``complete(prompt) -> str``; a deterministic per-type Poisson baseline
+answers from a history alone, with closed-form minimum-Bayes-risk
+answers. The baseline renders its answers through the same sentence
+template the prompts teach, so everything downstream is backend-agnostic.
 """
 
 from __future__ import annotations
@@ -179,10 +179,6 @@ class ScriptedBackend:
         return len(self._completions) - self._cursor
 
 
-def scripted_answer(prompt: str, script: ScriptedBackend) -> str:
-    return script.complete(prompt)
-
-
 # --- remote chat-completion backend -------------------------------------------
 
 class RemoteBackend:
@@ -259,10 +255,6 @@ class RemoteBackend:
         if not isinstance(content, str):
             raise ProtocolError("completion content is not text")
         return content
-
-
-def remote_answer(prompt: str, config: BackendConfig) -> str:
-    return RemoteBackend(config).complete(prompt)
 
 
 def make_backend(config: BackendConfig) -> Backend:

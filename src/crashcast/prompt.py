@@ -13,10 +13,10 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import EmptyTimeAnswer, InsufficientShots, TemplateError
-from .sequencer import EventSequence, LabeledPair, SeqEvent, enumerate_pairs
+from .sequencer import LabeledPair, SeqEvent
 
 TIME_QUESTION = "When will the next crash happen on system {system_id}?"
 CAUSE_QUESTION = "What will be the predicted crash cause?"
@@ -137,16 +137,6 @@ def shots_from_pairs(
     return [shot_from_pair(p, history_cap) for p in sampled]
 
 
-def build_shots(
-    train_sequences: Iterable[EventSequence],
-    k: int,
-    seed: int,
-    history_cap: int | None = None,
-) -> list[Shot]:
-    """Sample k shots from all eligible (history, target) pairs of the given sequences."""
-    return shots_from_pairs(enumerate_pairs(train_sequences), k, seed, history_cap)
-
-
 @dataclass(frozen=True)
 class PromptBundle:
     """Everything rendered for one system under test."""
@@ -209,10 +199,6 @@ def build_bundle(
         rendered_time_prompt=time_prompt,
         rendered_cause_prompt_template=time_prompt + "\n" + cause_block,
     )
-
-
-def render_time_prompt(bundle: PromptBundle) -> str:
-    return bundle.rendered_time_prompt
 
 
 def render_cause_prompt(time_answer: str, bundle: PromptBundle) -> str:

@@ -7,7 +7,6 @@ from crashcast.config import (
     config_digest,
     load_run_config,
     parse_run_config,
-    replay_config,
     resolved_dict,
 )
 from crashcast.errors import ConfigError
@@ -87,6 +86,13 @@ class TestParsing:
             {"paths": {"logs": 7}},
             {"generator": {"days": "ninety"}},
             {"normalization": {"lowercase": "yes"}},
+            {"generator": {"cause_catalog": [["0x9F", "driver power state failure"]]}},
+            {"generator": {"cause_catalog": [["0x9F", "driver power state failure", "x"]]}},
+            {"generator": {"start_date": "2021/01/01"}},
+            {"generator": {"start_date": 5}},
+            {"generator": {"n_systems": None}},
+            {"backend": {"timeout": True}},
+            {"paths": {"out_dir": None}},
         ],
     )
     def test_bad_values_are_config_errors(self, document):
@@ -115,14 +121,25 @@ class TestFiles:
             load_run_config(path)
 
 
+CUSTOM_GENERATOR = {
+    "generator": {
+        "seed": 7,
+        "cause_catalog": [["0x9F", "driver power state failure", 3], ["0x50", "page fault", 1.5]],
+        "start_date": "2022-06-30",
+        "bursty": True,
+    }
+}
+
+
 class TestReplay:
     def test_resolved_dict_replays_to_an_equal_config(self):
-        config = parse_run_config(FULL_DOCUMENT)
-        assert replay_config(resolved_dict(config)) == config
+        for document in (FULL_DOCUMENT, CUSTOM_GENERATOR):
+            config = parse_run_config(document)
+            assert parse_run_config(json.loads(json.dumps(resolved_dict(config)))) == config
 
     def test_defaults_replay_too(self):
         config = RunConfig()
-        assert replay_config(resolved_dict(config)) == config
+        assert parse_run_config(resolved_dict(config)) == config
 
     def test_resolved_dict_is_json_serializable(self):
         text = json.dumps(resolved_dict(RunConfig()), sort_keys=True)

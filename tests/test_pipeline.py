@@ -6,8 +6,8 @@ from click.testing import CliRunner
 
 from conftest import sequence_of
 from crashcast.cli import main
-from crashcast.config import RunConfig, parse_run_config, replay_config
-from crashcast.errors import InsufficientData, ScriptExhausted
+from crashcast.config import RunConfig, parse_run_config
+from crashcast.errors import DataError, InsufficientData, ScriptExhausted, TransportError
 from crashcast.pipeline import (
     EVENTS_FILE,
     LOGS_FILE,
@@ -41,6 +41,31 @@ def small_config(out_dir, **overrides):
     document.update(overrides)
     document.setdefault("paths", {})["out_dir"] = str(out_dir)
     return parse_run_config(document)
+
+
+def _without_system_id(line):
+    obj = json.loads(line)
+    del obj["system_id"]
+    return json.dumps(obj)
+
+
+def _corrupt_first_line(corrupt):
+    def rewrite(text):
+        first, *rest = text.splitlines()
+        return "\n".join([corrupt(first), *rest]) + "\n"
+
+    return rewrite
+
+
+CORRUPT_STAGE_FILES = {
+    "empty-split": (SPLIT_FILE, lambda text: "{}"),
+    "short-split-ref": (
+        SPLIT_FILE,
+        lambda text: json.dumps({**json.loads(text), "validation": [["x"]]}),
+    ),
+    "truncated-window": (WINDOWS_FILE, _corrupt_first_line(lambda line: line[: len(line) // 2])),
+    "window-without-system": (WINDOWS_FILE, _corrupt_first_line(_without_system_id)),
+}
 
 
 def single_pair_systems(n):
@@ -176,7 +201,7 @@ class TestStages:
         out = tmp_path / "out"
         saved_report = (out / REPORT_FILE).read_bytes()
         manifest = json.loads((out / MANIFEST_FILE).read_text())
-        replayed = replay_config(manifest["config"])
+        replayed = parse_run_config(manifest["config"])
         assert replayed == config
         run_all(replayed)
         assert (out / REPORT_FILE).read_bytes() == saved_report
@@ -311,6 +336,37 @@ class TestScriptedRuns:
         assert manifest["status"] == "failed"
         assert manifest["error"]["kind"] == "ScriptExhausted"
         assert manifest["outputs"]["report"] is None
+        timings = json.loads((out / TIMINGS_FILE).read_text())
+        assert "predict" in timings["seconds"]
+
+    def test_failing_endpoint_stops_within_the_window(self, tmp_path, stub_server):
+        stub_server.die_after = 10
+        stub_server.sleep_s = 0.01
+        stub_server.completion = (
+            "The next crash will happen on 2022-01-01 caused by disk failure."
+        )
+        max_in_flight = 4
+        config = small_config(
+            tmp_path / "out",
+            split={"train_pairs": 30, "validation_pairs": 40},
+            backend={
+                "kind": "remote-llm",
+                "endpoint": stub_server.url("mortal"),
+                "model_name": "m",
+                "timeout": 2.0,
+                "retry_limit": 0,
+                "max_in_flight": max_in_flight,
+            },
+        )
+        with pytest.raises(TransportError):
+            run_all(config)
+        assert stub_server.hits <= stub_server.die_after + 2 * max_in_flight
+        rows = (tmp_path / "out" / PREDICTIONS_FILE).read_text().splitlines()
+        assert rows
+        for line in rows:
+            row = json.loads(line)
+            assert row["time_answer"] == stub_server.completion
+            assert row["cause_answer"] == stub_server.completion
 
 
 class TestSequenceRoundTrip:
@@ -375,6 +431,19 @@ class TestCli:
             paths={"logs": str(logs), "out_dir": str(tmp_path / "out")},
         )
         result = self.invoke("--config", str(config_path), "ingest")
+        assert result.exit_code == 3
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_STAGE_FILES))
+    def test_corrupt_stage_file_is_exit_three(self, tmp_path, case):
+        name, corrupt = CORRUPT_STAGE_FILES[case]
+        config_path = self.write_config(tmp_path)
+        for stage in ("synth", "ingest", "sequence", "split"):
+            assert self.invoke("--config", str(config_path), stage).exit_code == 0
+        path = tmp_path / "out" / name
+        path.write_text(corrupt(path.read_text()))
+        with pytest.raises(DataError, match=name):
+            predict_stage(small_config(tmp_path / "out"))
+        result = self.invoke("--config", str(config_path), "predict")
         assert result.exit_code == 3
 
     def test_unreachable_backend_is_exit_four(self, tmp_path):

@@ -23,7 +23,6 @@ from crashcast.predictor import (
     make_backend,
     mbr_next_time,
     mbr_next_type,
-    scripted_answer,
 )
 from crashcast.sequencer import SeqEvent
 
@@ -228,10 +227,6 @@ class TestScriptedBackend:
         assert backend.remaining == 3
         backend.complete("p")
         assert backend.remaining == 2
-
-    def test_scripted_answer_delegates(self):
-        backend = ScriptedBackend(["hello"])
-        assert scripted_answer("p", backend) == "hello"
 
     def test_make_backend_reads_a_script_file(self, tmp_path):
         script = tmp_path / "script.jsonl"

@@ -11,7 +11,6 @@ from crashcast.prompt import (
     CAUSE_QUESTION,
     TIME_QUESTION,
     build_bundle,
-    build_shots,
     default_template,
     parse_template,
     render_answer_sentence,
@@ -37,7 +36,7 @@ def template():
 @pytest.fixture
 def bundle(template):
     sequences = pool_sequences()
-    shots = build_shots(sequences[:2], k=3, seed=11)
+    shots = shots_from_pairs(enumerate_pairs(sequences[:2]), k=3, seed=11)
     query = sequence_of("A1", [(0, "driver power state failure"), (2, "page fault")])
     return build_bundle(template, "A1", query.events, shots)
 

@@ -14,7 +14,6 @@ from crashcast.predictor import (
     BackendConfig,
     RemoteBackend,
     make_backend,
-    remote_answer,
 )
 
 
@@ -54,10 +53,6 @@ class TestRequestShape:
         stub_server.completion = "a canned reply"
         backend = quiet_backend(config_for(stub_server.url()))
         assert backend.complete("whatever") == "a canned reply"
-
-    def test_remote_answer_one_shot(self, stub_server):
-        stub_server.completion = "single"
-        assert remote_answer("p", config_for(stub_server.url())) == "single"
 
     def test_make_backend_builds_a_remote(self, stub_server):
         backend = make_backend(config_for(stub_server.url("echo")))
