@@ -122,8 +122,10 @@ def predict(config: RunConfig):
 @click.pass_obj
 def evaluate(config: RunConfig, stopwords):
     """Score predictions with ROUGE-1 and ROUGE-L per category."""
-    override = None if stopwords is None else stopwords == "on"
-    report = _execute(lambda: pipeline.evaluate_stage(config, stopwords_override=override))
+    if stopwords is not None:
+        flags = dataclasses.replace(config.normalization, remove_stopwords=stopwords == "on")
+        config = dataclasses.replace(config, normalization=flags)
+    report = _execute(lambda: pipeline.evaluate_stage(config))
     _echo_summary(report)
 
 

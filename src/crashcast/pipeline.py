@@ -17,7 +17,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from ._seed import derive_seed
 from .config import NormalizationFlags, RunConfig, config_digest, resolved_dict
@@ -77,9 +77,8 @@ from .sequencer import (
     enumerate_pairs,
     partition_windows,
     sequences_from_windows,
-    take_history,
+    window_from_record,
     window_index_of,
-    windows_from_lines,
     windows_to_lines,
 )
 from .synthgen import generate_corpus
@@ -95,7 +94,7 @@ TABLE_FILE = "table.csv"
 MANIFEST_FILE = "manifest.json"
 TIMINGS_FILE = "timings.json"
 
-MIN_HISTORY = 1
+T = TypeVar("T")
 
 
 def out_dir_of(config: RunConfig) -> Path:
@@ -120,7 +119,7 @@ def _write_json(path: Path, payload: Any) -> None:
 def _read_json(path: Path) -> Any:
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {path.name}: {err}") from None
     except json.JSONDecodeError as err:
         raise DataError(f"{path.name} is not valid JSON: {err}") from None
@@ -129,8 +128,38 @@ def _read_json(path: Path) -> Any:
 def _read_lines(path: Path) -> list[str]:
     try:
         return path.read_text(encoding="utf-8").splitlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {path.name}: {err}") from None
+
+
+def _read_records(path: Path, parse: Callable[[Any], T]) -> list[T]:
+    """Each non-blank JSON line of a stage file through parse; a bad line is a DataError."""
+    records = []
+    for line_no, line in enumerate(_read_lines(path), start=1):
+        if line.strip():
+            try:
+                records.append(parse(json.loads(line)))
+            except (AttributeError, KeyError, TypeError, ValueError) as err:
+                raise DataError(f"bad line {line_no} in {path.name}: {err!r}") from None
+    return records
+
+
+def _typed(obj: dict, key: str, kind: type) -> Any:
+    if not isinstance(obj[key], kind):
+        raise TypeError(f"{key} must be {kind.__name__}, got {obj[key]!r}")
+    return obj[key]
+
+
+def _named_file(
+    key: str, path: str | None, load: Callable[[str], T], default: Callable[[], T]
+) -> T:
+    """The file the config names at key, or the packaged default; unreadable is a config error."""
+    if not path:
+        return default()
+    try:
+        return load(path)
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {key}: {err}") from None
 
 
 def _file_digest(path: Path) -> str | None:
@@ -154,9 +183,7 @@ def ingest_stage(config: RunConfig) -> CrashCorpus:
     lines = _read_lines(logs_path_of(config))
     records = parse_lines(lines)
     critical = filter_critical(records)
-    catalog = (
-        load_catalog(config.paths.catalog) if config.paths.catalog else default_catalog()
-    )
+    catalog = _named_file("paths.catalog", config.paths.catalog, load_catalog, default_catalog)
     corpus = build_corpus(critical, catalog=catalog)
 
     out_dir = out_dir_of(config)
@@ -190,23 +217,16 @@ def ingest_stage(config: RunConfig) -> CrashCorpus:
 
 
 def load_events(path: Path) -> CrashCorpus:
-    events = []
-    for line in _read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            events.append(
-                CrashEvent(
-                    system_id=obj["system_id"],
-                    time=parse_timestamp(obj["time"]),
-                    kind=obj["kind"],
-                    bugcheck_code=obj["bugcheck"],
-                    params=tuple(obj["params"]),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as err:
-            raise DataError(f"bad event line in {path.name}: {err}") from None
+    events = _read_records(
+        path,
+        lambda obj: CrashEvent(
+            system_id=obj["system_id"],
+            time=parse_timestamp(obj["time"]),
+            kind=obj["kind"],
+            bugcheck_code=obj["bugcheck"],
+            params=tuple(obj["params"]),
+        ),
+    )
     if not events:
         raise DataError(f"{path.name} holds no events")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -227,13 +247,13 @@ def sequence_stage(config: RunConfig) -> list[EventSequence]:
 
 
 def load_sequences(config: RunConfig) -> list[EventSequence]:
-    try:
-        windows = windows_from_lines(_read_lines(out_dir_of(config) / WINDOWS_FILE))
-    except (KeyError, TypeError, ValueError) as err:
-        raise DataError(f"bad window line in {WINDOWS_FILE}: {err!r}") from None
+    windows = _read_records(out_dir_of(config) / WINDOWS_FILE, window_from_record)
     if not windows:
         raise DataError(f"{WINDOWS_FILE} holds no windows")
-    return sequences_from_windows(windows)
+    try:
+        return sequences_from_windows(windows)
+    except (TypeError, ValueError) as err:
+        raise DataError(f"{WINDOWS_FILE} does not rebuild into sequences: {err!r}") from None
 
 
 # --- split ---------------------------------------------------------------------
@@ -248,7 +268,7 @@ def split_pairs(
     validation target of that system, so no history covers a held-out
     answer.
     """
-    pairs = enumerate_pairs(sequences, min_history=MIN_HISTORY)
+    pairs = enumerate_pairs(sequences)
     needed = train_n + val_n
     if len(pairs) < needed:
         raise InsufficientData(needed - len(pairs))
@@ -275,15 +295,6 @@ def split_pairs(
     return train, validation
 
 
-def _attach_window_index(
-    pair: LabeledPair, sequences_by_id: dict[str, EventSequence], width_days: int
-) -> LabeledPair:
-    origin = day_floor(sequences_by_id[pair.system_id].events[0].time)
-    return dataclasses.replace(
-        pair, window_index=window_index_of(pair.target.time, origin, width_days)
-    )
-
-
 def split_stage(config: RunConfig) -> dict[str, Any]:
     sequences = load_sequences(config)
     train, validation = split_pairs(
@@ -306,16 +317,14 @@ def split_stage(config: RunConfig) -> dict[str, Any]:
 # --- predict -------------------------------------------------------------------
 
 def _restore_pairs(
-    refs: Iterable[Sequence], sequences_by_id: dict[str, EventSequence], width_days: int
+    refs: Iterable[Sequence], sequences_by_id: dict[str, EventSequence]
 ) -> list[LabeledPair]:
     pairs = []
     for system_id, index in refs:
         seq = sequences_by_id.get(system_id)
         if seq is None:
             raise DataError(f"split references unknown system {system_id!r}")
-        pairs.append(
-            _attach_window_index(take_history(seq, index), sequences_by_id, width_days)
-        )
+        pairs.append(LabeledPair(seq, index))
     return pairs
 
 
@@ -324,8 +333,8 @@ def _normalization_of(
 ) -> NormalizationConfig:
     stopword_list = frozenset()
     if flags.remove_stopwords:
-        stopword_list = (
-            load_stopwords(stopwords_path) if stopwords_path else default_stopwords()
+        stopword_list = _named_file(
+            "paths.stopwords", stopwords_path, load_stopwords, default_stopwords
         )
     return NormalizationConfig(
         lowercase=flags.lowercase,
@@ -377,8 +386,8 @@ def predict_stage(config: RunConfig) -> list[dict[str, Any]]:
     sequences_by_id = {seq.system_id: seq for seq in load_sequences(config)}
     split = _read_json(out_dir / SPLIT_FILE)
     try:
-        train = _restore_pairs(split["train"], sequences_by_id, config.window_days)
-        validation = _restore_pairs(split["validation"], sequences_by_id, config.window_days)
+        train = _restore_pairs(split["train"], sequences_by_id)
+        validation = _restore_pairs(split["validation"], sequences_by_id)
     except (KeyError, TypeError, ValueError) as err:
         raise DataError(f"bad pair list in {SPLIT_FILE}: {err!r}") from None
     validation.sort(key=lambda p: (p.system_id, p.index))
@@ -392,8 +401,8 @@ def predict_stage(config: RunConfig) -> list[dict[str, Any]]:
                 return PredictionRaw("", "", "baseline")
 
     else:
-        template = (
-            load_template(config.paths.template) if config.paths.template else default_template()
+        template = _named_file(
+            "paths.template", config.paths.template, load_template, default_template
         )
         backend = make_backend(config.backend)
 
@@ -407,7 +416,9 @@ def predict_stage(config: RunConfig) -> list[dict[str, Any]]:
         return {
             "system_id": pair.system_id,
             "index": pair.index,
-            "window_index": pair.window_index,
+            "window_index": window_index_of(
+                pair.target.time, day_floor(pair.sequence.events[0].time), config.window_days
+            ),
             "target_time": render_date(pair.target.time),
             "target_cause": pair.target.kind,
             "time_answer": raw.time_answer,
@@ -440,46 +451,31 @@ def predict_stage(config: RunConfig) -> list[dict[str, Any]]:
 
 # --- evaluate ------------------------------------------------------------------
 
-def evaluate_stage(
-    config: RunConfig, stopwords_override: bool | None = None
-) -> dict[str, Any]:
+def evaluate_stage(config: RunConfig) -> dict[str, Any]:
     out_dir = out_dir_of(config)
-    flags = config.normalization
-    if stopwords_override is not None:
-        flags = dataclasses.replace(flags, remove_stopwords=stopwords_override)
-    normalization = _normalization_of(flags, config.paths.stopwords)
+    normalization = _normalization_of(config.normalization, config.paths.stopwords)
 
-    items: list[ScoredItem] = []
-    backend_id = None
-    for line in _read_lines(out_dir / PREDICTIONS_FILE):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            backend_id = obj["backend_id"]
-            merged = merge_extractions(
-                extract_prediction(obj["time_answer"]),
-                extract_prediction(obj["cause_answer"]),
-            )
-            truth = TruthTarget(
-                target_date=obj["target_time"],
-                target_cause=obj["target_cause"],
-                reference_sentence=render_answer_sentence(
-                    obj["target_time"], obj["target_cause"]
-                ),
-            )
-            items.append(
-                ScoredItem(
-                    system_id=obj["system_id"],
-                    index=obj["index"],
-                    window_index=obj["window_index"],
-                    extraction_status=merged.extraction_status,
-                    scores=score_item(merged, truth, normalization),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as err:
-            raise DataError(f"bad prediction line: {err}") from None
+    def scored(obj: dict) -> tuple[str, ScoredItem]:
+        merged = merge_extractions(
+            extract_prediction(obj["time_answer"]),
+            extract_prediction(obj["cause_answer"]),
+        )
+        truth = TruthTarget(
+            target_date=obj["target_time"],
+            target_cause=obj["target_cause"],
+            reference_sentence=render_answer_sentence(obj["target_time"], obj["target_cause"]),
+        )
+        return obj["backend_id"], ScoredItem(
+            system_id=_typed(obj, "system_id", str),
+            index=_typed(obj, "index", int),
+            window_index=obj["window_index"],
+            extraction_status=merged.extraction_status,
+            scores=score_item(merged, truth, normalization),
+        )
 
+    rows = _read_records(out_dir / PREDICTIONS_FILE, scored)
+    backend_id = rows[-1][0] if rows else None
+    items = [item for _, item in rows]
     reports = aggregate(items)
 
     def score_dict(score) -> dict[str, float]:
@@ -503,7 +499,7 @@ def evaluate_stage(
 
     report = {
         "backend_id": backend_id,
-        "normalization": dataclasses.asdict(flags),
+        "normalization": dataclasses.asdict(config.normalization),
         "item_count": len(items),
         "categories": {
             r.category: {"rouge1": score_dict(r.rouge1), "rougeL": score_dict(r.rougeL)}
@@ -586,7 +582,7 @@ def run_all(config: RunConfig) -> dict[str, Any]:
         counts["events"] = len(corpus.events)
         sequences = timed("sequence", lambda: sequence_stage(config))
         counts["systems"] = len(sequences)
-        counts["pairs"] = len(enumerate_pairs(sequences, min_history=MIN_HISTORY))
+        counts["pairs"] = len(enumerate_pairs(sequences))
         split = timed("split", lambda: split_stage(config))
         counts["train"] = split["counts"]["train"]
         counts["validation"] = split["counts"]["validation"]

@@ -264,11 +264,11 @@ def make_backend(config: BackendConfig) -> Backend:
     if config.kind == "scripted":
         if not config.script_path:
             raise ConfigError("scripted backend requires script_path")
-        completions = []
-        with open(config.script_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    completions.append(json.loads(line))
+        try:
+            with open(config.script_path, encoding="utf-8") as fh:
+                completions = [json.loads(line) for line in fh if line.strip()]
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"cannot read backend.script_path: {err}") from None
         for item in completions:
             if not isinstance(item, str):
                 raise ConfigError("script file must hold one JSON string per line")

@@ -128,7 +128,7 @@ def shots_from_pairs(
     pairs: Sequence[LabeledPair], k: int, seed: int, history_cap: int | None = None
 ) -> list[Shot]:
     """Sample k demonstrations without replacement; order is the sample order."""
-    eligible = [p for p in pairs if len(p.history) >= 1]
+    eligible = [p for p in pairs if p.index > 1]
     if k == 0:
         return []
     if len(eligible) < k:

@@ -41,15 +41,31 @@ class EventSequence:
         return len(self.events)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledPair:
-    """A history prefix plus the held-out next event it should predict."""
+    """The event at a 1-based index of a sequence, and the history before it."""
 
-    system_id: str
-    history: tuple[SeqEvent, ...]
-    target: SeqEvent
+    sequence: EventSequence
     index: int
-    window_index: int | None = None
+
+    def __post_init__(self):
+        if not (isinstance(self.index, int) and 1 <= self.index <= len(self.sequence.events)):
+            raise IndexOutOfRange(
+                f"index {self.index!r} outside 1..{len(self.sequence.events)}"
+                f" for {self.sequence.system_id}"
+            )
+
+    @property
+    def system_id(self) -> str:
+        return self.sequence.system_id
+
+    @property
+    def history(self) -> tuple[SeqEvent, ...]:
+        return self.sequence.events[: self.index - 1]
+
+    @property
+    def target(self) -> SeqEvent:
+        return self.sequence.events[self.index - 1]
 
 
 @dataclass(frozen=True)
@@ -96,33 +112,13 @@ def build_sequences(corpus: CrashCorpus) -> list[EventSequence]:
     return sequences
 
 
-def take_history(seq: EventSequence, upto_index: int) -> LabeledPair:
-    """Split at a 1-based index: history is the prefix before it, target the event at it."""
-    if not 1 <= upto_index <= len(seq.events):
-        raise IndexOutOfRange(
-            f"index {upto_index} outside 1..{len(seq.events)} for {seq.system_id}"
-        )
-    return LabeledPair(
-        system_id=seq.system_id,
-        history=seq.events[: upto_index - 1],
-        target=seq.events[upto_index - 1],
-        index=upto_index,
-    )
-
-
-def enumerate_pairs(
-    sequences: Iterable[EventSequence], min_history: int = 1
-) -> list[LabeledPair]:
-    """All (history, target) pairs with at least min_history past events.
+def enumerate_pairs(sequences: Iterable[EventSequence]) -> list[LabeledPair]:
+    """Every pair with a non-empty history.
 
     Deterministic order: sequences as given (sorted by system upstream),
     indices ascending.
     """
-    pairs = []
-    for seq in sequences:
-        for i in range(min_history + 1, len(seq.events) + 1):
-            pairs.append(take_history(seq, i))
-    return pairs
+    return [LabeledPair(seq, i) for seq in sequences for i in range(2, len(seq.events) + 1)]
 
 
 def day_floor(ts: datetime) -> datetime:
@@ -187,25 +183,18 @@ def windows_to_lines(windows: Iterable[WindowedSequence]) -> list[str]:
     return lines
 
 
-def windows_from_lines(lines: Iterable[str]) -> list[WindowedSequence]:
-    windows = []
-    for line in lines:
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        windows.append(
-            WindowedSequence(
-                system_id=obj["system_id"],
-                window=TimeWindow(
-                    start=parse_timestamp(obj["window_start"]),
-                    width_days=obj["width_days"],
-                    index=obj["window_index"],
-                ),
-                time_sequence=tuple(parse_timestamp(t) for t in obj["times"]),
-                cause_sequence=tuple(obj["causes"]),
-            )
-        )
-    return windows
+def window_from_record(obj: dict) -> WindowedSequence:
+    """The inverse of one windows_to_lines record, already JSON-decoded."""
+    return WindowedSequence(
+        system_id=obj["system_id"],
+        window=TimeWindow(
+            start=parse_timestamp(obj["window_start"]),
+            width_days=obj["width_days"],
+            index=obj["window_index"],
+        ),
+        time_sequence=tuple(parse_timestamp(t) for t in obj["times"]),
+        cause_sequence=tuple(obj["causes"]),
+    )
 
 
 def sequences_from_windows(windows: Sequence[WindowedSequence]) -> list[EventSequence]:

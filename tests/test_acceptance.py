@@ -389,8 +389,8 @@ class TestAcceptance:
 
         sequences = {seq.system_id: seq for seq in load_sequences(config)}
         split = json.loads((tmp_path / "out" / SPLIT_FILE).read_text())
-        train = _restore_pairs(split["train"], sequences, config.window_days)
-        validation = _restore_pairs(split["validation"], sequences, config.window_days)
+        train = _restore_pairs(split["train"], sequences)
+        validation = _restore_pairs(split["validation"], sequences)
         template = default_template()
 
         assert len(validation) == 40

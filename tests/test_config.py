@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +162,10 @@ class TestDigest:
         digest = config_digest(RunConfig())
         assert len(digest) == 64
         int(digest, 16)
+
+
+def test_readme_config_block_is_the_full_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config file", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == resolved_dict(RunConfig())

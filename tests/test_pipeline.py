@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import sequence_of
+from crashcast import pipeline
 from crashcast.cli import main
 from crashcast.config import RunConfig, parse_run_config
 from crashcast.errors import DataError, InsufficientData, ScriptExhausted, TransportError
@@ -49,22 +51,94 @@ def _without_system_id(line):
     return json.dumps(obj)
 
 
-def _corrupt_first_line(corrupt):
+def _with_field(key, value):
+    return lambda line: json.dumps({**json.loads(line), key: value})
+
+
+def _reversed_times(line):
+    obj = json.loads(line)
+    return json.dumps({**obj, "times": obj["times"][::-1]})
+
+
+def _corrupt_first_line(corrupt, where=lambda line: True):
     def rewrite(text):
-        first, *rest = text.splitlines()
-        return "\n".join([corrupt(first), *rest]) + "\n"
+        lines = text.splitlines()
+        first = next(i for i, line in enumerate(lines) if where(line))
+        lines[first] = corrupt(lines[first])
+        return "\n".join(lines) + "\n"
 
     return rewrite
 
 
+STAGES = ("synth", "ingest", "sequence", "split", "predict", "evaluate")
+
+# case: (stage file, corruption of its text, the stage that reads it)
 CORRUPT_STAGE_FILES = {
-    "empty-split": (SPLIT_FILE, lambda text: "{}"),
+    "empty-split": (SPLIT_FILE, lambda text: "{}", "predict"),
     "short-split-ref": (
         SPLIT_FILE,
         lambda text: json.dumps({**json.loads(text), "validation": [["x"]]}),
+        "predict",
     ),
-    "truncated-window": (WINDOWS_FILE, _corrupt_first_line(lambda line: line[: len(line) // 2])),
-    "window-without-system": (WINDOWS_FILE, _corrupt_first_line(_without_system_id)),
+    "truncated-window": (
+        WINDOWS_FILE,
+        _corrupt_first_line(lambda line: line[: len(line) // 2]),
+        "predict",
+    ),
+    "window-without-system": (WINDOWS_FILE, _corrupt_first_line(_without_system_id), "predict"),
+    "event-time-not-a-time": (
+        EVENTS_FILE,
+        _corrupt_first_line(_with_field("time", "yesterday")),
+        "sequence",
+    ),
+    "reversed-window-times": (
+        WINDOWS_FILE,
+        _corrupt_first_line(_reversed_times, where=lambda line: len(json.loads(line)["times"]) > 1),
+        "split",
+    ),
+    "events-not-utf8": (EVENTS_FILE, lambda text: text + "\udcff\n", "sequence"),
+    "split-not-utf8": (SPLIT_FILE, lambda text: text + "\udcff", "predict"),
+    "prediction-time-not-a-string": (
+        PREDICTIONS_FILE,
+        _corrupt_first_line(_with_field("target_time", 5)),
+        "evaluate",
+    ),
+    "prediction-index-not-an-int": (
+        PREDICTIONS_FILE,
+        _corrupt_first_line(_with_field("index", "x")),
+        "evaluate",
+    ),
+}
+
+# case: (config key named in the error, config overrides given the test's tmp_path)
+UNREADABLE_CONFIG_FILES = {
+    "missing-catalog": ("paths.catalog", lambda tmp: {"paths": {"catalog": str(tmp / "no")}}),
+    "catalog-not-utf8": (
+        "paths.catalog",
+        lambda tmp: {"paths": {"catalog": str(tmp / "latin1.txt")}},
+    ),
+    "missing-stopwords": (
+        "paths.stopwords",
+        lambda tmp: {
+            "paths": {"stopwords": str(tmp / "no")},
+            "normalization": {"remove_stopwords": True},
+        },
+    ),
+    "missing-template": (
+        "paths.template",
+        lambda tmp: {
+            "paths": {"template": str(tmp / "no")},
+            "backend": {"kind": "scripted", "script_path": str(tmp / "script.jsonl")},
+        },
+    ),
+    "missing-script": (
+        "backend.script_path",
+        lambda tmp: {"backend": {"kind": "scripted", "script_path": str(tmp / "no")}},
+    ),
+    "script-not-json": (
+        "backend.script_path",
+        lambda tmp: {"backend": {"kind": "scripted", "script_path": str(tmp / "prose.txt")}},
+    ),
 }
 
 
@@ -223,7 +297,8 @@ class TestStages:
     def test_evaluate_stopword_override_changes_the_report(self, tmp_path):
         config = small_config(tmp_path / "out")
         plain = run_all(config)
-        filtered = evaluate_stage(config, stopwords_override=True)
+        flags = dataclasses.replace(config.normalization, remove_stopwords=True)
+        filtered = evaluate_stage(dataclasses.replace(config, normalization=flags))
         assert plain["normalization"]["remove_stopwords"] is False
         assert filtered["normalization"]["remove_stopwords"] is True
         assert (
@@ -410,6 +485,20 @@ class TestCli:
         result = self.invoke("--config", str(tmp_path / "absent.json"), "run")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_CONFIG_FILES))
+    def test_unreadable_config_file_is_exit_two(self, tmp_path, case):
+        key, overrides = UNREADABLE_CONFIG_FILES[case]
+        (tmp_path / "latin1.txt").write_bytes(b"0x9F caf\xe9\n")
+        (tmp_path / "script.jsonl").write_text('"an answer"\n')
+        (tmp_path / "prose.txt").write_text("not json\n")
+        config_path = self.write_config(tmp_path, **overrides(tmp_path))
+        result = self.invoke("--config", str(config_path), "run")
+        assert result.exit_code == 2, result.output
+        assert key in result.output
+        manifest = json.loads((tmp_path / "out" / MANIFEST_FILE).read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["kind"] == "ConfigError"
+
     def test_unknown_config_key_is_exit_two(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"bogus": 1}))
@@ -435,15 +524,16 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(CORRUPT_STAGE_FILES))
     def test_corrupt_stage_file_is_exit_three(self, tmp_path, case):
-        name, corrupt = CORRUPT_STAGE_FILES[case]
+        name, corrupt, reader = CORRUPT_STAGE_FILES[case]
         config_path = self.write_config(tmp_path)
-        for stage in ("synth", "ingest", "sequence", "split"):
+        for stage in STAGES[: STAGES.index(reader)]:
             assert self.invoke("--config", str(config_path), stage).exit_code == 0
         path = tmp_path / "out" / name
-        path.write_text(corrupt(path.read_text()))
+        # surrogateescape lets a corruption write bytes that are not UTF-8
+        path.write_bytes(corrupt(path.read_text()).encode("utf-8", "surrogateescape"))
         with pytest.raises(DataError, match=name):
-            predict_stage(small_config(tmp_path / "out"))
-        result = self.invoke("--config", str(config_path), "predict")
+            getattr(pipeline, f"{reader}_stage")(small_config(tmp_path / "out"))
+        result = self.invoke("--config", str(config_path), reader)
         assert result.exit_code == 3
 
     def test_unreachable_backend_is_exit_four(self, tmp_path):

@@ -1,4 +1,6 @@
+import json
 import random
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -8,13 +10,13 @@ from crashcast.errors import BadWidth, IndexOutOfRange
 from crashcast.ingest import CrashCorpus, CrashEvent
 from crashcast.sequencer import (
     EventSequence,
+    LabeledPair,
     SeqEvent,
     build_sequences,
     enumerate_pairs,
     partition_windows,
     sequences_from_windows,
-    take_history,
-    windows_from_lines,
+    window_from_record,
     windows_to_lines,
 )
 
@@ -74,14 +76,14 @@ class TestBuildSequences:
 class TestTakeHistory:
     def test_interior_split(self):
         seq = sequence_of("A", [(0, "a"), (1, "b"), (2, "c")])
-        pair = take_history(seq, 3)
+        pair = LabeledPair(seq, 3)
         assert [e.kind for e in pair.history] == ["a", "b"]
         assert pair.target.kind == "c"
         assert pair.index == 3
 
     def test_first_index_gives_empty_history(self):
         seq = sequence_of("A", [(0, "a"), (1, "b"), (2, "c")])
-        pair = take_history(seq, 1)
+        pair = LabeledPair(seq, 1)
         assert pair.history == ()
         assert pair.target.kind == "a"
 
@@ -89,19 +91,33 @@ class TestTakeHistory:
     def test_out_of_range_indices(self, index):
         seq = sequence_of("A", [(0, "a"), (1, "b"), (2, "c")])
         with pytest.raises(IndexOutOfRange):
-            take_history(seq, index)
+            LabeledPair(seq, index)
 
     def test_history_plus_target_is_a_prefix(self):
         seq = sequence_of("A", [(d, f"k{d}") for d in range(6)])
         for i in range(1, 7):
-            pair = take_history(seq, i)
+            pair = LabeledPair(seq, i)
             assert pair.history + (pair.target,) == seq.events[:i]
 
     def test_enumerate_pairs_respects_min_history(self):
         seq = sequence_of("A", [(0, "a"), (1, "b"), (2, "c")])
-        pairs = enumerate_pairs([seq], min_history=1)
+        pairs = enumerate_pairs([seq])
         assert [p.index for p in pairs] == [2, 3]
         assert all(len(p.history) >= 1 for p in pairs)
+
+    def test_pair_memory_is_linear(self):
+        def peak_bytes(n):
+            seq = sequence_of("A", [(d, "x") for d in range(n)])
+            tracemalloc.start()
+            try:
+                enumerate_pairs([seq])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_bytes(2000), peak_bytes(4000)
+        assert large < 2_000_000
+        assert large < 2.5 * small
 
 
 class TestPartitionWindows:
@@ -178,7 +194,7 @@ class TestLosslessPartition:
         rng = random.Random(7)
         sequences = [random_sequence(rng, f"sys-{i}") for i in range(5)]
         windows = [w for s in sequences for w in partition_windows(s, 7)]
-        restored = windows_from_lines(windows_to_lines(windows))
+        restored = [window_from_record(json.loads(line)) for line in windows_to_lines(windows)]
         assert restored == windows
         assert sequences_from_windows(restored) == sorted(
             sequences, key=lambda s: s.system_id
