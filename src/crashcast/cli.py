@@ -98,10 +98,8 @@ def sequence(config: RunConfig):
 @click.pass_obj
 def split(config: RunConfig):
     """Draw disjoint train and validation pair pools."""
-    payload = _execute(lambda: pipeline.split_stage(config))
-    click.echo(
-        f"train {payload['counts']['train']}, validation {payload['counts']['validation']}"
-    )
+    train, validation = _execute(lambda: pipeline.split_stage(config))
+    click.echo(f"train {len(train)}, validation {len(validation)}")
 
 
 @main.command()

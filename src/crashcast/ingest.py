@@ -74,12 +74,15 @@ def parse_timestamp(text: str) -> datetime:
     match = _TS_RE.match(text)
     if match is None:
         raise ValueError(f"not a full UTC instant: {text!r}")
-    y, mo, d, h, mi, s = (int(g) for g in match.groups())
-    return datetime(y, mo, d, h, mi, s, tzinfo=timezone.utc)
+    return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """The instant as strftime("%Y-%m-%dT%H:%M:%SZ") writes it with glibc (year unpadded)."""
+    return (
+        f"{ts.year}-{ts.month:02d}-{ts.day:02d}"
+        f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}Z"
+    )
 
 
 def canonical_code(code: str) -> str:

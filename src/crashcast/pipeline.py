@@ -1,10 +1,12 @@
 """Drive the stages end to end and keep their file contracts.
 
-Each stage reads only the files the previous stage declared and writes
-its own, so any stage can be rerun alone. The full run also writes a
-manifest that pins the resolved config, the seed, the backend, and the
-digests of every output; wall-clock timings go to a separate file so the
-manifest stays byte-identical across identical runs.
+Each stage writes its own file once. Run alone, a stage reads only the
+files the previous stage declared, so any stage can be rerun; inside
+`run_all` each stage takes the previous stage's in-memory result instead,
+and no stage file is read back. The full run also writes a manifest that
+pins the resolved config, the seed, the backend, and the digests of every
+output; wall-clock timings go to a separate file so the manifest stays
+byte-identical across identical runs.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
     DataError,
     InsufficientData,
     HistoryTooShort,
+    RecordError,
 )
 from .ingest import (
     CrashCorpus,
@@ -72,6 +75,7 @@ from .prompt import (
 from .sequencer import (
     EventSequence,
     LabeledPair,
+    WindowedSequence,
     build_sequences,
     day_floor,
     enumerate_pairs,
@@ -144,10 +148,14 @@ def _read_records(path: Path, parse: Callable[[Any], T]) -> list[T]:
     return records
 
 
-def _typed(obj: dict, key: str, kind: type) -> Any:
-    if not isinstance(obj[key], kind):
-        raise TypeError(f"{key} must be {kind.__name__}, got {obj[key]!r}")
-    return obj[key]
+def _typed(obj: dict, key: str, kind: type, item: type | None = None) -> Any:
+    """obj[key], which must be a kind (and, given item, hold only items)."""
+    value = obj[key]
+    if not isinstance(value, kind) or (
+        item is not None and not all(isinstance(v, item) for v in value)
+    ):
+        raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def _named_file(
@@ -160,12 +168,25 @@ def _named_file(
         return load(path)
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read {key}: {err}") from None
+    except RecordError as err:
+        raise ConfigError(f"bad {key} {path}: {err}") from None
+
+
+def _sha256(path: Path) -> str:
+    """Hex sha256 of a file's bytes, read in chunks so the whole file is never held."""
+    digest = hashlib.sha256()
+    with path.open("rb") as stream:
+        for chunk in iter(lambda: stream.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _file_digest(path: Path) -> str | None:
-    if not path.is_file():
-        return None
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return _sha256(path) if path.is_file() else None
+
+
+def _pair_key(pair: LabeledPair) -> tuple[str, int]:
+    return pair.system_id, pair.index
 
 
 # --- synth ---------------------------------------------------------------------
@@ -180,11 +201,12 @@ def synth_stage(config: RunConfig) -> Path:
 # --- ingest --------------------------------------------------------------------
 
 def ingest_stage(config: RunConfig) -> CrashCorpus:
-    lines = _read_lines(logs_path_of(config))
+    logs_path = logs_path_of(config)
+    lines = _read_lines(logs_path)
     records = parse_lines(lines)
     critical = filter_critical(records)
     catalog = _named_file("paths.catalog", config.paths.catalog, load_catalog, default_catalog)
-    corpus = build_corpus(critical, catalog=catalog)
+    corpus = build_corpus(critical, catalog=catalog, source_digest=_sha256(logs_path))
 
     out_dir = out_dir_of(config)
     event_lines = []
@@ -220,24 +242,25 @@ def load_events(path: Path) -> CrashCorpus:
     events = _read_records(
         path,
         lambda obj: CrashEvent(
-            system_id=obj["system_id"],
+            system_id=_typed(obj, "system_id", str),
             time=parse_timestamp(obj["time"]),
-            kind=obj["kind"],
-            bugcheck_code=obj["bugcheck"],
-            params=tuple(obj["params"]),
+            kind=_typed(obj, "kind", str),
+            bugcheck_code=_typed(obj, "bugcheck", str),
+            params=tuple(_typed(obj, "params", list, str)),
         ),
     )
     if not events:
         raise DataError(f"{path.name} holds no events")
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return CrashCorpus(events=tuple(events), source_digest=digest)
+    return CrashCorpus(events=tuple(events), source_digest=_sha256(path))
 
 
 # --- sequence ------------------------------------------------------------------
 
-def sequence_stage(config: RunConfig) -> list[EventSequence]:
+def sequence_stage(config: RunConfig, corpus: CrashCorpus | None = None) -> list[EventSequence]:
+    """Sequences and windows of the corpus; None reads the corpus from events.jsonl."""
     out_dir = out_dir_of(config)
-    corpus = load_events(out_dir / EVENTS_FILE)
+    if corpus is None:
+        corpus = load_events(out_dir / EVENTS_FILE)
     sequences = build_sequences(corpus)
     lines: list[str] = []
     for seq in sequences:
@@ -246,10 +269,24 @@ def sequence_stage(config: RunConfig) -> list[EventSequence]:
     return sequences
 
 
+def _window_of(obj: dict) -> WindowedSequence:
+    _typed(obj, "system_id", str)
+    _typed(obj, "window_index", int)
+    _typed(obj, "width_days", int)
+    _typed(obj, "causes", list, str)
+    return window_from_record(obj)
+
+
 def load_sequences(config: RunConfig) -> list[EventSequence]:
-    windows = _read_records(out_dir_of(config) / WINDOWS_FILE, window_from_record)
+    windows = _read_records(out_dir_of(config) / WINDOWS_FILE, _window_of)
     if not windows:
         raise DataError(f"{WINDOWS_FILE} holds no windows")
+    for window in windows:
+        if window.window.width_days != config.window_days:
+            raise DataError(
+                f"{WINDOWS_FILE} holds windows {window.window.width_days!r} days wide,"
+                f" but window_days is {config.window_days}"
+            )
     try:
         return sequences_from_windows(windows)
     except (TypeError, ValueError) as err:
@@ -295,23 +332,38 @@ def split_pairs(
     return train, validation
 
 
-def split_stage(config: RunConfig) -> dict[str, Any]:
-    sequences = load_sequences(config)
+def _count_by_system(pairs: Iterable[LabeledPair]) -> dict[str, int]:
+    """Pairs per system, keyed in system order."""
+    composition: dict[str, int] = {}
+    for pair in pairs:
+        composition[pair.system_id] = composition.get(pair.system_id, 0) + 1
+    return dict(sorted(composition.items()))
+
+
+def split_stage(
+    config: RunConfig, sequences: Sequence[EventSequence] | None = None
+) -> tuple[list[LabeledPair], list[LabeledPair]]:
+    """Draw the (train, validation) pairs and write split.json.
+
+    Both lists come back sorted by (system_id, index), the order split.json
+    holds them in. None reads the sequences from windows.jsonl.
+    """
+    if sequences is None:
+        sequences = load_sequences(config)
     train, validation = split_pairs(
         sequences, config.train_pairs, config.validation_pairs, config.seed
     )
-    composition: dict[str, int] = {}
-    for pair in validation:
-        composition[pair.system_id] = composition.get(pair.system_id, 0) + 1
+    train.sort(key=_pair_key)
+    validation.sort(key=_pair_key)
     payload = {
         "seed": config.seed,
-        "train": sorted([p.system_id, p.index] for p in train),
-        "validation": sorted([p.system_id, p.index] for p in validation),
+        "train": [[p.system_id, p.index] for p in train],
+        "validation": [[p.system_id, p.index] for p in validation],
         "counts": {"train": len(train), "validation": len(validation)},
-        "validation_systems": dict(sorted(composition.items())),
+        "validation_systems": _count_by_system(validation),
     }
     _write_json(out_dir_of(config) / SPLIT_FILE, payload)
-    return payload
+    return train, validation
 
 
 # --- predict -------------------------------------------------------------------
@@ -326,6 +378,21 @@ def _restore_pairs(
             raise DataError(f"split references unknown system {system_id!r}")
         pairs.append(LabeledPair(seq, index))
     return pairs
+
+
+def load_split(
+    config: RunConfig, sequences: Sequence[EventSequence]
+) -> tuple[list[LabeledPair], list[LabeledPair]]:
+    """The (train, validation) pairs split.json names, restored into sequences."""
+    split = _read_json(out_dir_of(config) / SPLIT_FILE)
+    sequences_by_id = {seq.system_id: seq for seq in sequences}
+    try:
+        return (
+            _restore_pairs(split["train"], sequences_by_id),
+            _restore_pairs(split["validation"], sequences_by_id),
+        )
+    except (DataError, KeyError, TypeError, ValueError) as err:
+        raise DataError(f"bad pair list in {SPLIT_FILE}: {err!r}") from None
 
 
 def _normalization_of(
@@ -376,21 +443,22 @@ def _bundle_for(
     )
 
 
-def predict_stage(config: RunConfig) -> list[dict[str, Any]]:
+def predict_stage(
+    config: RunConfig,
+    pairs: tuple[Sequence[LabeledPair], Sequence[LabeledPair]] | None = None,
+) -> list[dict[str, Any]]:
     """Answer every validation pair, at most `width` pairs in flight.
 
+    pairs is (train, validation); None restores them from split.json and
+    windows.jsonl. Both are taken in (system_id, index) order, so the
+    shots drawn from train do not depend on where the pairs came from.
     The first backend error stops submission; the rows finished so far
     are flushed before it propagates.
     """
     out_dir = out_dir_of(config)
-    sequences_by_id = {seq.system_id: seq for seq in load_sequences(config)}
-    split = _read_json(out_dir / SPLIT_FILE)
-    try:
-        train = _restore_pairs(split["train"], sequences_by_id)
-        validation = _restore_pairs(split["validation"], sequences_by_id)
-    except (KeyError, TypeError, ValueError) as err:
-        raise DataError(f"bad pair list in {SPLIT_FILE}: {err!r}") from None
-    validation.sort(key=lambda p: (p.system_id, p.index))
+    if pairs is None:
+        pairs = load_split(config, load_sequences(config))
+    train, validation = (sorted(pool, key=_pair_key) for pool in pairs)
 
     if config.backend.kind == "baseline":
 
@@ -451,31 +519,56 @@ def predict_stage(config: RunConfig) -> list[dict[str, Any]]:
 
 # --- evaluate ------------------------------------------------------------------
 
-def evaluate_stage(config: RunConfig) -> dict[str, Any]:
+# field of a predictions.jsonl row -> its type
+PREDICTION_FIELDS = {
+    "system_id": str,
+    "index": int,
+    "window_index": int,
+    "target_time": str,
+    "target_cause": str,
+    "time_answer": str,
+    "cause_answer": str,
+    "backend_id": str,
+}
+
+
+def load_predictions(config: RunConfig) -> list[dict[str, Any]]:
+    """The rows of predictions.jsonl, each field checked against PREDICTION_FIELDS."""
+    return _read_records(
+        out_dir_of(config) / PREDICTIONS_FILE,
+        lambda obj: {key: _typed(obj, key, kind) for key, kind in PREDICTION_FIELDS.items()},
+    )
+
+
+def evaluate_stage(
+    config: RunConfig, rows: Sequence[dict[str, Any]] | None = None
+) -> dict[str, Any]:
+    """Score the prediction rows; None reads them from predictions.jsonl."""
     out_dir = out_dir_of(config)
     normalization = _normalization_of(config.normalization, config.paths.stopwords)
+    if rows is None:
+        rows = load_predictions(config)
 
-    def scored(obj: dict) -> tuple[str, ScoredItem]:
+    def scored(row: dict[str, Any]) -> ScoredItem:
         merged = merge_extractions(
-            extract_prediction(obj["time_answer"]),
-            extract_prediction(obj["cause_answer"]),
+            extract_prediction(row["time_answer"]),
+            extract_prediction(row["cause_answer"]),
         )
         truth = TruthTarget(
-            target_date=obj["target_time"],
-            target_cause=obj["target_cause"],
-            reference_sentence=render_answer_sentence(obj["target_time"], obj["target_cause"]),
+            target_date=row["target_time"],
+            target_cause=row["target_cause"],
+            reference_sentence=render_answer_sentence(row["target_time"], row["target_cause"]),
         )
-        return obj["backend_id"], ScoredItem(
-            system_id=_typed(obj, "system_id", str),
-            index=_typed(obj, "index", int),
-            window_index=obj["window_index"],
+        return ScoredItem(
+            system_id=row["system_id"],
+            index=row["index"],
+            window_index=row["window_index"],
             extraction_status=merged.extraction_status,
             scores=score_item(merged, truth, normalization),
         )
 
-    rows = _read_records(out_dir / PREDICTIONS_FILE, scored)
-    backend_id = rows[-1][0] if rows else None
-    items = [item for _, item in rows]
+    backend_id = rows[-1]["backend_id"] if rows else None
+    items = [scored(row) for row in rows]
     reports = aggregate(items)
 
     def score_dict(score) -> dict[str, float]:
@@ -580,17 +673,17 @@ def run_all(config: RunConfig) -> dict[str, Any]:
             timed("synth", lambda: synth_stage(config))
         corpus = timed("ingest", lambda: ingest_stage(config))
         counts["events"] = len(corpus.events)
-        sequences = timed("sequence", lambda: sequence_stage(config))
+        sequences = timed("sequence", lambda: sequence_stage(config, corpus))
         counts["systems"] = len(sequences)
         counts["pairs"] = len(enumerate_pairs(sequences))
-        split = timed("split", lambda: split_stage(config))
-        counts["train"] = split["counts"]["train"]
-        counts["validation"] = split["counts"]["validation"]
-        validation_systems = split["validation_systems"]
-        predictions = timed("predict", lambda: predict_stage(config))
+        train, validation = timed("split", lambda: split_stage(config, sequences))
+        counts["train"] = len(train)
+        counts["validation"] = len(validation)
+        validation_systems = _count_by_system(validation)
+        predictions = timed("predict", lambda: predict_stage(config, (train, validation)))
         counts["predictions"] = len(predictions)
         backend_id = predictions[0]["backend_id"] if predictions else None
-        report = timed("evaluate", lambda: evaluate_stage(config))
+        report = timed("evaluate", lambda: evaluate_stage(config, predictions))
     except (ConfigError, DataError, BackendError) as err:
         predictions_path = out_dir / PREDICTIONS_FILE
         counts.setdefault(

@@ -49,7 +49,7 @@ class LabeledPair:
     index: int
 
     def __post_init__(self):
-        if not (isinstance(self.index, int) and 1 <= self.index <= len(self.sequence.events)):
+        if not (type(self.index) is int and 1 <= self.index <= len(self.sequence.events)):
             raise IndexOutOfRange(
                 f"index {self.index!r} outside 1..{len(self.sequence.events)}"
                 f" for {self.sequence.system_id}"

@@ -130,6 +130,19 @@ class TestTimestamps:
         ts = datetime(2021, 12, 31, 23, 59, 59, tzinfo=UTC)
         assert parse_timestamp(format_timestamp(ts)) == ts
 
+    @pytest.mark.parametrize("year", [1, 999, 1000, 2000, 9999])
+    def test_format_matches_strftime(self, year):
+        ts = datetime(year, 2, 3, 4, 5, 6, tzinfo=UTC)
+        assert format_timestamp(ts) == ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+    @given(st.datetimes(min_value=datetime(1000, 1, 1), timezones=st.just(UTC)))
+    @settings(max_examples=300)
+    def test_codec_round_trips_like_strftime(self, ts):
+        ts = ts.replace(microsecond=0)
+        text = format_timestamp(ts)
+        assert text == ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+        assert parse_timestamp(text) == ts
+
 
 _record_strategy = st.builds(
     RawLogRecord,

@@ -1,17 +1,23 @@
 import dataclasses
+import hashlib
 import json
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import sequence_of
 from crashcast import pipeline
 from crashcast.cli import main
 from crashcast.config import RunConfig, parse_run_config
 from crashcast.errors import DataError, InsufficientData, ScriptExhausted, TransportError
+from crashcast.predictor import PredictionRaw
 from crashcast.pipeline import (
     EVENTS_FILE,
+    INGEST_FILE,
     LOGS_FILE,
     MANIFEST_FILE,
     PREDICTIONS_FILE,
@@ -22,7 +28,10 @@ from crashcast.pipeline import (
     WINDOWS_FILE,
     evaluate_stage,
     ingest_stage,
+    load_events,
+    load_predictions,
     load_sequences,
+    load_split,
     predict_stage,
     run_all,
     sequence_stage,
@@ -139,6 +148,22 @@ UNREADABLE_CONFIG_FILES = {
         "backend.script_path",
         lambda tmp: {"backend": {"kind": "scripted", "script_path": str(tmp / "prose.txt")}},
     ),
+    "catalog-not-a-code": (
+        "paths.catalog",
+        lambda tmp: {"paths": {"catalog": str(tmp / "not-a-code.txt")}},
+    ),
+    "catalog-bad-hex": (
+        "paths.catalog",
+        lambda tmp: {"paths": {"catalog": str(tmp / "bad-hex.txt")}},
+    ),
+}
+
+# a remote backend whose calls the tests replace, so no request is sent
+REMOTE_SHAPED = {
+    "kind": "remote-llm",
+    "endpoint": "http://127.0.0.1:9/v1/chat",
+    "model_name": "m",
+    "max_in_flight": 2,
 }
 
 
@@ -235,30 +260,71 @@ class TestStages:
         for digest in manifest["outputs"].values():
             assert digest is None or len(digest) == 64
 
-    def test_stagewise_run_matches_run_all(self, tmp_path):
-        whole = small_config(tmp_path / "whole")
-        run_all(whole)
+    def test_stagewise_run_matches_run_all(self, tmp_path, monkeypatch):
+        prompts: dict[Path, list[str]] = {}
 
-        steps = small_config(tmp_path / "steps")
-        synth_stage(steps)
-        ingest_stage(steps)
-        sequence_stage(steps)
-        split_stage(steps)
-        predict_stage(steps)
-        evaluate_stage(steps)
+        def recording(backend, bundle):
+            prompts.setdefault(out_dir, []).append(bundle.rendered_time_prompt)
+            return PredictionRaw("I cannot tell.", "", backend.backend_id)
 
-        for name in (
-            LOGS_FILE,
-            EVENTS_FILE,
-            WINDOWS_FILE,
-            SPLIT_FILE,
-            PREDICTIONS_FILE,
-            REPORT_FILE,
-            TABLE_FILE,
+        monkeypatch.setattr(pipeline, "_predict_one", recording)
+        for variant, overrides in (("baseline", {}), ("remote", {"backend": REMOTE_SHAPED})):
+            out_dir = tmp_path / variant / "whole"
+            run_all(small_config(out_dir, **overrides))
+            whole_prompts = sorted(prompts.pop(out_dir, []))
+
+            out_dir = tmp_path / variant / "steps"
+            steps = small_config(out_dir, **overrides)
+            synth_stage(steps)
+            ingest_stage(steps)
+            sequence_stage(steps)
+            split_stage(steps)
+            predict_stage(steps)
+            evaluate_stage(steps)
+
+            for name in (
+                LOGS_FILE,
+                EVENTS_FILE,
+                INGEST_FILE,
+                WINDOWS_FILE,
+                SPLIT_FILE,
+                PREDICTIONS_FILE,
+                REPORT_FILE,
+                TABLE_FILE,
+            ):
+                whole_bytes = (tmp_path / variant / "whole" / name).read_bytes()
+                steps_bytes = (tmp_path / variant / "steps" / name).read_bytes()
+                assert whole_bytes == steps_bytes, (variant, name)
+            # the shots come from the train pool in list order, so this also
+            # pins the order in which run_all hands the pool forward
+            assert whole_prompts == sorted(prompts.pop(out_dir, [])), variant
+            assert len(whole_prompts) == (12 if variant == "remote" else 0)
+
+    def test_run_all_reads_no_stage_file_back(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_all read a stage file back")
+
+        for reader in (
+            "load_events",
+            "load_sequences",
+            "load_split",
+            "load_predictions",
+            "_read_records",
+            "_read_json",
         ):
-            whole_bytes = (tmp_path / "whole" / name).read_bytes()
-            steps_bytes = (tmp_path / "steps" / name).read_bytes()
-            assert whole_bytes == steps_bytes, name
+            monkeypatch.setattr(pipeline, reader, refuse)
+        report = run_all(small_config(tmp_path / "out"))
+        assert report["item_count"] == 12
+        manifest = json.loads((tmp_path / "out" / MANIFEST_FILE).read_text())
+        assert manifest["status"] == "ok"
+
+    def test_source_digest_is_the_logs_file_digest(self, tmp_path):
+        run_all(small_config(tmp_path / "out"))
+        out = tmp_path / "out"
+        ingest = json.loads((out / INGEST_FILE).read_text())
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        assert ingest["source_digest"] == manifest["outputs"]["logs"]
+        assert ingest["source_digest"] == hashlib.sha256((out / LOGS_FILE).read_bytes()).hexdigest()
 
     def test_rerun_in_place_is_byte_identical(self, tmp_path):
         config = small_config(tmp_path / "out")
@@ -491,6 +557,8 @@ class TestCli:
         (tmp_path / "latin1.txt").write_bytes(b"0x9F caf\xe9\n")
         (tmp_path / "script.jsonl").write_text('"an answer"\n')
         (tmp_path / "prose.txt").write_text("not json\n")
+        (tmp_path / "not-a-code.txt").write_text("not-a-code\n")
+        (tmp_path / "bad-hex.txt").write_text("0xZZ driver power state failure\n")
         config_path = self.write_config(tmp_path, **overrides(tmp_path))
         result = self.invoke("--config", str(config_path), "run")
         assert result.exit_code == 2, result.output
@@ -535,6 +603,17 @@ class TestCli:
             getattr(pipeline, f"{reader}_stage")(small_config(tmp_path / "out"))
         result = self.invoke("--config", str(config_path), reader)
         assert result.exit_code == 3
+
+    def test_predict_at_another_window_width_is_exit_three(self, tmp_path):
+        config_path = self.write_config(tmp_path)
+        for stage in STAGES[: STAGES.index("predict")]:
+            assert self.invoke("--config", str(config_path), stage).exit_code == 0
+        narrow_path = self.write_config(tmp_path, window_days=3)
+        result = self.invoke("--config", str(narrow_path), "predict")
+        assert result.exit_code == 3, result.output
+        assert "7 days wide" in result.output
+        assert "window_days is 3" in result.output
+        assert not (tmp_path / "out" / PREDICTIONS_FILE).exists()
 
     def test_unreachable_backend_is_exit_four(self, tmp_path):
         config_path = self.write_config(
@@ -605,3 +684,97 @@ class TestBackendInterchangeability:
         assert set(base_report["categories"]) == set(scripted_report["categories"])
         for category in scripted_report["categories"].values():
             assert category["rouge1"]["f1"] == 0.0
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _replace_a_node(draw, node):
+    """node with one value somewhere inside it (or node itself) replaced by any JSON value."""
+    if isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        copy = dict(node) if isinstance(node, dict) else list(node)
+        copy[key] = _replace_a_node(draw, node[key])
+        return copy
+    return draw(JSON_VALUES)
+
+
+@st.composite
+def corruptions(draw, data: bytes, json_lines: bool):
+    """data with a byte span overwritten, or one JSON value (per line for JSONL) replaced."""
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, len(data)))
+        return data[:start] + draw(st.binary(max_size=12)) + data[end:]
+    if not json_lines:
+        return json.dumps(_replace_a_node(draw, json.loads(data))).encode()
+    lines = data.splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    lines[at] = json.dumps(_replace_a_node(draw, json.loads(lines[at]))).encode()
+    return b"\n".join(lines) + b"\n"
+
+
+@pytest.fixture(scope="module")
+def stage_run(tmp_path_factory):
+    """The config and stage files of one small finished run, and its sequences."""
+    config = small_config(tmp_path_factory.mktemp("fuzz") / "out")
+    run_all(config)
+    out = Path(config.paths.out_dir)
+    files = {name: (out / name).read_bytes() for name in STAGE_READERS}
+    return config, files, load_sequences(config)
+
+
+def _check_events(result):
+    for event in result.events:
+        assert isinstance(event.time, datetime)
+        assert all(isinstance(v, str) for v in (event.system_id, event.kind, event.bugcheck_code))
+        assert all(isinstance(p, str) for p in event.params)
+
+
+def _check_sequences(result):
+    for seq in result:
+        assert isinstance(seq.system_id, str)
+        assert all(isinstance(t, datetime) and isinstance(k, str) for t, k in seq.events)
+
+
+def _check_split(result):
+    for pool in result:
+        for pair in pool:
+            assert type(pair.index) is int and isinstance(pair.system_id, str)
+
+
+def _check_predictions(result):
+    for row in result:
+        assert set(row) == set(pipeline.PREDICTION_FIELDS)
+
+
+# stage file -> (its reader given the config and the intact sequences, a check of what it returns)
+STAGE_READERS = {
+    EVENTS_FILE: (lambda config, seqs: load_events(Path(config.paths.out_dir) / EVENTS_FILE), _check_events),
+    WINDOWS_FILE: (lambda config, seqs: load_sequences(config), _check_sequences),
+    SPLIT_FILE: (load_split, _check_split),
+    PREDICTIONS_FILE: (lambda config, seqs: load_predictions(config), _check_predictions),
+}
+
+
+class TestStageReadersUnderCorruption:
+    @pytest.mark.parametrize("name", sorted(STAGE_READERS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_corrupt_file_is_a_data_error_or_reads_well_typed(self, stage_run, name, data):
+        config, files, sequences = stage_run
+        read, check = STAGE_READERS[name]
+        path = Path(config.paths.out_dir) / name
+        path.write_bytes(data.draw(corruptions(files[name], json_lines=name != SPLIT_FILE)))
+        try:
+            result = read(config, sequences)
+        except DataError as err:
+            assert name in str(err)
+            return
+        finally:
+            path.write_bytes(files[name])
+        check(result)
