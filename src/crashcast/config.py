@@ -20,6 +20,7 @@ from types import UnionType
 from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
+from .ingest import is_utf8_encodable
 from .predictor import BackendConfig
 from .synthgen import GeneratorConfig
 
@@ -127,6 +128,8 @@ def _decode(value: Any, hint: Any, where: str) -> Any:
         )
     if not valid:
         raise ConfigError(f"{where} must be {_KINDS[hint]}")
+    if hint is str and not is_utf8_encodable(value):
+        raise ConfigError(f"{where} holds a lone surrogate")
     return float(value) if hint is float else value
 
 

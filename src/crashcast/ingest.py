@@ -95,6 +95,20 @@ def normalize_cause(text: str) -> str:
     return " ".join(text.lower().replace("_", " ").split())
 
 
+def is_utf8_encodable(value: object) -> bool:
+    """Whether value, a JSON value, encodes as UTF-8: no string in it holds a lone surrogate.
+
+    Text read from a UTF-8 file cannot hold one; only a JSON escape such as
+    "\\ud800" can put it there, so a JSON-lines reader need test only lines
+    that hold a "\\u".
+    """
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def parse_record(line: str, line_no: int | None = None) -> RawLogRecord:
     """Parse one log line into a RawLogRecord, with no normalization.
 
@@ -109,6 +123,8 @@ def parse_record(line: str, line_no: int | None = None) -> RawLogRecord:
         raise MalformedRecord(f"not valid JSON: {exc}", line_no) from None
     if not isinstance(obj, dict):
         raise MalformedRecord("record is not an object", line_no)
+    if "\\u" in line and not is_utf8_encodable(obj):
+        raise MalformedRecord("record holds a lone surrogate", line_no)
 
     guid = obj.get("guid")
     if not isinstance(guid, str) or not guid:

@@ -38,6 +38,7 @@ from .ingest import (
     default_catalog,
     filter_critical,
     format_timestamp,
+    is_utf8_encodable,
     load_catalog,
     parse_lines,
     parse_timestamp,
@@ -142,7 +143,10 @@ def _read_records(path: Path, parse: Callable[[Any], T]) -> list[T]:
     for line_no, line in enumerate(_read_lines(path), start=1):
         if line.strip():
             try:
-                records.append(parse(json.loads(line)))
+                obj = json.loads(line)
+                if "\\u" in line and not is_utf8_encodable(obj):
+                    raise ValueError("a string holds a lone surrogate")
+                records.append(parse(obj))
             except (AttributeError, KeyError, TypeError, ValueError) as err:
                 raise DataError(f"bad line {line_no} in {path.name}: {err!r}") from None
     return records
@@ -414,19 +418,12 @@ def _normalization_of(
 def _predict_one(
     backend: Backend, bundle: PromptBundle
 ) -> PredictionRaw:
-    started = time.perf_counter()
     time_answer = backend.complete(bundle.rendered_time_prompt)
     if time_answer.strip():
         cause_answer = backend.complete(render_cause_prompt(time_answer, bundle))
     else:
         cause_answer = ""
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return PredictionRaw(
-        time_answer=time_answer,
-        cause_answer=cause_answer,
-        backend_id=backend.backend_id,
-        latency=elapsed_ms,
-    )
+    return PredictionRaw(time_answer, cause_answer, backend.backend_id)
 
 
 def _bundle_for(
@@ -615,6 +612,20 @@ def evaluate_stage(
 
 # --- the full run ----------------------------------------------------------------
 
+def _output_paths(config: RunConfig) -> dict[str, Path]:
+    """The files a run's manifest digests, by their manifest key."""
+    out_dir = out_dir_of(config)
+    return {
+        "logs": logs_path_of(config),
+        "events": out_dir / EVENTS_FILE,
+        "windows": out_dir / WINDOWS_FILE,
+        "split": out_dir / SPLIT_FILE,
+        "predictions": out_dir / PREDICTIONS_FILE,
+        "report": out_dir / REPORT_FILE,
+        "table": out_dir / TABLE_FILE,
+    }
+
+
 def _write_manifest(
     config: RunConfig,
     status: str,
@@ -623,18 +634,7 @@ def _write_manifest(
     validation_systems: dict[str, int],
     backend_id: str | None,
 ) -> None:
-    out_dir = out_dir_of(config)
-    outputs = {}
-    for name, path in (
-        ("logs", logs_path_of(config)),
-        ("events", out_dir / EVENTS_FILE),
-        ("windows", out_dir / WINDOWS_FILE),
-        ("split", out_dir / SPLIT_FILE),
-        ("predictions", out_dir / PREDICTIONS_FILE),
-        ("report", out_dir / REPORT_FILE),
-        ("table", out_dir / TABLE_FILE),
-    ):
-        outputs[name] = _file_digest(path)
+    outputs = {name: _file_digest(path) for name, path in _output_paths(config).items()}
     manifest = {
         "status": status,
         "error": None
@@ -649,13 +649,18 @@ def _write_manifest(
         "outputs": outputs,
         "timings_file": TIMINGS_FILE,
     }
-    _write_json(out_dir / MANIFEST_FILE, manifest)
+    _write_json(out_dir_of(config) / MANIFEST_FILE, manifest)
 
 
 def run_all(config: RunConfig) -> dict[str, Any]:
     """Every stage in order; manifest and timings written even on failure."""
     out_dir = out_dir_of(config)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # an earlier run's files would otherwise pass for this run's in a failed manifest
+    keep = Path(config.paths.logs).resolve() if config.paths.logs else None
+    for path in (*_output_paths(config).values(), out_dir / INGEST_FILE):
+        if path.resolve() != keep:
+            path.unlink(missing_ok=True)
     timings: dict[str, float] = {}
     counts: dict[str, Any] = {}
     validation_systems: dict[str, int] = {}

@@ -10,14 +10,16 @@ template the prompts teach, so everything downstream is backend-agnostic.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Callable, Iterable, Protocol, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import (
     ConfigError,
@@ -29,6 +31,7 @@ from .errors import (
     TransportError,
     ZeroRate,
 )
+from .ingest import is_utf8_encodable
 from .prompt import render_answer_sentence, render_date
 from .sequencer import EventSequence, SeqEvent
 
@@ -61,8 +64,19 @@ class BackendConfig:
             raise ConfigError("timeout must be positive")
         if self.retry_limit < 0:
             raise ConfigError("retry_limit must not be negative")
-        if self.kind == "remote-llm" and not self.endpoint:
-            raise ConfigError("remote-llm backend requires an endpoint")
+        # urlopen would also read file: and data: URLs as if they were answers
+        if self.kind == "remote-llm" and not _is_http_url(self.endpoint):
+            raise ConfigError(
+                f"remote-llm backend requires an http:// or https:// endpoint, got {self.endpoint!r}"
+            )
+
+
+def _is_http_url(endpoint: str | None) -> bool:
+    try:
+        url = urlsplit(endpoint or "")
+    except ValueError:
+        return False
+    return url.scheme in ("http", "https") and bool(url.netloc)
 
 
 @dataclass(frozen=True)
@@ -70,7 +84,6 @@ class PredictionRaw:
     time_answer: str
     cause_answer: str
     backend_id: str
-    latency: float = 0.0  # milliseconds
 
 
 class Backend(Protocol):
@@ -139,18 +152,11 @@ def baseline_answer(history: Sequence[SeqEvent] | EventSequence) -> PredictionRa
     Both stages get the full sentence, so extraction treats baseline output
     exactly like model output.
     """
-    started = time.perf_counter()
     model = fit_baseline(history)
     sentence = render_answer_sentence(
         render_date(mbr_next_time(model)), mbr_next_type(model)
     )
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return PredictionRaw(
-        time_answer=sentence,
-        cause_answer=sentence,
-        backend_id="baseline",
-        latency=elapsed_ms,
-    )
+    return PredictionRaw(time_answer=sentence, cause_answer=sentence, backend_id="baseline")
 
 
 # --- scripted test double -----------------------------------------------------
@@ -231,29 +237,37 @@ class RemoteBackend:
             "temperature": 0,
             "max_tokens": self.config.max_output_tokens,
         }
+        request = urllib.request.Request(
+            self.config.endpoint,
+            data=json.dumps(body, allow_nan=False).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
         try:
-            response = requests.post(
-                self.config.endpoint, json=body, timeout=self.config.timeout
-            )
-        except requests.Timeout as err:
-            raise Timeout(f"no response within {self.config.timeout}s") from err
-        except requests.RequestException as err:
+            with urllib.request.urlopen(request, timeout=self.config.timeout) as response:
+                raw = response.read()
+        except urllib.error.HTTPError as err:
+            err.close()
+            if err.code == 429:
+                raise RateLimited("server answered 429") from None
+            if err.code >= 500:
+                raise TransportError(f"server answered {err.code}") from None
+            raise ProtocolError(f"server rejected the request: {err.code}") from None
+        except (OSError, http.client.HTTPException) as err:
+            # urlopen wraps a failure to connect or send in URLError, the cause as its reason
+            cause = err.reason if isinstance(err, urllib.error.URLError) else err
+            if isinstance(cause, TimeoutError):
+                raise Timeout(f"no response within {self.config.timeout}s") from err
             raise TransportError(str(err)) from err
 
-        if response.status_code == 429:
-            raise RateLimited("server answered 429")
-        if response.status_code >= 500:
-            raise TransportError(f"server answered {response.status_code}")
-        if response.status_code >= 400:
-            raise ProtocolError(f"server rejected the request: {response.status_code}")
-
         try:
-            payload = response.json()
-            content = payload["choices"][0]["message"]["content"]
+            content = json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as err:
             raise ProtocolError(f"malformed response body: {err}") from err
         if not isinstance(content, str):
             raise ProtocolError("completion content is not text")
+        if not is_utf8_encodable(content):
+            raise ProtocolError("completion holds a lone surrogate")
         return content
 
 
@@ -270,7 +284,7 @@ def make_backend(config: BackendConfig) -> Backend:
         except (OSError, ValueError) as err:
             raise ConfigError(f"cannot read backend.script_path: {err}") from None
         for item in completions:
-            if not isinstance(item, str):
-                raise ConfigError("script file must hold one JSON string per line")
+            if not isinstance(item, str) or not is_utf8_encodable(item):
+                raise ConfigError("backend.script_path must hold one JSON string of UTF-8 text per line")
         return ScriptedBackend(completions)
     raise ConfigError(f"backend kind {config.kind!r} does not complete prompts")

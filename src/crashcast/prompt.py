@@ -22,8 +22,6 @@ TIME_QUESTION = "When will the next crash happen on system {system_id}?"
 CAUSE_QUESTION = "What will be the predicted crash cause?"
 ANSWER_SENTENCE = "The next crash will happen on {date} caused by {cause}."
 
-TIME_ANSWER_SLOT = "{time_answer}"
-
 _SECTION_RE = re.compile(r"^\[(header|example|query|cause)\]\s*$")
 _REQUIRED_SLOTS = ("{system_id}", "{history}", "{time_question}", "{cause_question}", "{answer}")
 
@@ -147,7 +145,8 @@ class PromptBundle:
     time_question: str
     cause_question: str
     rendered_time_prompt: str
-    rendered_cause_prompt_template: str
+    history_rendering: str
+    cause_template: str  # the template's [cause] section, its slots unfilled
 
 
 def build_bundle(
@@ -157,9 +156,10 @@ def build_bundle(
     shots: Sequence[Shot],
     history_cap: int | None = None,
 ) -> PromptBundle:
-    """Render the time prompt and the cause-prompt template for one query."""
+    """Render the time prompt for one query and keep what its cause prompt needs."""
     if shots and not query_history:
         raise ValueError("query history must be non-empty unless zero-shot")
+    history = render_history(query_history, history_cap)
 
     blocks = [template.header]
     for shot in shots:
@@ -176,19 +176,11 @@ def build_bundle(
     blocks.append(
         template.query.format(
             system_id=system_id,
-            history=render_history(query_history, history_cap),
+            history=history,
             time_question=time_question,
             cause_question=CAUSE_QUESTION,
             answer="",
         )
-    )
-    time_prompt = "\n\n".join(blocks)
-    cause_block = template.cause.format(
-        system_id=system_id,
-        history=render_history(query_history, history_cap),
-        time_question=time_question,
-        cause_question=CAUSE_QUESTION,
-        answer=TIME_ANSWER_SLOT,
     )
     return PromptBundle(
         system_id=system_id,
@@ -196,13 +188,25 @@ def build_bundle(
         query_history=tuple(query_history),
         time_question=time_question,
         cause_question=CAUSE_QUESTION,
-        rendered_time_prompt=time_prompt,
-        rendered_cause_prompt_template=time_prompt + "\n" + cause_block,
+        rendered_time_prompt="\n\n".join(blocks),
+        history_rendering=history,
+        cause_template=template.cause,
     )
 
 
 def render_cause_prompt(time_answer: str, bundle: PromptBundle) -> str:
-    """Time prompt, then the model's own time answer, then the cause question."""
+    """Time prompt, then the model's own time answer, then the cause question.
+
+    The answer fills only the [cause] section's answer slot: format inserts
+    every value verbatim, so no text from the logs or the answer is a slot.
+    """
     if not time_answer.strip():
         raise EmptyTimeAnswer("cause prompt requires a non-empty time answer")
-    return bundle.rendered_cause_prompt_template.replace(TIME_ANSWER_SLOT, time_answer)
+    cause_block = bundle.cause_template.format(
+        system_id=bundle.system_id,
+        history=bundle.history_rendering,
+        time_question=bundle.time_question,
+        cause_question=bundle.cause_question,
+        answer=time_answer,
+    )
+    return bundle.rendered_time_prompt + "\n" + cause_block

@@ -2,7 +2,8 @@
 
 Behavior is driven by the URL path: /echo answers with a canned or
 reflected completion, /flaky fails a set number of times first, and the
-error paths answer with whatever status or body shape the test needs.
+error paths answer with whatever status, body shape or broken
+connection the test needs.
 """
 
 from __future__ import annotations
@@ -59,6 +60,20 @@ class StubServer:
                     return
                 if route == "misshapen":
                     self._reply(json.dumps({"choices": []}).encode())
+                    return
+                if route == "surrogate":
+                    self._reply(self._completion_body("\ud800"))
+                    return
+                if route == "hangup":
+                    self.close_connection = True
+                    return
+                if route == "truncated":
+                    payload = self._completion_body(stub.completion)
+                    self.send_response(200)
+                    self.send_header("Content-Length", str(len(payload) + 10))
+                    self.end_headers()
+                    self.wfile.write(payload)
+                    self.close_connection = True
                     return
                 if route == "echo":
                     prompt = body["messages"][-1]["content"]

@@ -94,6 +94,12 @@ class TestParsing:
             {"generator": {"n_systems": None}},
             {"backend": {"timeout": True}},
             {"paths": {"out_dir": None}},
+            {"backend": {"kind": "remote-llm", "endpoint": "file:///etc/hostname"}},
+            {"backend": {"kind": "remote-llm", "endpoint": "data:application/json,{}"}},
+            {"backend": {"kind": "remote-llm", "endpoint": "ftp://127.0.0.1/v1"}},
+            {"backend": {"kind": "remote-llm", "endpoint": "localhost:8000/v1"}},
+            {"backend": {"model_name": "\ud800"}},
+            {"generator": {"cause_catalog": [["0x9F", "x\udfff", 1.0]]}},
         ],
     )
     def test_bad_values_are_config_errors(self, document):

@@ -90,11 +90,20 @@ class TestParseRecord:
             '{"guid":"A1","ts":"2021-03-01T08:00:00Z","event_id":41,"params":["a","b","c","d","e"]}',
             '{"guid":"A1","ts":"2021-03-01T08:00:00Z","event_id":41,"params":"x"}',
             '{"guid":"A1","ts":"2021-03-01T08:00:00Z","event_id":41,"cause":3}',
+            '{"guid":"\\ud800","ts":"2021-03-01T08:00:00Z","event_id":41}',
+            '{"guid":"A1","ts":"2021-03-01T08:00:00Z","event_id":41,"cause":"x\\udfff"}',
+            '{"guid":"A1","ts":"2021-03-01T08:00:00Z","event_id":41,"params":["\\ud83d"]}',
         ],
     )
     def test_structural_problems_are_malformed(self, line):
         with pytest.raises(MalformedRecord):
             parse_record(line)
+
+    def test_escaped_surrogate_pair_is_text(self):
+        record = parse_record(
+            '{"guid":"A1","ts":"2021-03-01T08:00:00Z","event_id":41,"cause":"\\ud83d\\ude00"}'
+        )
+        assert record.cause == "\U0001F600"
 
     def test_bugcheck_longer_than_eight_digits_is_bad(self):
         with pytest.raises(BadCode):

@@ -117,6 +117,22 @@ CORRUPT_STAGE_FILES = {
         _corrupt_first_line(_with_field("index", "x")),
         "evaluate",
     ),
+    # json.dumps writes a lone surrogate as the escape "\ud800"
+    "event-kind-lone-surrogate": (
+        EVENTS_FILE,
+        _corrupt_first_line(_with_field("kind", "\ud800")),
+        "sequence",
+    ),
+    "window-system-lone-surrogate": (
+        WINDOWS_FILE,
+        _corrupt_first_line(_with_field("system_id", "x\udfff")),
+        "split",
+    ),
+    "prediction-backend-lone-surrogate": (
+        PREDICTIONS_FILE,
+        _corrupt_first_line(_with_field("backend_id", "\ud800")),
+        "evaluate",
+    ),
 }
 
 # case: (config key named in the error, config overrides given the test's tmp_path)
@@ -147,6 +163,10 @@ UNREADABLE_CONFIG_FILES = {
     "script-not-json": (
         "backend.script_path",
         lambda tmp: {"backend": {"kind": "scripted", "script_path": str(tmp / "prose.txt")}},
+    ),
+    "script-lone-surrogate": (
+        "backend.script_path",
+        lambda tmp: {"backend": {"kind": "scripted", "script_path": str(tmp / "surrogate.jsonl")}},
     ),
     "catalog-not-a-code": (
         "paths.catalog",
@@ -557,6 +577,7 @@ class TestCli:
         (tmp_path / "latin1.txt").write_bytes(b"0x9F caf\xe9\n")
         (tmp_path / "script.jsonl").write_text('"an answer"\n')
         (tmp_path / "prose.txt").write_text("not json\n")
+        (tmp_path / "surrogate.jsonl").write_text('"\\ud800"\n')
         (tmp_path / "not-a-code.txt").write_text("not-a-code\n")
         (tmp_path / "bad-hex.txt").write_text("0xZZ driver power state failure\n")
         config_path = self.write_config(tmp_path, **overrides(tmp_path))
@@ -614,6 +635,42 @@ class TestCli:
         assert "7 days wide" in result.output
         assert "window_days is 3" in result.output
         assert not (tmp_path / "out" / PREDICTIONS_FILE).exists()
+
+    def test_failed_rerun_manifest_digests_only_its_own_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        default_path = tmp_path / "default.json"
+        default_path.write_text(json.dumps({"paths": {"out_dir": str(out)}}))
+        assert self.invoke("--config", str(default_path), "run").exit_code == 0
+        greedy_path = tmp_path / "greedy.json"
+        greedy_path.write_text(
+            json.dumps({"split": {"validation_pairs": 100000}, "paths": {"out_dir": str(out)}})
+        )
+        assert self.invoke("--config", str(greedy_path), "run").exit_code == 3
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["item_counts"]["predictions"] == 0
+        written = {name for name, digest in manifest["outputs"].items() if digest}
+        assert written == {"logs", "events", "windows"}
+        for name in (SPLIT_FILE, PREDICTIONS_FILE, REPORT_FILE, TABLE_FILE):
+            assert not (out / name).exists()
+
+    def test_rerun_never_touches_the_named_logs_file(self, tmp_path):
+        out = tmp_path / "out"
+        config_path = self.write_config(tmp_path)
+        assert self.invoke("--config", str(config_path), "run").exit_code == 0
+        logs_bytes = (out / LOGS_FILE).read_bytes()
+        (out / "sub").mkdir()
+        # the same file as out/logs.jsonl, spelled another way
+        named = self.write_config(
+            tmp_path,
+            split={"validation_pairs": 100000},
+            paths={"logs": str(out / "sub" / ".." / LOGS_FILE)},
+        )
+        assert self.invoke("--config", str(named), "run").exit_code == 3
+        assert (out / LOGS_FILE).read_bytes() == logs_bytes
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        assert manifest["outputs"]["logs"] == hashlib.sha256(logs_bytes).hexdigest()
+        assert manifest["outputs"]["split"] is None
 
     def test_unreachable_backend_is_exit_four(self, tmp_path):
         config_path = self.write_config(

@@ -149,6 +149,19 @@ class TestCausePrompt:
         prompt = render_cause_prompt("odd {answer} text", bundle)
         assert "odd {answer} text" in prompt
 
+    def test_answer_fills_only_its_own_slot(self, template):
+        slot = "{time_answer}"  # a system id and a cause label found in the logs
+        shots = shots_from_pairs(
+            enumerate_pairs([sequence_of(slot, [(d, slot) for d in range(4)])]), k=3, seed=11
+        )
+        query = sequence_of(slot, [(0, slot), (2, "page fault")])
+        bundle = build_bundle(template, slot, query.events, shots)
+        answer = "The next crash will happen on 2021-03-08."
+        prompt = render_cause_prompt(answer, bundle)
+        assert prompt.count(answer) == 1
+        assert prompt.startswith(bundle.rendered_time_prompt)
+        assert slot in bundle.rendered_time_prompt
+
 
 class TestQuestionStrings:
     def test_verbatim_forms(self):

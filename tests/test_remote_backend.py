@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import crashcast
 from crashcast.errors import (
     ProtocolError,
     RateLimited,
@@ -138,6 +142,34 @@ class TestErrorTaxonomy:
         backend = quiet_backend(config_for(stub_server.url()))
         with pytest.raises(ProtocolError):
             backend.complete("p")
+
+    def test_lone_surrogate_in_the_completion_is_a_protocol_error(self, stub_server):
+        backend = quiet_backend(config_for(stub_server.url("surrogate")))
+        with pytest.raises(ProtocolError, match="surrogate"):
+            backend.complete("p")
+        assert stub_server.hits == 1
+
+    @pytest.mark.parametrize("route", ["hangup", "truncated"])
+    def test_broken_connection_maps_to_transport_error(self, stub_server, route):
+        backend = quiet_backend(config_for(stub_server.url(route), retry_limit=0))
+        with pytest.raises(TransportError):
+            backend.complete("p")
+        assert stub_server.hits == 1
+
+
+def test_importing_crashcast_loads_no_requests_module():
+    code = (
+        "import sys, crashcast, crashcast.cli;"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(Path(crashcast.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestCounters:
