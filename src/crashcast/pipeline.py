@@ -3,10 +3,12 @@
 Each stage writes its own file once. Run alone, a stage reads only the
 files the previous stage declared, so any stage can be rerun; inside
 `run_all` each stage takes the previous stage's in-memory result instead,
-and no stage file is read back. The full run also writes a manifest that
-pins the resolved config, the seed, the backend, and the digests of every
-output; wall-clock timings go to a separate file so the manifest stays
-byte-identical across identical runs.
+and no stage file is read back. Each JSON-lines stage file past the logs
+(events.jsonl, windows.jsonl, predictions.jsonl) has one field table here,
+which both writes its lines and checks and decodes them when read. The
+full run also writes a manifest that pins the resolved config, the seed,
+the backend, and the digests of every output; wall-clock timings go to a
+separate file so the manifest stays byte-identical across identical runs.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import json
 import random
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from itertools import islice
+from datetime import timedelta
+from itertools import groupby, islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from ._seed import derive_seed
 from .config import NormalizationFlags, RunConfig, config_digest, resolved_dict
@@ -76,15 +79,12 @@ from .prompt import (
 from .sequencer import (
     EventSequence,
     LabeledPair,
-    WindowedSequence,
+    SeqEvent,
     build_sequences,
     day_floor,
     enumerate_pairs,
     partition_windows,
-    sequences_from_windows,
-    window_from_record,
     window_index_of,
-    windows_to_lines,
 )
 from .synthgen import generate_corpus
 
@@ -137,8 +137,92 @@ def _read_lines(path: Path) -> list[str]:
         raise DataError(f"cannot read {path.name}: {err}") from None
 
 
-def _read_records(path: Path, parse: Callable[[Any], T]) -> list[T]:
-    """Each non-blank JSON line of a stage file through parse; a bad line is a DataError."""
+def _write_lines(path: Path, lines: Sequence[str]) -> None:
+    _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+
+
+# --- stage file codecs ------------------------------------------------------------
+
+class FieldType(NamedTuple):
+    """How a stage-file field is held in JSON, and its codec.
+
+    kind is the exact JSON type of the value, or of each item when many
+    says the value is a list, so a JSON boolean is never an integer.
+    encode and decode convert one value or item; None leaves it as it is.
+    """
+
+    name: str  # as the README's "Stage files" section gives it
+    kind: type
+    many: bool = False
+    encode: Callable[[Any], Any] | None = None
+    decode: Callable[[Any], Any] | None = None
+
+
+STRING = FieldType("string", str)
+INTEGER = FieldType("integer", int)
+TIMESTAMP = FieldType("timestamp", str, False, format_timestamp, parse_timestamp)
+STRINGS = FieldType("list of strings", str, True)
+TIMESTAMPS = FieldType("list of timestamps", str, True, format_timestamp, parse_timestamp)
+
+# A table lists a file's fields in line order; a line's values come in that order.
+# events.jsonl: one crash event, the fields in CrashEvent's order
+EVENT_FIELDS = {
+    "system_id": STRING,
+    "time": TIMESTAMP,
+    "kind": STRING,
+    "bugcheck": STRING,
+    "params": STRINGS,
+}
+# windows.jsonl: one window of one system's sequence, times and causes parallel
+WINDOW_FIELDS = {
+    "system_id": STRING,
+    "window_index": INTEGER,
+    "window_start": TIMESTAMP,
+    "width_days": INTEGER,
+    "times": TIMESTAMPS,
+    "causes": STRINGS,
+}
+# predictions.jsonl: one answered validation pair, keys in sorted order
+PREDICTION_FIELDS = {
+    "backend_id": STRING,
+    "cause_answer": STRING,
+    "index": INTEGER,
+    "system_id": STRING,
+    "target_cause": STRING,
+    "target_time": STRING,
+    "time_answer": STRING,
+    "window_index": INTEGER,
+}
+
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def encode_line(table: dict[str, FieldType], values: Iterable[Any]) -> str:
+    """One stage-file line holding values, given in the table's field order."""
+    record = {}
+    for (key, field), value in zip(table.items(), values):
+        if field.encode is not None:
+            value = [*map(field.encode, value)] if field.many else field.encode(value)
+        record[key] = value
+    return _ENCODER.encode(record)
+
+
+def decode_record(table: dict[str, FieldType], obj: Any) -> dict[str, Any]:
+    """A JSON-decoded line as {field: value}, every field checked and decoded; a list as a tuple."""
+    record = {}
+    for key, field in table.items():
+        value = obj[key]
+        items = value if field.many else [value]
+        if type(items) is not list or any(type(item) is not field.kind for item in items):
+            raise TypeError(f"{key} must be {field.name}, got {value!r}")
+        if field.decode is not None:
+            items = [*map(field.decode, items)]
+        record[key] = tuple(items) if field.many else items[0]
+    return record
+
+
+def _read_records(path: Path, table: dict[str, FieldType]) -> list[dict[str, Any]]:
+    """Each non-blank JSON line of a stage file decoded by table; a bad line is a DataError."""
     records = []
     for line_no, line in enumerate(_read_lines(path), start=1):
         if line.strip():
@@ -146,20 +230,10 @@ def _read_records(path: Path, parse: Callable[[Any], T]) -> list[T]:
                 obj = json.loads(line)
                 if "\\u" in line and not is_utf8_encodable(obj):
                     raise ValueError("a string holds a lone surrogate")
-                records.append(parse(obj))
+                records.append(decode_record(table, obj))
             except (AttributeError, KeyError, TypeError, ValueError) as err:
                 raise DataError(f"bad line {line_no} in {path.name}: {err!r}") from None
     return records
-
-
-def _typed(obj: dict, key: str, kind: type, item: type | None = None) -> Any:
-    """obj[key], which must be a kind (and, given item, hold only items)."""
-    value = obj[key]
-    if not isinstance(value, kind) or (
-        item is not None and not all(isinstance(v, item) for v in value)
-    ):
-        raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
-    return value
 
 
 def _named_file(
@@ -196,9 +270,8 @@ def _pair_key(pair: LabeledPair) -> tuple[str, int]:
 # --- synth ---------------------------------------------------------------------
 
 def synth_stage(config: RunConfig) -> Path:
-    lines = generate_corpus(config.generator, seed=config.seed)
     path = logs_path_of(config)
-    _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    _write_lines(path, generate_corpus(config.generator, seed=config.seed))
     return path
 
 
@@ -213,21 +286,13 @@ def ingest_stage(config: RunConfig) -> CrashCorpus:
     corpus = build_corpus(critical, catalog=catalog, source_digest=_sha256(logs_path))
 
     out_dir = out_dir_of(config)
-    event_lines = []
-    for event in corpus.events:
-        event_lines.append(
-            json.dumps(
-                {
-                    "system_id": event.system_id,
-                    "time": format_timestamp(event.time),
-                    "kind": event.kind,
-                    "bugcheck": event.bugcheck_code,
-                    "params": list(event.params),
-                },
-                ensure_ascii=False,
-            )
-        )
-    _write_text(out_dir / EVENTS_FILE, "\n".join(event_lines) + "\n")
+    _write_lines(
+        out_dir / EVENTS_FILE,
+        [
+            encode_line(EVENT_FIELDS, (e.system_id, e.time, e.kind, e.bugcheck_code, e.params))
+            for e in corpus.events
+        ],
+    )
     _write_json(
         out_dir / INGEST_FILE,
         {
@@ -243,16 +308,7 @@ def ingest_stage(config: RunConfig) -> CrashCorpus:
 
 
 def load_events(path: Path) -> CrashCorpus:
-    events = _read_records(
-        path,
-        lambda obj: CrashEvent(
-            system_id=_typed(obj, "system_id", str),
-            time=parse_timestamp(obj["time"]),
-            kind=_typed(obj, "kind", str),
-            bugcheck_code=_typed(obj, "bugcheck", str),
-            params=tuple(_typed(obj, "params", list, str)),
-        ),
-    )
+    events = [CrashEvent(*record.values()) for record in _read_records(path, EVENT_FIELDS)]
     if not events:
         raise DataError(f"{path.name} holds no events")
     return CrashCorpus(events=tuple(events), source_digest=_sha256(path))
@@ -268,32 +324,59 @@ def sequence_stage(config: RunConfig, corpus: CrashCorpus | None = None) -> list
     sequences = build_sequences(corpus)
     lines: list[str] = []
     for seq in sequences:
-        lines.extend(windows_to_lines(partition_windows(seq, config.window_days)))
-    _write_text(out_dir / WINDOWS_FILE, "\n".join(lines) + "\n")
+        windows = partition_windows(seq, config.window_days)
+        lines.extend(windows_to_lines(seq, windows, config.window_days))
+    _write_lines(out_dir / WINDOWS_FILE, lines)
     return sequences
 
 
-def _window_of(obj: dict) -> WindowedSequence:
-    _typed(obj, "system_id", str)
-    _typed(obj, "window_index", int)
-    _typed(obj, "width_days", int)
-    _typed(obj, "causes", list, str)
-    return window_from_record(obj)
+def windows_to_lines(
+    seq: EventSequence, windows: Sequence[Sequence[SeqEvent]], width_days: int
+) -> list[str]:
+    """The windows.jsonl lines of seq's partition into windows width_days wide."""
+    if not windows:
+        return []
+    origin = day_floor(seq.events[0].time)
+    width = timedelta(days=width_days)
+    return [
+        encode_line(WINDOW_FIELDS, (seq.system_id, index, origin + index * width, width_days,
+                                    [e.time for e in events], [e.kind for e in events]))
+        for index, events in enumerate(windows)
+    ]
+
+
+def rebuild_sequences(records: Iterable[dict[str, Any]]) -> list[EventSequence]:
+    """Each system's windows.jsonl records joined in window_index order, systems sorted.
+
+    Times and causes that are not parallel, or times that do not increase, are a ValueError.
+    """
+    ordered = sorted(records, key=lambda r: (r["system_id"], r["window_index"]))
+    return [
+        EventSequence(
+            system_id,
+            tuple(
+                SeqEvent(time, kind)
+                for window in windows
+                for time, kind in zip(window["times"], window["causes"], strict=True)
+            ),
+        )
+        for system_id, windows in groupby(ordered, key=lambda r: r["system_id"])
+    ]
 
 
 def load_sequences(config: RunConfig) -> list[EventSequence]:
-    windows = _read_records(out_dir_of(config) / WINDOWS_FILE, _window_of)
-    if not windows:
+    records = _read_records(out_dir_of(config) / WINDOWS_FILE, WINDOW_FIELDS)
+    if not records:
         raise DataError(f"{WINDOWS_FILE} holds no windows")
-    for window in windows:
-        if window.window.width_days != config.window_days:
+    for record in records:
+        if record["width_days"] != config.window_days:
             raise DataError(
-                f"{WINDOWS_FILE} holds windows {window.window.width_days!r} days wide,"
+                f"{WINDOWS_FILE} holds windows {record['width_days']!r} days wide,"
                 f" but window_days is {config.window_days}"
             )
     try:
-        return sequences_from_windows(windows)
-    except (TypeError, ValueError) as err:
+        return rebuild_sequences(records)
+    except ValueError as err:
         raise DataError(f"{WINDOWS_FILE} does not rebuild into sequences: {err!r}") from None
 
 
@@ -449,8 +532,8 @@ def predict_stage(
     pairs is (train, validation); None restores them from split.json and
     windows.jsonl. Both are taken in (system_id, index) order, so the
     shots drawn from train do not depend on where the pairs came from.
-    The first backend error stops submission; the rows finished so far
-    are flushed before it propagates.
+    The first backend error stops submission; on any error or interrupt
+    the rows finished so far are flushed before it propagates.
     """
     out_dir = out_dir_of(config)
     if pairs is None:
@@ -478,24 +561,11 @@ def predict_stage(
     rows: dict[tuple[str, int], dict[str, Any]] = {}
 
     def row_of(pair: LabeledPair, raw: PredictionRaw) -> dict[str, Any]:
-        return {
-            "system_id": pair.system_id,
-            "index": pair.index,
-            "window_index": window_index_of(
-                pair.target.time, day_floor(pair.sequence.events[0].time), config.window_days
-            ),
-            "target_time": render_date(pair.target.time),
-            "target_cause": pair.target.kind,
-            "time_answer": raw.time_answer,
-            "cause_answer": raw.cause_answer,
-            "backend_id": raw.backend_id,
-        }
-
-    def flush() -> list[dict[str, Any]]:
-        ordered = [rows[key] for key in sorted(rows)]
-        lines = [json.dumps(r, ensure_ascii=False, sort_keys=True) for r in ordered]
-        _write_text(out_dir / PREDICTIONS_FILE, "\n".join(lines) + ("\n" if lines else ""))
-        return ordered
+        target, origin = pair.target, day_floor(pair.sequence.events[0].time)
+        window = window_index_of(target.time, origin, config.window_days)
+        values = (raw.backend_id, raw.cause_answer, pair.index, pair.system_id,
+                  target.kind, render_date(target.time), raw.time_answer, window)
+        return dict(zip(PREDICTION_FIELDS, values))  # values in the table's sorted key order
 
     pending = iter(validation)
     try:
@@ -508,33 +578,20 @@ def predict_stage(
                     rows[(pair.system_id, pair.index)] = row_of(pair, future.result())
                 for pair in islice(pending, len(done)):
                     in_flight[pool.submit(answer, pair)] = pair
-    except BackendError:
-        flush()
-        raise
-    return flush()
+    finally:
+        ordered = [rows[key] for key in sorted(rows)]
+        _write_lines(
+            out_dir / PREDICTIONS_FILE,
+            [encode_line(PREDICTION_FIELDS, row.values()) for row in ordered],
+        )
+    return ordered
 
 
 # --- evaluate ------------------------------------------------------------------
 
-# field of a predictions.jsonl row -> its type
-PREDICTION_FIELDS = {
-    "system_id": str,
-    "index": int,
-    "window_index": int,
-    "target_time": str,
-    "target_cause": str,
-    "time_answer": str,
-    "cause_answer": str,
-    "backend_id": str,
-}
-
-
 def load_predictions(config: RunConfig) -> list[dict[str, Any]]:
     """The rows of predictions.jsonl, each field checked against PREDICTION_FIELDS."""
-    return _read_records(
-        out_dir_of(config) / PREDICTIONS_FILE,
-        lambda obj: {key: _typed(obj, key, kind) for key, kind in PREDICTION_FIELDS.items()},
-    )
+    return _read_records(out_dir_of(config) / PREDICTIONS_FILE, PREDICTION_FIELDS)
 
 
 def evaluate_stage(
@@ -653,12 +710,14 @@ def _write_manifest(
 
 
 def run_all(config: RunConfig) -> dict[str, Any]:
-    """Every stage in order; manifest and timings written even on failure."""
+    """Every stage in order; manifest and timings written even on failure or interrupt."""
     out_dir = out_dir_of(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # an earlier run's files would otherwise pass for this run's in a failed manifest
+    # an earlier run's files would otherwise pass for this run's, and its
+    # manifest for this run's if this run is stopped before writing its own
     keep = Path(config.paths.logs).resolve() if config.paths.logs else None
-    for path in (*_output_paths(config).values(), out_dir / INGEST_FILE):
+    stale = (INGEST_FILE, MANIFEST_FILE, TIMINGS_FILE)
+    for path in (*_output_paths(config).values(), *(out_dir / name for name in stale)):
         if path.resolve() != keep:
             path.unlink(missing_ok=True)
     timings: dict[str, float] = {}
@@ -689,7 +748,7 @@ def run_all(config: RunConfig) -> dict[str, Any]:
         counts["predictions"] = len(predictions)
         backend_id = predictions[0]["backend_id"] if predictions else None
         report = timed("evaluate", lambda: evaluate_stage(config, predictions))
-    except (ConfigError, DataError, BackendError) as err:
+    except (ConfigError, DataError, BackendError, KeyboardInterrupt) as err:
         predictions_path = out_dir / PREDICTIONS_FILE
         counts.setdefault(
             "predictions",

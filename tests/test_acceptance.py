@@ -27,14 +27,18 @@ from crashcast.pipeline import (
     PREDICTIONS_FILE,
     REPORT_FILE,
     SPLIT_FILE,
+    WINDOW_FIELDS,
     _bundle_for,
     _restore_pairs,
+    decode_record,
     ingest_stage,
     load_sequences,
+    rebuild_sequences,
     run_all,
     sequence_stage,
     split_stage,
     synth_stage,
+    windows_to_lines,
 )
 from crashcast.postprocess import extract_prediction
 from crashcast.predictor import (
@@ -50,7 +54,6 @@ from crashcast.sequencer import (
     SeqEvent,
     enumerate_pairs,
     partition_windows,
-    sequences_from_windows,
 )
 from oracles import clipped_overlap_bruteforce, lcs_bruteforce
 
@@ -360,11 +363,15 @@ class TestAcceptance:
             seq = EventSequence(f"w{case}", tuple(events))
             width = rng.randrange(1, 12)
             windows = partition_windows(seq, width)
+            records = [
+                decode_record(WINDOW_FIELDS, json.loads(line))
+                for line in windows_to_lines(seq, windows, width)
+            ]
 
-            indices = [w.window.index for w in windows]
+            indices = [w["window_index"] for w in records]
             assert indices == list(range(len(windows)))
 
-            (rebuilt,) = sequences_from_windows(windows)
+            (rebuilt,) = rebuild_sequences(records)
             assert [e.time for e in rebuilt.events] == [e.time for e in seq.events]
             assert [e.kind for e in rebuilt.events] == [e.kind for e in seq.events]
             checked += 1

@@ -14,7 +14,7 @@ from crashcast import pipeline
 from crashcast.cli import main
 from crashcast.config import RunConfig, parse_run_config
 from crashcast.errors import DataError, InsufficientData, ScriptExhausted, TransportError
-from crashcast.predictor import PredictionRaw
+from crashcast.predictor import PredictionRaw, baseline_answer
 from crashcast.pipeline import (
     EVENTS_FILE,
     INGEST_FILE,
@@ -81,7 +81,7 @@ def _corrupt_first_line(corrupt, where=lambda line: True):
 
 STAGES = ("synth", "ingest", "sequence", "split", "predict", "evaluate")
 
-# case: (stage file, corruption of its text, the stage that reads it)
+# case: (stage file, corruption of its text, the stage that reads it[, config overrides])
 CORRUPT_STAGE_FILES = {
     "empty-split": (SPLIT_FILE, lambda text: "{}", "predict"),
     "short-split-ref": (
@@ -132,6 +132,20 @@ CORRUPT_STAGE_FILES = {
         PREDICTIONS_FILE,
         _corrupt_first_line(_with_field("backend_id", "\ud800")),
         "evaluate",
+    ),
+    # a JSON boolean is not an integer, although Python's bool is an int
+    "prediction-index-true": (
+        PREDICTIONS_FILE,
+        _corrupt_first_line(lambda line: json.dumps(
+            {**json.loads(line), "index": True, "window_index": False}
+        )),
+        "evaluate",
+    ),
+    "window-width-true": (
+        WINDOWS_FILE,
+        _corrupt_first_line(_with_field("width_days", True)),
+        "split",
+        {"window_days": 1},
     ),
 }
 
@@ -346,6 +360,39 @@ class TestStages:
         assert ingest["source_digest"] == manifest["outputs"]["logs"]
         assert ingest["source_digest"] == hashlib.sha256((out / LOGS_FILE).read_bytes()).hexdigest()
 
+    @pytest.mark.parametrize("stop", [KeyboardInterrupt, RuntimeError])
+    def test_stopped_rerun_keeps_its_finished_rows_and_no_stale_manifest(
+        self, tmp_path, monkeypatch, stop
+    ):
+        config = parse_run_config({"paths": {"out_dir": str(tmp_path / "out")}})
+        run_all(config)
+        answered = []
+
+        def stopping(history):
+            answered.append(history)
+            if len(answered) == 21:
+                raise stop()
+            return baseline_answer(history)
+
+        monkeypatch.setattr(pipeline, "baseline_answer", stopping)
+        with pytest.raises(stop):
+            run_all(config)
+        out = tmp_path / "out"
+        assert len((out / PREDICTIONS_FILE).read_text().splitlines()) == 20
+        if stop is RuntimeError:
+            # not an error run_all handles: no manifest rather than the earlier run's
+            assert not (out / MANIFEST_FILE).exists()
+            assert not (out / TIMINGS_FILE).exists()
+            return
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["kind"] == "KeyboardInterrupt"
+        assert manifest["item_counts"]["predictions"] == 20
+        written = {name for name, digest in manifest["outputs"].items() if digest}
+        assert written == {"logs", "events", "windows", "split", "predictions"}
+        assert not (out / REPORT_FILE).exists()
+        assert "predict" in json.loads((out / TIMINGS_FILE).read_text())["seconds"]
+
     def test_rerun_in_place_is_byte_identical(self, tmp_path):
         config = small_config(tmp_path / "out")
         run_all(config)
@@ -530,6 +577,42 @@ class TestScriptedRuns:
             assert row["cause_answer"] == stub_server.completion
 
 
+# stage file -> its field table
+STAGE_TABLES = {
+    EVENTS_FILE: pipeline.EVENT_FIELDS,
+    WINDOWS_FILE: pipeline.WINDOW_FIELDS,
+    PREDICTIONS_FILE: pipeline.PREDICTION_FIELDS,
+}
+
+
+class TestStageFileCodecs:
+    @pytest.mark.parametrize("name", sorted(STAGE_TABLES))
+    def test_each_codec_is_its_own_inverse(self, stage_run, name):
+        _, files, _ = stage_run
+        table = STAGE_TABLES[name]
+        lines = files[name].decode("utf-8").splitlines()
+        assert lines
+        for line in lines:
+            record = pipeline.decode_record(table, json.loads(line))
+            assert pipeline.encode_line(table, record.values()) == line
+
+    def test_readme_stage_files_section_is_the_field_tables(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Stage files\n", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for block in section.split("\n### ")[1:]:
+            name, *rows = block.splitlines()
+            documented[name.strip("`")] = [
+                tuple(cell.strip().strip("`") for cell in row.strip("|").split("|"))
+                for row in rows
+                if row.startswith("| `")
+            ]
+        assert documented == {
+            name: [(key, field.name) for key, field in table.items()]
+            for name, table in STAGE_TABLES.items()
+        }
+
+
 class TestSequenceRoundTrip:
     def test_load_sequences_restores_what_sequence_stage_wrote(self, tmp_path):
         config = small_config(tmp_path / "out")
@@ -613,15 +696,16 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(CORRUPT_STAGE_FILES))
     def test_corrupt_stage_file_is_exit_three(self, tmp_path, case):
-        name, corrupt, reader = CORRUPT_STAGE_FILES[case]
-        config_path = self.write_config(tmp_path)
+        name, corrupt, reader, *overrides = CORRUPT_STAGE_FILES[case]
+        overrides = overrides[0] if overrides else {}
+        config_path = self.write_config(tmp_path, **overrides)
         for stage in STAGES[: STAGES.index(reader)]:
             assert self.invoke("--config", str(config_path), stage).exit_code == 0
         path = tmp_path / "out" / name
         # surrogateescape lets a corruption write bytes that are not UTF-8
         path.write_bytes(corrupt(path.read_text()).encode("utf-8", "surrogateescape"))
         with pytest.raises(DataError, match=name):
-            getattr(pipeline, f"{reader}_stage")(small_config(tmp_path / "out"))
+            getattr(pipeline, f"{reader}_stage")(small_config(tmp_path / "out", **overrides))
         result = self.invoke("--config", str(config_path), reader)
         assert result.exit_code == 3
 

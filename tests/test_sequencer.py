@@ -8,6 +8,13 @@ import pytest
 from conftest import at_day, sequence_of
 from crashcast.errors import BadWidth, IndexOutOfRange
 from crashcast.ingest import CrashCorpus, CrashEvent
+from crashcast.pipeline import (
+    WINDOW_FIELDS,
+    decode_record,
+    encode_line,
+    rebuild_sequences,
+    windows_to_lines,
+)
 from crashcast.sequencer import (
     EventSequence,
     LabeledPair,
@@ -15,9 +22,6 @@ from crashcast.sequencer import (
     build_sequences,
     enumerate_pairs,
     partition_windows,
-    sequences_from_windows,
-    window_from_record,
-    windows_to_lines,
 )
 
 UTC = timezone.utc
@@ -120,37 +124,45 @@ class TestTakeHistory:
         assert large < 2.5 * small
 
 
+def window_records(seq: EventSequence, width_days: int) -> list[dict]:
+    """seq's windows as windows.jsonl writes them, decoded by the stage-file codec."""
+    lines = windows_to_lines(seq, partition_windows(seq, width_days), width_days)
+    return [decode_record(WINDOW_FIELDS, json.loads(line)) for line in lines]
+
+
 class TestPartitionWindows:
     def test_weekly_example(self):
         seq = sequence_of("A", [(0, "a"), (3, "b"), (8, "c"), (15, "d")])
         windows = partition_windows(seq, 7)
-        assert [w.window.index for w in windows] == [0, 1, 2]
-        assert list(windows[0].cause_sequence) == ["a", "b"]
-        assert list(windows[1].cause_sequence) == ["c"]
-        assert list(windows[2].cause_sequence) == ["d"]
+        assert [[e.kind for e in events] for events in windows] == [["a", "b"], ["c"], ["d"]]
+        records = window_records(seq, 7)
+        assert [w["window_index"] for w in records] == [0, 1, 2]
+        assert list(records[0]["causes"]) == ["a", "b"]
+        assert list(records[1]["causes"]) == ["c"]
+        assert list(records[2]["causes"]) == ["d"]
 
     def test_single_event_single_window(self):
-        windows = partition_windows(sequence_of("A", [(2, "a")]), 7)
+        windows = window_records(sequence_of("A", [(2, "a")]), 7)
         assert len(windows) == 1
-        assert list(windows[0].cause_sequence) == ["a"]
+        assert list(windows[0]["causes"]) == ["a"]
 
     def test_gap_emits_the_empty_window(self):
-        windows = partition_windows(sequence_of("A", [(0, "a"), (20, "b")]), 7)
-        assert [w.window.index for w in windows] == [0, 1, 2]
-        assert list(windows[1].time_sequence) == []
+        windows = window_records(sequence_of("A", [(0, "a"), (20, "b")]), 7)
+        assert [w["window_index"] for w in windows] == [0, 1, 2]
+        assert list(windows[1]["times"]) == []
 
     def test_window_zero_starts_at_midnight_of_first_crash(self):
         seq = EventSequence(
             "A", (SeqEvent(datetime(2021, 3, 5, 17, 30, tzinfo=UTC), "a"),)
         )
-        (window,) = partition_windows(seq, 7)
-        assert window.window.start == datetime(2021, 3, 5, tzinfo=UTC)
+        (window,) = window_records(seq, 7)
+        assert window["window_start"] == datetime(2021, 3, 5, tzinfo=UTC)
 
     def test_windows_abut_exactly(self):
         seq = sequence_of("A", [(0, "a"), (25, "b")])
-        windows = partition_windows(seq, 7)
+        windows = window_records(seq, 7)
         for first, second in zip(windows, windows[1:]):
-            assert second.window.start == first.window.start + timedelta(days=7)
+            assert second["window_start"] == first["window_start"] + timedelta(days=7)
 
     def test_width_below_one_day_is_rejected(self):
         with pytest.raises(BadWidth):
@@ -158,9 +170,9 @@ class TestPartitionWindows:
 
     def test_every_event_lands_inside_its_window(self):
         seq = sequence_of("A", [(d * 1.37, f"k{d}") for d in range(20)])
-        for w in partition_windows(seq, 3):
-            for t in w.time_sequence:
-                assert w.window.start <= t < w.window.start + timedelta(days=3)
+        for w in window_records(seq, 3):
+            for t in w["times"]:
+                assert w["window_start"] <= t < w["window_start"] + timedelta(days=3)
 
 
 def random_sequence(rng: random.Random, system_id: str) -> EventSequence:
@@ -183,20 +195,22 @@ class TestLosslessPartition:
         for case in range(100):
             seq = random_sequence(rng, f"sys-{case}")
             width = rng.randint(1, 11)
-            windows = partition_windows(seq, width)
-            assert [w.window.index for w in windows] == list(range(len(windows)))
-            times = [t for w in windows for t in w.time_sequence]
-            causes = [c for w in windows for c in w.cause_sequence]
+            windows = window_records(seq, width)
+            assert [w["window_index"] for w in windows] == list(range(len(windows)))
+            times = [t for w in windows for t in w["times"]]
+            causes = [c for w in windows for c in w["causes"]]
             assert times == [e.time for e in seq.events]
             assert causes == [e.kind for e in seq.events]
 
     def test_serialized_windows_round_trip(self):
         rng = random.Random(7)
         sequences = [random_sequence(rng, f"sys-{i}") for i in range(5)]
-        windows = [w for s in sequences for w in partition_windows(s, 7)]
-        restored = [window_from_record(json.loads(line)) for line in windows_to_lines(windows)]
-        assert restored == windows
-        assert sequences_from_windows(restored) == sorted(
+        lines = [
+            line for s in sequences for line in windows_to_lines(s, partition_windows(s, 7), 7)
+        ]
+        restored = [decode_record(WINDOW_FIELDS, json.loads(line)) for line in lines]
+        assert [encode_line(WINDOW_FIELDS, w.values()) for w in restored] == lines
+        assert rebuild_sequences(restored) == sorted(
             sequences, key=lambda s: s.system_id
         )
 
@@ -207,6 +221,6 @@ def test_build_sequences_is_deterministic():
     )
     first = build_sequences(corpus)
     second = build_sequences(corpus)
-    assert windows_to_lines(
-        [w for s in first for w in partition_windows(s, 7)]
-    ) == windows_to_lines([w for s in second for w in partition_windows(s, 7)])
+    assert [windows_to_lines(s, partition_windows(s, 7), 7) for s in first] == [
+        windows_to_lines(s, partition_windows(s, 7), 7) for s in second
+    ]
