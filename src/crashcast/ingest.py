@@ -32,7 +32,7 @@ _TS_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawLogRecord:
     """One parsed log line, before any normalization."""
 
@@ -44,7 +44,7 @@ class RawLogRecord:
     cause: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrashEvent:
     """One critical crash: when it happened and what kind it was."""
 
@@ -234,8 +234,8 @@ def default_catalog() -> dict[str, str]:
 
 
 def _derive_kind(record: RawLogRecord, catalog: dict[str, str]) -> str:
-    if record.cause is not None and normalize_cause(record.cause):
-        return normalize_cause(record.cause)
+    if record.cause is not None and (cause := normalize_cause(record.cause)):
+        return cause
     if record.bugcheck_code is not None:
         code = canonical_code(record.bugcheck_code)
         if code in catalog:

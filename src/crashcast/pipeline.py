@@ -18,11 +18,12 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from datetime import timedelta
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._seed import derive_seed
 from .config import NormalizationFlags, RunConfig, config_digest, resolved_dict
@@ -112,13 +113,19 @@ def logs_path_of(config: RunConfig) -> Path:
     return out_dir_of(config) / LOGS_FILE
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks to path as they come, creating its directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as stream:
+        stream.writelines(chunks)
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    _write(path, (line + "\n" for line in lines))
 
 
 def _write_json(path: Path, payload: Any) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(path, chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload), "\n"))
 
 
 def _read_json(path: Path) -> Any:
@@ -130,15 +137,20 @@ def _read_json(path: Path) -> Any:
         raise DataError(f"{path.name} is not valid JSON: {err}") from None
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_lines(path: Path, digest: Any = None) -> Iterator[str]:
+    """A UTF-8 file's lines, split on "\\n" only (JSON Lines), read in chunks fed to digest."""
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        with path.open("rb") as stream:
+            tail = b""
+            for chunk in iter(lambda: stream.read(1 << 20), b""):
+                if digest is not None:
+                    digest.update(chunk)
+                *lines, tail = (tail + chunk).split(b"\n")
+                yield from (line.decode("utf-8") for line in lines)
+            if tail:
+                yield tail.decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {path.name}: {err}") from None
-
-
-def _write_lines(path: Path, lines: Sequence[str]) -> None:
-    _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 # --- stage file codecs ------------------------------------------------------------
@@ -221,10 +233,10 @@ def decode_record(table: dict[str, FieldType], obj: Any) -> dict[str, Any]:
     return record
 
 
-def _read_records(path: Path, table: dict[str, FieldType]) -> list[dict[str, Any]]:
+def _read_records(path: Path, table: dict[str, FieldType], digest: Any = None) -> list[dict]:
     """Each non-blank JSON line of a stage file decoded by table; a bad line is a DataError."""
     records = []
-    for line_no, line in enumerate(_read_lines(path), start=1):
+    for line_no, line in enumerate(_read_lines(path, digest), start=1):
         if line.strip():
             try:
                 obj = json.loads(line)
@@ -250,17 +262,15 @@ def _named_file(
         raise ConfigError(f"bad {key} {path}: {err}") from None
 
 
-def _sha256(path: Path) -> str:
-    """Hex sha256 of a file's bytes, read in chunks so the whole file is never held."""
+def _file_digest(path: Path) -> str | None:
+    """Hex sha256 of a file's bytes, read in chunks; None when there is no file."""
+    if not path.is_file():
+        return None
     digest = hashlib.sha256()
     with path.open("rb") as stream:
         for chunk in iter(lambda: stream.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _file_digest(path: Path) -> str | None:
-    return _sha256(path) if path.is_file() else None
 
 
 def _pair_key(pair: LabeledPair) -> tuple[str, int]:
@@ -278,20 +288,19 @@ def synth_stage(config: RunConfig) -> Path:
 # --- ingest --------------------------------------------------------------------
 
 def ingest_stage(config: RunConfig) -> CrashCorpus:
-    logs_path = logs_path_of(config)
-    lines = _read_lines(logs_path)
-    records = parse_lines(lines)
+    digest = hashlib.sha256()
+    records = parse_lines(_read_lines(logs_path_of(config), digest))
     critical = filter_critical(records)
     catalog = _named_file("paths.catalog", config.paths.catalog, load_catalog, default_catalog)
-    corpus = build_corpus(critical, catalog=catalog, source_digest=_sha256(logs_path))
+    corpus = build_corpus(critical, catalog=catalog, source_digest=digest.hexdigest())
 
     out_dir = out_dir_of(config)
     _write_lines(
         out_dir / EVENTS_FILE,
-        [
+        (
             encode_line(EVENT_FIELDS, (e.system_id, e.time, e.kind, e.bugcheck_code, e.params))
             for e in corpus.events
-        ],
+        ),
     )
     _write_json(
         out_dir / INGEST_FILE,
@@ -308,10 +317,11 @@ def ingest_stage(config: RunConfig) -> CrashCorpus:
 
 
 def load_events(path: Path) -> CrashCorpus:
-    events = [CrashEvent(*record.values()) for record in _read_records(path, EVENT_FIELDS)]
+    digest = hashlib.sha256()
+    events = [CrashEvent(*record.values()) for record in _read_records(path, EVENT_FIELDS, digest)]
     if not events:
         raise DataError(f"{path.name} holds no events")
-    return CrashCorpus(events=tuple(events), source_digest=_sha256(path))
+    return CrashCorpus(events=tuple(events), source_digest=digest.hexdigest())
 
 
 # --- sequence ------------------------------------------------------------------
@@ -322,11 +332,12 @@ def sequence_stage(config: RunConfig, corpus: CrashCorpus | None = None) -> list
     if corpus is None:
         corpus = load_events(out_dir / EVENTS_FILE)
     sequences = build_sequences(corpus)
-    lines: list[str] = []
-    for seq in sequences:
-        windows = partition_windows(seq, config.window_days)
-        lines.extend(windows_to_lines(seq, windows, config.window_days))
-    _write_lines(out_dir / WINDOWS_FILE, lines)
+    width = config.window_days
+    _write_lines(
+        out_dir / WINDOWS_FILE,
+        (line for seq in sequences
+         for line in windows_to_lines(seq, partition_windows(seq, width), width)),
+    )
     return sequences
 
 
@@ -348,20 +359,28 @@ def windows_to_lines(
 def rebuild_sequences(records: Iterable[dict[str, Any]]) -> list[EventSequence]:
     """Each system's windows.jsonl records joined in window_index order, systems sorted.
 
-    Times and causes that are not parallel, or times that do not increase, are a ValueError.
+    A ValueError: times and causes not parallel or not increasing, or a system's windows
+    not 0..n-1 once each, window n starting n widths after its first event's day.
     """
     ordered = sorted(records, key=lambda r: (r["system_id"], r["window_index"]))
-    return [
-        EventSequence(
-            system_id,
-            tuple(
-                SeqEvent(time, kind)
-                for window in windows
-                for time, kind in zip(window["times"], window["causes"], strict=True)
-            ),
+    sequences = []
+    for system_id, group in groupby(ordered, key=lambda r: r["system_id"]):
+        windows = [*group]
+        events = tuple(
+            SeqEvent(time, kind)
+            for window in windows
+            for time, kind in zip(window["times"], window["causes"], strict=True)
         )
-        for system_id, windows in groupby(ordered, key=lambda r: r["system_id"])
-    ]
+        if not events:
+            raise ValueError(f"{system_id} has windows but no events")
+        origin = day_floor(events[0].time)
+        for index, window in enumerate(windows):
+            offset = index * timedelta(days=window["width_days"])
+            if window["window_index"] != index or window["window_start"] - origin != offset:
+                raise ValueError(f"{system_id} window {window['window_index']} is not"
+                                 f" window {index}, {offset.days} days after {origin}")
+        sequences.append(EventSequence(system_id, events))
+    return sequences
 
 
 def load_sequences(config: RunConfig) -> list[EventSequence]:
@@ -421,10 +440,7 @@ def split_pairs(
 
 def _count_by_system(pairs: Iterable[LabeledPair]) -> dict[str, int]:
     """Pairs per system, keyed in system order."""
-    composition: dict[str, int] = {}
-    for pair in pairs:
-        composition[pair.system_id] = composition.get(pair.system_id, 0) + 1
-    return dict(sorted(composition.items()))
+    return dict(sorted(Counter(pair.system_id for pair in pairs).items()))
 
 
 def split_stage(
@@ -513,9 +529,9 @@ def _bundle_for(
     config: RunConfig,
     template,
     pair: LabeledPair,
-    train: Sequence[LabeledPair],
+    pool: Sequence[LabeledPair],
 ) -> PromptBundle:
-    pool = [p for p in train if p.system_id != pair.system_id]
+    """The prompts for pair, its shots drawn from pool: other systems' pairs with a history."""
     shot_seed = derive_seed(config.seed, "shots", pair.system_id, pair.index)
     shots = shots_from_pairs(pool, config.shots_k, shot_seed, config.history_cap)
     return build_bundle(
@@ -553,9 +569,11 @@ def predict_stage(
             "paths.template", config.paths.template, load_template, default_template
         )
         backend = make_backend(config.backend)
+        systems = {pair.system_id for pair in validation}
+        pools = {s: [p for p in train if p.index > 1 and p.system_id != s] for s in systems}
 
         def answer(pair: LabeledPair) -> PredictionRaw:
-            return _predict_one(backend, _bundle_for(config, template, pair, train))
+            return _predict_one(backend, _bundle_for(config, template, pair, pools[pair.system_id]))
 
     width = config.backend.max_in_flight if config.backend.kind == "remote-llm" else 1
     rows: dict[tuple[str, int], dict[str, Any]] = {}
@@ -582,7 +600,7 @@ def predict_stage(
         ordered = [rows[key] for key in sorted(rows)]
         _write_lines(
             out_dir / PREDICTIONS_FILE,
-            [encode_line(PREDICTION_FIELDS, row.values()) for row in ordered],
+            (encode_line(PREDICTION_FIELDS, row.values()) for row in ordered),
         )
     return ordered
 
@@ -663,7 +681,7 @@ def evaluate_stage(
                 f"{backend_id},{r.category},{metric},"
                 f"{score.precision:.6f},{score.recall:.6f},{score.f1:.6f}"
             )
-    _write_text(out_dir / TABLE_FILE, "\n".join(table_lines) + "\n")
+    _write_lines(out_dir / TABLE_FILE, table_lines)
     return report
 
 
@@ -750,12 +768,8 @@ def run_all(config: RunConfig) -> dict[str, Any]:
         report = timed("evaluate", lambda: evaluate_stage(config, predictions))
     except (ConfigError, DataError, BackendError, KeyboardInterrupt) as err:
         predictions_path = out_dir / PREDICTIONS_FILE
-        counts.setdefault(
-            "predictions",
-            sum(1 for line in _read_lines(predictions_path) if line.strip())
-            if predictions_path.is_file()
-            else 0,
-        )
+        lines = _read_lines(predictions_path) if predictions_path.is_file() else ()
+        counts.setdefault("predictions", sum(1 for line in lines if line.strip()))
         _write_manifest(config, "failed", err, counts, validation_systems, backend_id)
         _write_json(out_dir / TIMINGS_FILE, {"seconds": timings})
         raise

@@ -125,13 +125,12 @@ def shot_from_pair(pair: LabeledPair, history_cap: int | None = None) -> Shot:
 def shots_from_pairs(
     pairs: Sequence[LabeledPair], k: int, seed: int, history_cap: int | None = None
 ) -> list[Shot]:
-    """Sample k demonstrations without replacement; order is the sample order."""
-    eligible = [p for p in pairs if p.index > 1]
+    """Sample k demonstrations without replacement, in sample order; each pair needs index > 1."""
     if k == 0:
         return []
-    if len(eligible) < k:
-        raise InsufficientShots(f"need {k} eligible pairs, pool has {len(eligible)}")
-    sampled = random.Random(seed).sample(eligible, k)
+    if len(pairs) < k:
+        raise InsufficientShots(f"need {k} eligible pairs, pool has {len(pairs)}")
+    sampled = random.Random(seed).sample(pairs, k)
     return [shot_from_pair(p, history_cap) for p in sampled]
 
 

@@ -402,7 +402,8 @@ class TestAcceptance:
 
         assert len(validation) == 40
         for pair in validation:
-            bundle = _bundle_for(config, template, pair, train)
+            pool = [p for p in train if p.system_id != pair.system_id]
+            bundle = _bundle_for(config, template, pair, pool)
             prompt = bundle.rendered_time_prompt
             assert prompt.count("### Example") == 10
             assert len(bundle.shots) == 10

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from datetime import datetime
 from pathlib import Path
 
@@ -67,6 +68,12 @@ def _with_field(key, value):
 def _reversed_times(line):
     obj = json.loads(line)
     return json.dumps({**obj, "times": obj["times"][::-1]})
+
+
+def _with_a_repeated_empty_window(text):
+    lines = text.splitlines()
+    empty = next(line for line in lines if not json.loads(line)["times"])
+    return "\n".join([*lines, empty]) + "\n"
 
 
 def _corrupt_first_line(corrupt, where=lambda line: True):
@@ -147,6 +154,15 @@ CORRUPT_STAGE_FILES = {
         "split",
         {"window_days": 1},
     ),
+    # window_start must be the day floor of the system's first event + window_index widths
+    "shifted-window-start": (
+        WINDOWS_FILE,
+        _corrupt_first_line(_with_field("window_start", "1999-01-01T00:00:00Z")),
+        "split",
+    ),
+    # a system's window indices must run 0..n-1 once each
+    "duplicated-empty-window": (WINDOWS_FILE, _with_a_repeated_empty_window, "split",
+                                {"window_days": 1}),
 }
 
 # case: (config key named in the error, config overrides given the test's tmp_path)
@@ -359,6 +375,27 @@ class TestStages:
         manifest = json.loads((out / MANIFEST_FILE).read_text())
         assert ingest["source_digest"] == manifest["outputs"]["logs"]
         assert ingest["source_digest"] == hashlib.sha256((out / LOGS_FILE).read_bytes()).hexdigest()
+
+    def test_crlf_logs_load_the_same_events(self, tmp_path):
+        config = small_config(tmp_path / "out")
+        synth_stage(config)
+        events = ingest_stage(config).events
+        logs = tmp_path / "out" / LOGS_FILE
+        logs.write_bytes(logs.read_bytes().replace(b"\n", b"\r\n"))
+        assert ingest_stage(config).events == events
+
+    def test_ingest_memory_is_linear_in_the_logs(self, tmp_path):
+        # a logs file of about 1.8 MB; ingest keeps its records and its corpus, about
+        # 5.5 times the file, and holding the file's text or every output line too passes 9
+        config = small_config(tmp_path / "out", generator={"n_systems": 40, "days": 540})
+        size = synth_stage(config).stat().st_size
+        tracemalloc.start()
+        try:
+            ingest_stage(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * size, f"{peak / size:.1f}x the logs file"
 
     @pytest.mark.parametrize("stop", [KeyboardInterrupt, RuntimeError])
     def test_stopped_rerun_keeps_its_finished_rows_and_no_stale_manifest(
@@ -719,6 +756,26 @@ class TestCli:
         assert "7 days wide" in result.output
         assert "window_days is 3" in result.output
         assert not (tmp_path / "out" / PREDICTIONS_FILE).exists()
+
+    # str.splitlines splits at each of these characters, which JSON allows raw in a string
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+    @pytest.mark.parametrize("escaped", [True, False], ids=["escaped", "raw"])
+    def test_line_separator_inside_a_string_passes_every_stage(self, tmp_path, char, escaped):
+        config_path = self.write_config(tmp_path)
+        assert self.invoke("--config", str(config_path), "synth").exit_code == 0
+        logs = tmp_path / "out" / LOGS_FILE
+        record = {"guid": "host-x", "ts": "2021-03-01T00:00:00Z", "event_id": 41,
+                  "params": [f"a{char}b"]}
+        line = json.dumps(record, ensure_ascii=escaped)
+        assert (char in line) is not escaped
+        logs.write_text(logs.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        for stage in STAGES[1:]:
+            result = self.invoke("--config", str(config_path), stage)
+            assert result.exit_code == 0, result.output
+        # events.jsonl holds the character raw, as encode_line writes it
+        assert char in (tmp_path / "out" / EVENTS_FILE).read_text(encoding="utf-8")
+        events = load_events(tmp_path / "out" / EVENTS_FILE).events
+        assert [e.params for e in events if e.system_id == "host-x"] == [(f"a{char}b",)]
 
     def test_failed_rerun_manifest_digests_only_its_own_outputs(self, tmp_path):
         out = tmp_path / "out"
