@@ -26,10 +26,13 @@ DEFAULT_EPOCH_FLOOR = datetime(2000, 1, 1, tzinfo=timezone.utc)
 
 MAX_PARAMS = 4
 
-_BUGCHECK_RE = re.compile(r"^0x[0-9A-Fa-f]{1,8}$")
-_TS_RE = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(?:Z|\+00:00)$"
-)
+# Both patterns must match the whole value (fullmatch), in ASCII digits only.
+_BUGCHECK_RE = re.compile(r"0x[0-9A-Fa-f]{1,8}")
+_TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:Z|\+00:00)")
+
+# One encoder for every JSON line written; json.dumps would build one per call.
+# Its values are built from decoded JSON or from records, so none can hold itself.
+JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,17 +74,16 @@ def parse_timestamp(text: str) -> datetime:
     Date-only strings and non-UTC offsets are rejected; records must
     carry a full instant even when the upstream cadence is daily.
     """
-    match = _TS_RE.match(text)
-    if match is None:
+    if _TS_RE.fullmatch(text) is None:
         raise ValueError(f"not a full UTC instant: {text!r}")
-    return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
+    # the pattern has checked the shape; the offset is spelled out for Python 3.10
+    return datetime.fromisoformat(text[:19] + "+00:00")
 
 
 def format_timestamp(ts: datetime) -> str:
     """The instant as strftime("%Y-%m-%dT%H:%M:%SZ") writes it with glibc (year unpadded)."""
-    return (
-        f"{ts.year}-{ts.month:02d}-{ts.day:02d}"
-        f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}Z"
+    return "%d-%02d-%02dT%02d:%02d:%02dZ" % (
+        ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second
     )
 
 
@@ -103,7 +105,7 @@ def is_utf8_encodable(value: object) -> bool:
     that hold a "\\u".
     """
     try:
-        json.dumps(value, ensure_ascii=False).encode("utf-8")
+        JSON_ENCODER.encode(value).encode("utf-8")
     except UnicodeEncodeError:
         return False
     return True
@@ -146,7 +148,7 @@ def parse_record(line: str, line_no: int | None = None) -> RawLogRecord:
     if bugcheck is not None:
         if not isinstance(bugcheck, str):
             raise MalformedRecord("bugcheck must be a string", line_no)
-        if _BUGCHECK_RE.match(bugcheck) is None:
+        if _BUGCHECK_RE.fullmatch(bugcheck) is None:
             raise BadCode(f"bugcheck {bugcheck!r} violates 0x hex pattern", line_no)
 
     params_raw = obj.get("params")
@@ -163,14 +165,7 @@ def parse_record(line: str, line_no: int | None = None) -> RawLogRecord:
     if cause is not None and not isinstance(cause, str):
         raise MalformedRecord("cause must be a string", line_no)
 
-    return RawLogRecord(
-        system_id=guid,
-        timestamp=ts,
-        event_id=event_id,
-        bugcheck_code=bugcheck,
-        params=params,
-        cause=cause,
-    )
+    return RawLogRecord(guid, ts, event_id, bugcheck, params, cause)
 
 
 def record_to_line(record: RawLogRecord) -> str:
@@ -186,7 +181,7 @@ def record_to_line(record: RawLogRecord) -> str:
         obj["params"] = list(record.params)
     if record.cause is not None:
         obj["cause"] = record.cause
-    return json.dumps(obj, ensure_ascii=False)
+    return JSON_ENCODER.encode(obj)
 
 
 def parse_lines(lines: Iterable[str]) -> list[RawLogRecord]:
@@ -219,7 +214,7 @@ def load_catalog(path: str | Path) -> dict[str, str]:
         if len(parts) != 2:
             raise MalformedRecord(f"catalog line needs two columns: {line!r}", line_no)
         code, label = parts
-        if _BUGCHECK_RE.match(code) is None:
+        if _BUGCHECK_RE.fullmatch(code) is None:
             raise BadCode(f"catalog code {code!r} violates 0x hex pattern", line_no)
         catalog[canonical_code(code)] = normalize_cause(label)
     return catalog
@@ -269,6 +264,9 @@ def build_corpus(
         source_digest = records_digest(records)
 
     seen: set[tuple[str, datetime, str]] = set()
+    # a run holds a dozen or so distinct codes and kinds: derive each once, share the strings
+    codes: dict[str | None, str] = {}
+    kinds: dict[tuple[str | None, str | None], str] = {}
     events: list[CrashEvent] = []
     duplicates = 0
     dropped = 0
@@ -276,21 +274,17 @@ def build_corpus(
         if record.timestamp < epoch_floor:
             dropped += 1
             continue
-        code = canonical_code(record.bugcheck_code) if record.bugcheck_code else ""
+        raw = record.bugcheck_code
+        if (code := codes.get(raw)) is None:
+            code = codes[raw] = canonical_code(raw) if raw else ""
         key = (record.system_id, record.timestamp, code)
         if key in seen:
             duplicates += 1
             continue
         seen.add(key)
-        events.append(
-            CrashEvent(
-                system_id=record.system_id,
-                time=record.timestamp,
-                kind=_derive_kind(record, catalog),
-                bugcheck_code=code,
-                params=record.params,
-            )
-        )
+        if (kind := kinds.get((record.cause, raw))) is None:
+            kind = kinds[record.cause, raw] = _derive_kind(record, catalog)
+        events.append(CrashEvent(record.system_id, record.timestamp, kind, code, record.params))
 
     if not events:
         raise EmptyCorpus("zero crash events survived corpus construction")

@@ -36,6 +36,7 @@ from .errors import (
     RecordError,
 )
 from .ingest import (
+    JSON_ENCODER,
     CrashCorpus,
     CrashEvent,
     build_corpus,
@@ -206,9 +207,6 @@ PREDICTION_FIELDS = {
     "window_index": INTEGER,
 }
 
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
-
-
 def encode_line(table: dict[str, FieldType], values: Iterable[Any]) -> str:
     """One stage-file line holding values, given in the table's field order."""
     record = {}
@@ -216,7 +214,7 @@ def encode_line(table: dict[str, FieldType], values: Iterable[Any]) -> str:
         if field.encode is not None:
             value = [*map(field.encode, value)] if field.many else field.encode(value)
         record[key] = value
-    return _ENCODER.encode(record)
+    return JSON_ENCODER.encode(record)
 
 
 def decode_record(table: dict[str, FieldType], obj: Any) -> dict[str, Any]:
@@ -757,7 +755,7 @@ def run_all(config: RunConfig) -> dict[str, Any]:
         counts["events"] = len(corpus.events)
         sequences = timed("sequence", lambda: sequence_stage(config, corpus))
         counts["systems"] = len(sequences)
-        counts["pairs"] = len(enumerate_pairs(sequences))
+        counts["pairs"] = sum(max(len(seq.events) - 1, 0) for seq in sequences)
         train, validation = timed("split", lambda: split_stage(config, sequences))
         counts["train"] = len(train)
         counts["validation"] = len(validation)

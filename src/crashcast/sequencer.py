@@ -82,7 +82,7 @@ def build_sequences(corpus: CrashCorpus) -> list[EventSequence]:
 
     sequences = []
     for system_id in sorted(by_system):
-        events = sorted(by_system[system_id], key=lambda e: (e.time, e.kind))
+        events = sorted(by_system[system_id])  # a SeqEvent sorts by (time, kind)
         shifted: list[SeqEvent] = []
         for event in events:
             if shifted and event.time <= shifted[-1].time:
@@ -121,9 +121,8 @@ def partition_windows(seq: EventSequence, width_days: int) -> list[list[SeqEvent
     if not seq.events:
         return []
     origin = day_floor(seq.events[0].time)
-    windows: list[list[SeqEvent]] = [
-        [] for _ in range(window_index_of(seq.events[-1].time, origin, width_days) + 1)
-    ]
+    width = timedelta(days=width_days)
+    windows: list[list[SeqEvent]] = [[] for _ in range((seq.events[-1].time - origin) // width + 1)]
     for event in seq.events:
-        windows[window_index_of(event.time, origin, width_days)].append(event)
+        windows[(event.time - origin) // width].append(event)
     return windows

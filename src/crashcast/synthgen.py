@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import accumulate
 
 from ._seed import derive_seed
 from .errors import ConfigError
@@ -76,9 +77,8 @@ class GeneratorConfig:
         return self.cause_catalog if self.cause_catalog is not None else default_cause_catalog()
 
 
-def _poisson_count(rng: random.Random, lam: float) -> int:
-    """Knuth's product method; fine for the per-day rates used here."""
-    threshold = math.exp(-lam)
+def _poisson_count(rng: random.Random, threshold: float) -> int:
+    """Knuth's product method, threshold exp(-rate); fine for the per-day rates used here."""
     count = 0
     product = rng.random()
     while product > threshold:
@@ -88,13 +88,20 @@ def _poisson_count(rng: random.Random, lam: float) -> int:
 
 
 def _system_records(
-    config: GeneratorConfig, seed: int, system_index: int
+    config: GeneratorConfig,
+    seed: int,
+    system_index: int,
+    days: list[tuple[datetime, int]],
+    labels: list[tuple[str, str]],
+    cum_weights: list[float],
 ) -> list[RawLogRecord]:
+    """One system's records.
+
+    days are the horizon's (day start, weekday) pairs; labels are the catalog's
+    (code, label) pairs, drawn by cum_weights.
+    """
     rng = random.Random(derive_seed(seed, "synth", system_index))
     system_id = f"host-{system_index:03d}"
-    catalog = config.resolved_catalog()
-    labels = [(code, label) for code, label, _ in catalog]
-    weights = [weight for _, _, weight in catalog]
 
     multipliers = [1.0] * 7
     if config.bursty:
@@ -102,26 +109,18 @@ def _system_records(
         mean = sum(raw) / 7
         multipliers = [value / mean for value in raw]
 
+    thresholds = [math.exp(-(config.per_system_rate * value)) for value in multipliers]
     instants: list[datetime] = []
-    for day in range(config.days):
-        day_start = config.start_date + timedelta(days=day)
-        lam = config.per_system_rate * multipliers[day_start.weekday()]
-        for _ in range(_poisson_count(rng, lam)):
+    for day_start, weekday in days:
+        for _ in range(_poisson_count(rng, thresholds[weekday])):
             instants.append(day_start + timedelta(seconds=rng.randrange(_SECONDS_PER_DAY)))
     instants.sort()
 
     records = []
     for instant in instants:
-        code, label = rng.choices(labels, weights=weights)[0]
+        code, label = rng.choices(labels, cum_weights=cum_weights)[0]
         records.append(
-            RawLogRecord(
-                system_id=system_id,
-                timestamp=instant,
-                event_id=41,
-                bugcheck_code=code,
-                params=(f"0x{rng.getrandbits(16):X}", "0x0"),
-                cause=label,
-            )
+            RawLogRecord(system_id, instant, 41, code, (f"0x{rng.getrandbits(16):X}", "0x0"), label)
         )
 
     noise_count = round(config.noise_fraction * len(records))
@@ -144,9 +143,15 @@ def generate_records(config: GeneratorConfig, seed: int | None = None) -> list[R
     effective_seed = config.seed if config.seed is not None else seed
     if effective_seed is None:
         raise ConfigError("generator needs a seed, none given")
+    catalog = config.resolved_catalog()
+    labels = [(code, label) for code, label, _ in catalog]
+    # the same draws as weights=: choices() only accumulates the weights first
+    cum_weights = list(accumulate(weight for _, _, weight in catalog))
+    starts = (config.start_date + timedelta(days=day) for day in range(config.days))
+    days = [(start, start.weekday()) for start in starts]
     records: list[RawLogRecord] = []
-    for system_index in range(config.n_systems):
-        records.extend(_system_records(config, effective_seed, system_index))
+    for index in range(config.n_systems):
+        records.extend(_system_records(config, effective_seed, index, days, labels, cum_weights))
     records.sort(
         key=lambda r: (r.timestamp, r.system_id, r.event_id, r.bugcheck_code or "", r.params)
     )

@@ -14,6 +14,7 @@ from crashcast.errors import (
 )
 from crashcast.ingest import (
     RawLogRecord,
+    _derive_kind,
     build_corpus,
     canonical_code,
     default_catalog,
@@ -129,7 +130,15 @@ class TestTimestamps:
 
     @pytest.mark.parametrize(
         "text",
-        ["2021-03-01", "2021-03-01T08:00:00", "2021-03-01T08:00:00+02:00", "2021-03-01 08:00:00Z"],
+        [
+            "2021-03-01",
+            "2021-03-01T08:00:00",
+            "2021-03-01T08:00:00+02:00",
+            "2021-03-01 08:00:00Z",
+            # the pattern matches in full, in ASCII digits
+            "2021-03-04T05:06:07Z\n",
+            "\u0662\u0660\u0662\u0661-03-04T05:06:07Z",
+        ],
     )
     def test_non_utc_or_partial_instants_are_rejected(self, text):
         with pytest.raises(ValueError):
@@ -264,6 +273,41 @@ class TestBuildCorpus:
         records = [make_record()]
         assert build_corpus(records).source_digest == records_digest(records)
         assert records_digest(records) != records_digest([make_record(day=2)])
+
+
+# codes in and out of the shipped catalog, spelled padded and in either case
+_CODE_SPELLINGS = ("0x9F", "0x9f", "0x0000009F", "0xa", "0x000A", "0x1", "0xDEAD", "0xdead")
+_CUSTOM_CATALOG = {"0x9F": "custom nine f", "0xDEAD": "dead beef"}
+
+
+@given(
+    records=st.lists(
+        st.builds(
+            make_record,
+            system_id=st.sampled_from(["A1", "B2"]),
+            day=st.integers(min_value=1, max_value=3),
+            bugcheck_code=st.none() | st.sampled_from(_CODE_SPELLINGS),
+            cause=st.none() | st.sampled_from(["", "  ", "Driver_Power", "driver  power", "IRQL"]),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    catalog=st.sampled_from([None, _CUSTOM_CATALOG]),
+)
+@settings(max_examples=200)
+def test_corpus_kinds_and_codes_match_a_per_record_derivation(records, catalog):
+    corpus = build_corpus(records, catalog=catalog)
+    resolved = default_catalog() if catalog is None else catalog
+    kept = {}  # dedup key -> the first record that has it, the one build_corpus keeps
+    for record in records:
+        code = canonical_code(record.bugcheck_code) if record.bugcheck_code else ""
+        kept.setdefault((record.system_id, record.timestamp, code), record)
+    assert len(corpus.events) == len(kept)
+    for event in corpus.events:
+        record = kept[event.system_id, event.time, event.bugcheck_code]
+        assert event.kind == _derive_kind(record, resolved)
+        if record.bugcheck_code:
+            assert event.bugcheck_code == canonical_code(record.bugcheck_code)
 
 
 class TestCatalog:

@@ -16,6 +16,7 @@ from crashcast.cli import main
 from crashcast.config import RunConfig, parse_run_config
 from crashcast.errors import DataError, InsufficientData, ScriptExhausted, TransportError
 from crashcast.predictor import PredictionRaw, baseline_answer
+from crashcast.sequencer import enumerate_pairs
 from crashcast.pipeline import (
     EVENTS_FILE,
     INGEST_FILE,
@@ -111,6 +112,14 @@ CORRUPT_STAGE_FILES = {
         WINDOWS_FILE,
         _corrupt_first_line(_reversed_times, where=lambda line: len(json.loads(line)["times"]) > 1),
         "split",
+    ),
+    # a timestamp must match in full: "$" would match before a trailing newline
+    "event-time-trailing-newline": (
+        EVENTS_FILE,
+        _corrupt_first_line(lambda line: json.dumps(
+            {**json.loads(line), "time": json.loads(line)["time"] + "\n"}
+        )),
+        "sequence",
     ),
     "events-not-utf8": (EVENTS_FILE, lambda text: text + "\udcff\n", "sequence"),
     "split-not-utf8": (SPLIT_FILE, lambda text: text + "\udcff", "predict"),
@@ -214,6 +223,31 @@ REMOTE_SHAPED = {
     "endpoint": "http://127.0.0.1:9/v1/chat",
     "model_name": "m",
     "max_in_flight": 2,
+}
+
+
+# sha256 of each output at seed 1234, the default config and its bursty variant
+OUTPUT_PINS = {
+    "default": ({}, {
+        LOGS_FILE: "507f24f0d66dc0e25406bd04766c5a7a2789b1c27ac28dea0124566244bba0ec",
+        EVENTS_FILE: "5180b8d9bd059fe5f53f98a9308568dea5de74761f0f38ed218278de0277fc66",
+        INGEST_FILE: "a8cca8743560deaa519590501690c4d99f0612472fe0d1a40b110222c27b6d2c",
+        WINDOWS_FILE: "d1238a8b04f056cb4503c09ff5fde9de2b27bdecb166ee1c4046733829fa7d5e",
+        SPLIT_FILE: "1647110bf68af541bae0b070c6bf9ded0be23f5695934738ed588898e3711098",
+        PREDICTIONS_FILE: "8858bd2d26c4125e39f65cddffc77aca28938e8f5a7f41c2a85e61e3100abbbc",
+        REPORT_FILE: "1a3b8783ca430d1daa5b14b5d718de3ac2709c9042bd9f0dff175f599436fce8",
+        TABLE_FILE: "b06416d41a47722f681cbdc6d7aa5d578058d9ffacc827c7fa8a8b30462fc8e8",
+    }),
+    "bursty": ({"generator": {"bursty": True}}, {
+        LOGS_FILE: "f7bc4c73690f4189f594ef2c011387977e50e7907a2532dd7f198502792eeebd",
+        EVENTS_FILE: "4db55a1a4b247d1fa010f9f017e13469b55401c931a8ca80ff32729dd634ef1b",
+        INGEST_FILE: "cfe893bde651189b1971e76310f0a6e19ff2da1bc9fbda9603bf33a3235eb3ea",
+        WINDOWS_FILE: "603b7f9c851646f39c0d390ca853687e11a995f1bdaaf5aa815dc54e0955ed54",
+        SPLIT_FILE: "c58d1ac166db8559642b0f61540446a44dae70af322bed0200b780cecf0d423a",
+        PREDICTIONS_FILE: "93992e2703f0be7046544e826211c88cb4d691c067b71b937e707fed381fa892",
+        REPORT_FILE: "9113d00a33a487cf6d7cd3b46e2ee1f88e8cb786f6bbef5552f70bd0bb2c82e9",
+        TABLE_FILE: "227bcba5e86263162f6a6d132bea892c963ce3dcd7d21cb5709857101bb528ed",
+    }),
 }
 
 
@@ -429,6 +463,26 @@ class TestStages:
         assert written == {"logs", "events", "windows", "split", "predictions"}
         assert not (out / REPORT_FILE).exists()
         assert "predict" in json.loads((out / TIMINGS_FILE).read_text())["seconds"]
+
+    @pytest.mark.parametrize("variant", sorted(OUTPUT_PINS))
+    def test_outputs_match_their_pins(self, tmp_path, variant):
+        overrides, pins = OUTPUT_PINS[variant]
+        out = tmp_path / "out"
+        run_all(parse_run_config({**overrides, "paths": {"out_dir": str(out)}}))
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pins}
+        assert digests == pins
+
+    def test_manifest_pair_count_matches_the_enumerated_pairs(self, tmp_path):
+        synth_stage(small_config(tmp_path / "seed"))
+        logs = tmp_path / "logs.jsonl"
+        lonely = {"guid": "host-lonely", "ts": "2021-03-01T00:00:00Z", "event_id": 41}
+        logs.write_text((tmp_path / "seed" / LOGS_FILE).read_text() + json.dumps(lonely) + "\n")
+        config = small_config(tmp_path / "out", paths={"logs": str(logs)})
+        run_all(config)
+        sequences = load_sequences(config)
+        assert [len(seq) for seq in sequences if seq.system_id == "host-lonely"] == [1]
+        manifest = json.loads((tmp_path / "out" / MANIFEST_FILE).read_text())
+        assert manifest["item_counts"]["pairs"] == len(enumerate_pairs(sequences))
 
     def test_rerun_in_place_is_byte_identical(self, tmp_path):
         config = small_config(tmp_path / "out")
@@ -730,6 +784,28 @@ class TestCli:
         )
         result = self.invoke("--config", str(config_path), "ingest")
         assert result.exit_code == 3
+
+    # a log value must match its pattern in full and in ASCII digits
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ts", "2021-03-04T05:06:07Z\n", "not a full UTC instant"),
+            ("ts", "\u0662\u0660\u0662\u0661-03-04T05:06:07Z", "not a full UTC instant"),
+            ("bugcheck", "0x9F\n", "violates 0x hex pattern"),
+        ],
+        ids=["ts-trailing-newline", "ts-arabic-indic-digits", "bugcheck-trailing-newline"],
+    )
+    def test_log_value_past_its_pattern_is_exit_three(self, tmp_path, field, value, message):
+        logs = tmp_path / "logs.jsonl"
+        record = {"guid": "x", "ts": "2021-03-04T05:06:07Z", "event_id": 41, field: value}
+        logs.write_text(json.dumps(record) + "\n")
+        config_path = self.write_config(
+            tmp_path, paths={"logs": str(logs), "out_dir": str(tmp_path / "out")}
+        )
+        result = self.invoke("--config", str(config_path), "ingest")
+        assert result.exit_code == 3, result.output
+        assert "line 1: " in result.output
+        assert message in result.output
 
     @pytest.mark.parametrize("case", sorted(CORRUPT_STAGE_FILES))
     def test_corrupt_stage_file_is_exit_three(self, tmp_path, case):
