@@ -1,12 +1,13 @@
 """Command-line front end: one subcommand per stage plus an all-in-one run.
 
 Exit codes: 0 success, 2 configuration problems, 3 data problems,
-4 backend problems.
+4 backend problems, 130 stopped by Ctrl-C or SIGTERM.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import signal
 import sys
 
 import click
@@ -19,6 +20,7 @@ from .predictor import BACKEND_KINDS
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_BACKEND = 4
+EXIT_STOPPED = 130  # the shell's 128 + SIGINT
 
 
 def _resolve_config(config_path, seed, out_dir, backend) -> RunConfig:
@@ -38,7 +40,8 @@ def _resolve_config(config_path, seed, out_dir, backend) -> RunConfig:
 
 def _execute(fn):
     try:
-        return fn()
+        with pipeline.collector_paused():
+            return fn()
     except ConfigError as err:
         click.echo(f"config error: {err}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -48,6 +51,9 @@ def _execute(fn):
     except BackendError as err:
         click.echo(f"backend error: {err}", err=True)
         sys.exit(EXIT_BACKEND)
+    except KeyboardInterrupt:
+        click.echo("stopped", err=True)
+        sys.exit(EXIT_STOPPED)
 
 
 @click.group()
@@ -63,6 +69,9 @@ def _execute(fn):
 @click.pass_context
 def main(ctx, config_path, seed, out_dir, backend):
     """Crash sequence prediction harness: generate, predict, evaluate."""
+    # SIGTERM stops a command the way Ctrl-C does: predict flushes, run writes a failed manifest
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    ctx.call_on_close(lambda: signal.signal(signal.SIGTERM, previous))
     ctx.obj = _execute(lambda: _resolve_config(config_path, seed, out_dir, backend))
 
 

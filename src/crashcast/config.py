@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -128,6 +129,8 @@ def _decode(value: Any, hint: Any, where: str) -> Any:
         )
     if not valid:
         raise ConfigError(f"{where} must be {_KINDS[hint]}")
+    if hint is float and not abs(value) <= sys.float_info.max:  # also NaN
+        raise ConfigError(f"{where} must be a finite number")
     if hint is str and not is_utf8_encodable(value):
         raise ConfigError(f"{where} holds a lone surrogate")
     return float(value) if hint is float else value

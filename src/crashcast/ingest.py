@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadCode, BadTimestamp, EmptyCorpus, MalformedRecord
 
@@ -30,13 +30,24 @@ MAX_PARAMS = 4
 _BUGCHECK_RE = re.compile(r"0x[0-9A-Fa-f]{1,8}")
 _TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:Z|\+00:00)")
 
-# One encoder for every JSON line written; json.dumps would build one per call.
-# Its values are built from decoded JSON or from records, so none can hold itself.
+# One encoder's settings for every JSON line written; its values come from decoded JSON or
+# from records, so none can hold itself. Its C encoder is built once, not on every encode.
 JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+if json.encoder.c_make_encoder is None:
+    encode_json = JSON_ENCODER.encode
+else:
+    _C_ENCODER = json.encoder.c_make_encoder(
+        None, JSON_ENCODER.default, json.encoder.encode_basestring, None,
+        JSON_ENCODER.key_separator, JSON_ENCODER.item_separator, JSON_ENCODER.sort_keys,
+        JSON_ENCODER.skipkeys, JSON_ENCODER.allow_nan,
+    )
+
+    def encode_json(value: object) -> str:
+        """value, a JSON value, as JSON_ENCODER.encode writes it."""
+        return "".join(_C_ENCODER(value, 0))
 
 
-@dataclass(frozen=True, slots=True)
-class RawLogRecord:
+class RawLogRecord(NamedTuple):
     """One parsed log line, before any normalization."""
 
     system_id: str
@@ -47,8 +58,7 @@ class RawLogRecord:
     cause: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class CrashEvent:
+class CrashEvent(NamedTuple):
     """One critical crash: when it happened and what kind it was."""
 
     system_id: str
@@ -105,7 +115,7 @@ def is_utf8_encodable(value: object) -> bool:
     that hold a "\\u".
     """
     try:
-        JSON_ENCODER.encode(value).encode("utf-8")
+        encode_json(value).encode("utf-8")
     except UnicodeEncodeError:
         return False
     return True
@@ -181,7 +191,7 @@ def record_to_line(record: RawLogRecord) -> str:
         obj["params"] = list(record.params)
     if record.cause is not None:
         obj["cause"] = record.cause
-    return JSON_ENCODER.encode(obj)
+    return encode_json(obj)
 
 
 def parse_lines(lines: Iterable[str]) -> list[RawLogRecord]:

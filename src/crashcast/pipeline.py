@@ -14,12 +14,14 @@ separate file so the manifest stays byte-identical across identical runs.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import random
 import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from datetime import timedelta
 from itertools import chain, groupby, islice
 from pathlib import Path
@@ -36,11 +38,11 @@ from .errors import (
     RecordError,
 )
 from .ingest import (
-    JSON_ENCODER,
     CrashCorpus,
     CrashEvent,
     build_corpus,
     default_catalog,
+    encode_json,
     filter_critical,
     format_timestamp,
     is_utf8_encodable,
@@ -112,6 +114,18 @@ def logs_path_of(config: RunConfig) -> Path:
     if config.paths.logs:
         return Path(config.paths.logs)
     return out_dir_of(config) / LOGS_FILE
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic GC, then restore its state: a run's many records form no cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _write(path: Path, chunks: Iterable[str]) -> None:
@@ -214,7 +228,7 @@ def encode_line(table: dict[str, FieldType], values: Iterable[Any]) -> str:
         if field.encode is not None:
             value = [*map(field.encode, value)] if field.many else field.encode(value)
         record[key] = value
-    return JSON_ENCODER.encode(record)
+    return encode_json(record)
 
 
 def decode_record(table: dict[str, FieldType], obj: Any) -> dict[str, Any]:
@@ -293,13 +307,7 @@ def ingest_stage(config: RunConfig) -> CrashCorpus:
     corpus = build_corpus(critical, catalog=catalog, source_digest=digest.hexdigest())
 
     out_dir = out_dir_of(config)
-    _write_lines(
-        out_dir / EVENTS_FILE,
-        (
-            encode_line(EVENT_FIELDS, (e.system_id, e.time, e.kind, e.bugcheck_code, e.params))
-            for e in corpus.events
-        ),
-    )
+    _write_lines(out_dir / EVENTS_FILE, (encode_line(EVENT_FIELDS, e) for e in corpus.events))
     _write_json(
         out_dir / INGEST_FILE,
         {
@@ -725,8 +733,9 @@ def _write_manifest(
     _write_json(out_dir_of(config) / MANIFEST_FILE, manifest)
 
 
+@collector_paused()
 def run_all(config: RunConfig) -> dict[str, Any]:
-    """Every stage in order; manifest and timings written even on failure or interrupt."""
+    """Every stage in order, GC paused; manifest and timings written on failure or interrupt too."""
     out_dir = out_dir_of(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     # an earlier run's files would otherwise pass for this run's, and its

@@ -128,13 +128,7 @@ def _system_records(
         instant = config.start_date + timedelta(
             days=rng.randrange(config.days), seconds=rng.randrange(_SECONDS_PER_DAY)
         )
-        records.append(
-            RawLogRecord(
-                system_id=system_id,
-                timestamp=instant,
-                event_id=rng.choice(NOISE_EVENT_IDS),
-            )
-        )
+        records.append(RawLogRecord(system_id, instant, rng.choice(NOISE_EVENT_IDS)))
     return records
 
 

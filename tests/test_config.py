@@ -2,7 +2,9 @@ import json
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from crashcast.cli import main
 from crashcast.config import (
     RunConfig,
     config_digest,
@@ -126,6 +128,25 @@ class TestFiles:
         path.write_text("{ not json")
         with pytest.raises(ConfigError):
             load_run_config(path)
+
+    # json.loads reads 1e999 as inf and accepts NaN; an int past the float range cannot convert
+    @pytest.mark.parametrize("number", ["1e999", "-1e999", "NaN", "1" + "0" * 400])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "generator.per_system_rate",
+            "generator.noise_fraction",
+            "backend.timeout",
+            "backend.backoff_base",
+        ],
+    )
+    def test_non_finite_number_is_exit_two_naming_the_key(self, tmp_path, key, number):
+        group, name = key.split(".")
+        path = tmp_path / "run.json"
+        path.write_text(f'{{"paths": {{"out_dir": "{tmp_path}"}}, "{group}": {{"{name}": {number}}}}}')
+        result = CliRunner().invoke(main, ["--config", str(path), "run"], catch_exceptions=False)
+        assert result.exit_code == 2, result.output
+        assert f"{key} must be a finite number" in result.output
 
 
 CUSTOM_GENERATOR = {

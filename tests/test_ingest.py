@@ -2,7 +2,7 @@ import json
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crashcast.errors import (
@@ -19,6 +19,7 @@ from crashcast.ingest import (
     canonical_code,
     default_catalog,
     default_catalog_path,
+    encode_json,
     filter_critical,
     format_timestamp,
     load_catalog,
@@ -332,3 +333,20 @@ def test_parse_lines_skips_blanks_and_numbers_errors():
 
 def test_normalize_cause_collapses_whitespace():
     assert normalize_cause("  A_B   c\t d ") == "a b c d"
+
+
+# text with any code point, lone surrogates and line separators included
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_ANY_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+@example("\ud800")
+@example({"caf\u00e9": ["\u2028", "\udfff\ud800", 1.5, float("nan")]})
+@settings(max_examples=300)
+def test_encode_json_writes_what_json_dumps_writes(value):
+    assert encode_json(value) == json.dumps(value, ensure_ascii=False)

@@ -1,6 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from datetime import datetime
 from pathlib import Path
@@ -464,6 +470,42 @@ class TestStages:
         assert not (out / REPORT_FILE).exists()
         assert "predict" in json.loads((out / TIMINGS_FILE).read_text())["seconds"]
 
+    @pytest.mark.parametrize("ending", [None, DataError, KeyboardInterrupt])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_run_leaves_the_collector_as_it_found_it(self, tmp_path, monkeypatch, enabled, ending):
+        paused = []
+
+        def answer(history):
+            paused.append(not gc.isenabled())
+            if ending is not None:
+                raise ending("stopped")
+            return baseline_answer(history)
+
+        monkeypatch.setattr(pipeline, "baseline_answer", answer)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if ending is None:
+                run_all(small_config(tmp_path / "out"))
+            else:
+                with pytest.raises(ending):
+                    run_all(small_config(tmp_path / "out"))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert paused and all(paused)
+
+    def test_a_run_leaves_almost_no_cycles_to_collect(self, tmp_path):
+        # the collector is paused for a whole run: a cycle per record would pile up
+        config = parse_run_config({"paths": {"out_dir": str(tmp_path / "out")}})
+        gc.collect()
+        gc.disable()
+        try:
+            run_all(config)
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert freed < 1000
+
     @pytest.mark.parametrize("variant", sorted(OUTPUT_PINS))
     def test_outputs_match_their_pins(self, tmp_path, variant):
         overrides, pins = OUTPUT_PINS[variant]
@@ -888,6 +930,38 @@ class TestCli:
         manifest = json.loads((out / MANIFEST_FILE).read_text())
         assert manifest["outputs"]["logs"] == hashlib.sha256(logs_bytes).hexdigest()
         assert manifest["outputs"]["split"] is None
+
+    def test_sigterm_mid_predict_exits_130_with_a_failed_manifest(self, tmp_path, stub_server):
+        stub_server.sleep_s = 0.1
+        config_path = self.write_config(
+            tmp_path,
+            backend={"kind": "remote-llm", "endpoint": stub_server.url(), "model_name": "m"},
+        )
+        src = Path(pipeline.__file__).parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        command = [sys.executable, "-m", "crashcast.cli", "--config", str(config_path), "run"]
+        proc = subprocess.Popen(
+            command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while stub_server.hits < 10:  # 12 pairs of two calls each, two in flight
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130, stderr
+        out = tmp_path / "out"
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["kind"] == "KeyboardInterrupt"
+        rows = [json.loads(line) for line in (out / PREDICTIONS_FILE).read_text().splitlines()]
+        assert 0 < len(rows) < 12
+        assert manifest["item_counts"]["predictions"] == len(rows)
+        assert all(row["time_answer"] == stub_server.completion for row in rows)
 
     def test_unreachable_backend_is_exit_four(self, tmp_path):
         config_path = self.write_config(
