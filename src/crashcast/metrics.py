@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
-from typing import Mapping, Sequence
+from functools import reduce
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyEvaluation
 from .postprocess import ExtractedPrediction, NormalizationConfig, tokenize
@@ -52,8 +54,23 @@ def rouge_1(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """Length of a longest common subsequence of a and b.
+
+    A token both start with, or both end with, is in some longest common
+    subsequence, so the shared prefix and suffix count in full and the
+    table is filled for the differing middles only.
+    """
+    shortest = min(len(a), len(b))
+    start = 0
+    while start < shortest and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < shortest - start and a[-1 - end] == b[-1 - end]:
+        end += 1
+    shared = start + end
+    a, b = a[start:len(a) - end], b[start:len(b) - end]
     if not a or not b:
-        return 0
+        return shared
     previous = [0] * (len(b) + 1)
     for token_a in a:
         current = [0]
@@ -63,7 +80,7 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
             else:
                 current.append(max(previous[j], current[j - 1]))
         previous = current
-    return previous[len(b)]
+    return shared + previous[len(b)]
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
@@ -124,12 +141,17 @@ class CategoryReport:
     item_count: int
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """The floats added left to right, as sum() adds them before Python 3.12 (which compensates)."""
+    return reduce(add, values, 0.0)
+
+
 def _mean_score(scores: Sequence[RougeScore]) -> RougeScore:
     n = len(scores)
     return RougeScore(
-        precision=sum(s.precision for s in scores) / n,
-        recall=sum(s.recall for s in scores) / n,
-        f1=sum(s.f1 for s in scores) / n,
+        precision=_left_sum(s.precision for s in scores) / n,
+        recall=_left_sum(s.recall for s in scores) / n,
+        f1=_left_sum(s.f1 for s in scores) / n,
     )
 
 

@@ -17,13 +17,15 @@ import dataclasses
 import gc
 import hashlib
 import json
+import operator
 import random
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from contextlib import contextmanager, nullcontext
 from datetime import timedelta
 from itertools import chain, groupby, islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -41,8 +43,9 @@ from .ingest import (
     CrashCorpus,
     CrashEvent,
     build_corpus,
+    decode_json,
     default_catalog,
-    encode_json,
+    encode_basestring,
     filter_critical,
     format_timestamp,
     is_utf8_encodable,
@@ -105,6 +108,9 @@ TIMINGS_FILE = "timings.json"
 
 T = TypeVar("T")
 
+# every indented JSON file: split, ingest, report, manifest, timings
+_INDENTED = json.JSONEncoder(sort_keys=True, indent=2)
+
 
 def out_dir_of(config: RunConfig) -> Path:
     return Path(config.paths.out_dir)
@@ -140,7 +146,7 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
 
 
 def _write_json(path: Path, payload: Any) -> None:
-    _write(path, chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload), "\n"))
+    _write(path, chain(_INDENTED.iterencode(payload), "\n"))
 
 
 def _read_json(path: Path) -> Any:
@@ -175,42 +181,69 @@ class FieldType(NamedTuple):
 
     kind is the exact JSON type of the value, or of each item when many
     says the value is a list, so a JSON boolean is never an integer.
-    encode and decode convert one value or item; None leaves it as it is.
+    text writes one value or item as JSON_ENCODER would; decode converts
+    one decoded value or item, None leaving it as it is.
     """
 
     name: str  # as the README's "Stage files" section gives it
     kind: type
+    text: Callable[[Any], str]
     many: bool = False
-    encode: Callable[[Any], Any] | None = None
     decode: Callable[[Any], Any] | None = None
 
 
-STRING = FieldType("string", str)
-INTEGER = FieldType("integer", int)
-TIMESTAMP = FieldType("timestamp", str, False, format_timestamp, parse_timestamp)
-STRINGS = FieldType("list of strings", str, True)
-TIMESTAMPS = FieldType("list of timestamps", str, True, format_timestamp, parse_timestamp)
+def _timestamp_text(ts: Any) -> str:
+    return '"' + format_timestamp(ts) + '"'  # ASCII digits and punctuation: nothing to escape
+
+
+def _list_text(text: Callable[[Any], str]) -> Callable[[Any], str]:
+    def list_text(items: Iterable[Any]) -> str:
+        return "[" + ", ".join(map(text, items)) + "]"
+
+    return list_text
+
+
+STRING = FieldType("string", str, encode_basestring)
+INTEGER = FieldType("integer", int, int.__repr__)
+TIMESTAMP = FieldType("timestamp", str, _timestamp_text, False, parse_timestamp)
+STRINGS = FieldType("list of strings", str, encode_basestring, True)
+TIMESTAMPS = FieldType("list of timestamps", str, _timestamp_text, True, parse_timestamp)
+
+
+class FieldTable(dict):
+    """A stage file's {key: FieldType}, in line order, and its line format, built once.
+
+    template is a line as JSON_ENCODER writes the record, each value a %s
+    slot; texts holds the function that writes each slot's value.
+    """
+
+    def __init__(self, fields: dict[str, FieldType]):
+        super().__init__(fields)
+        slots = (encode_basestring(key) + ": %s" for key in fields)
+        self.template = "{" + ", ".join(slots) + "}"
+        self.texts = tuple(_list_text(f.text) if f.many else f.text for f in fields.values())
+
 
 # A table lists a file's fields in line order; a line's values come in that order.
 # events.jsonl: one crash event, the fields in CrashEvent's order
-EVENT_FIELDS = {
+EVENT_FIELDS = FieldTable({
     "system_id": STRING,
     "time": TIMESTAMP,
     "kind": STRING,
     "bugcheck": STRING,
     "params": STRINGS,
-}
+})
 # windows.jsonl: one window of one system's sequence, times and causes parallel
-WINDOW_FIELDS = {
+WINDOW_FIELDS = FieldTable({
     "system_id": STRING,
     "window_index": INTEGER,
     "window_start": TIMESTAMP,
     "width_days": INTEGER,
     "times": TIMESTAMPS,
     "causes": STRINGS,
-}
+})
 # predictions.jsonl: one answered validation pair, keys in sorted order
-PREDICTION_FIELDS = {
+PREDICTION_FIELDS = FieldTable({
     "backend_id": STRING,
     "cause_answer": STRING,
     "index": INTEGER,
@@ -219,19 +252,18 @@ PREDICTION_FIELDS = {
     "target_time": STRING,
     "time_answer": STRING,
     "window_index": INTEGER,
-}
+})
 
-def encode_line(table: dict[str, FieldType], values: Iterable[Any]) -> str:
+# fn(value): operator.call where it exists (Python 3.11 on)
+_call = getattr(operator, "call", lambda fn, value: fn(value))
+
+
+def encode_line(table: FieldTable, values: Iterable[Any]) -> str:
     """One stage-file line holding values, given in the table's field order."""
-    record = {}
-    for (key, field), value in zip(table.items(), values):
-        if field.encode is not None:
-            value = [*map(field.encode, value)] if field.many else field.encode(value)
-        record[key] = value
-    return encode_json(record)
+    return table.template % tuple(map(_call, table.texts, values))
 
 
-def decode_record(table: dict[str, FieldType], obj: Any) -> dict[str, Any]:
+def decode_record(table: FieldTable, obj: Any) -> dict[str, Any]:
     """A JSON-decoded line as {field: value}, every field checked and decoded; a list as a tuple."""
     record = {}
     for key, field in table.items():
@@ -245,13 +277,13 @@ def decode_record(table: dict[str, FieldType], obj: Any) -> dict[str, Any]:
     return record
 
 
-def _read_records(path: Path, table: dict[str, FieldType], digest: Any = None) -> list[dict]:
+def _read_records(path: Path, table: FieldTable, digest: Any = None) -> list[dict]:
     """Each non-blank JSON line of a stage file decoded by table; a bad line is a DataError."""
     records = []
     for line_no, line in enumerate(_read_lines(path, digest), start=1):
         if line.strip():
             try:
-                obj = json.loads(line)
+                obj = decode_json(line)
                 if "\\u" in line and not is_utf8_encodable(obj):
                     raise ValueError("a string holds a lone surrogate")
                 records.append(decode_record(table, obj))
@@ -545,6 +577,13 @@ def _bundle_for(
     )
 
 
+def _answered_here(answer: Callable[[T], Any], pair: T) -> Future:
+    """answer(pair) called in this thread, its result in a finished Future; an error propagates."""
+    future: Future = Future()
+    future.set_result(answer(pair))
+    return future
+
+
 def predict_stage(
     config: RunConfig,
     pairs: tuple[Sequence[LabeledPair], Sequence[LabeledPair]] | None = None,
@@ -593,15 +632,17 @@ def predict_stage(
 
     pending = iter(validation)
     try:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            in_flight = {pool.submit(answer, pair): pair for pair in islice(pending, width)}
+        # one pair at a time is answered in this thread: no worker to hand it to and wait on
+        with ThreadPoolExecutor(max_workers=width) if width > 1 else nullcontext() as pool:
+            submit = _answered_here if pool is None else pool.submit
+            in_flight = {submit(answer, pair): pair for pair in islice(pending, width)}
             while in_flight:
                 done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in done:
                     pair = in_flight.pop(future)
                     rows[(pair.system_id, pair.index)] = row_of(pair, future.result())
                 for pair in islice(pending, len(done)):
-                    in_flight[pool.submit(answer, pair)] = pair
+                    in_flight[submit(answer, pair)] = pair
     finally:
         ordered = [rows[key] for key in sorted(rows)]
         _write_lines(
@@ -616,6 +657,50 @@ def predict_stage(
 def load_predictions(config: RunConfig) -> list[dict[str, Any]]:
     """The rows of predictions.jsonl, each field checked against PREDICTION_FIELDS."""
     return _read_records(out_dir_of(config) / PREDICTIONS_FILE, PREDICTION_FIELDS)
+
+
+# one report.json item row as _INDENTED writes it at depth 2, keys sorted; every score
+# is a float in [0, 1], so its %r is its JSON text
+_SCORES_TEXT = (
+    '{\n        "f1": %r,\n        "precision": %r,\n        "recall": %r\n      }'
+)
+_REPORT_ROW = (
+    '\n    {\n      "category": %s,\n      "index": %d,\n'
+    f'      "rouge1": {_SCORES_TEXT},\n      "rougeL": {_SCORES_TEXT},\n'
+    '      "status": %s,\n      "system_id": %s,\n      "window_index": %s\n    }'
+)
+
+
+def _report_rows(rows: Sequence[dict[str, Any]]) -> Iterator[str]:
+    """report.json's "items" list as _INDENTED writes it at depth 1, one chunk per row."""
+    if not rows:
+        yield "[]"
+        return
+    text = encode_basestring_ascii
+    separator = "["
+    for row in rows:
+        r1, rl, window = row["rouge1"], row["rougeL"], row["window_index"]
+        yield separator + _REPORT_ROW % (
+            text(row["category"]), row["index"],
+            r1["f1"], r1["precision"], r1["recall"], rl["f1"], rl["precision"], rl["recall"],
+            text(row["status"]), text(row["system_id"]),
+            "null" if window is None else int.__repr__(window),
+        )
+        separator = ","
+    yield "\n  ]"
+
+
+def report_chunks(report: dict[str, Any]) -> Iterator[str]:
+    """report.json's text, as _write_json writes report, in chunks: the item rows by template."""
+    separator = "{"
+    for key in sorted(report):
+        yield f"{separator}\n  {encode_basestring_ascii(key)}: "
+        if key == "items":
+            yield from _report_rows(report[key])
+        else:  # a value at depth 1: each of its lines one level further in
+            yield _INDENTED.encode(report[key]).replace("\n", "\n  ")
+        separator = ","
+    yield "\n}\n" if report else "{}\n"
 
 
 def evaluate_stage(
@@ -678,7 +763,7 @@ def evaluate_stage(
         },
         "items": item_rows,
     }
-    _write_json(out_dir / REPORT_FILE, report)
+    _write(out_dir / REPORT_FILE, report_chunks(report))
 
     table_lines = ["backend_id,category,metric,precision,recall,f1"]
     for r in reports:

@@ -18,6 +18,8 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
@@ -108,7 +110,7 @@ class BaselineModel:
             raise ValueError("observation span must be positive")
         if any(rate < 0 for rate in self.rates.values()):
             raise ValueError("rates must not be negative")
-        checksum = sum(self.rates.values())
+        checksum = reduce(add, self.rates.values(), 0.0)  # left to right, as fit_baseline adds
         if abs(checksum - self.total_rate) > 1e-12 * max(abs(checksum), 1.0):
             raise ValueError("total_rate does not match the sum of rates")
 
@@ -126,7 +128,8 @@ def fit_baseline(history: Sequence[SeqEvent] | EventSequence) -> BaselineModel:
     rates = {kind: count / span_days for kind, count in counts.items()}
     return BaselineModel(
         rates=rates,
-        total_rate=sum(rates.values()),
+        # left to right: sum() compensates from Python 3.12, which moves the answers' last digit
+        total_rate=reduce(add, rates.values(), 0.0),
         t_last=events[-1].time,
         observation_span=span_days,
     )

@@ -14,7 +14,9 @@ import math
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import reduce
 from itertools import accumulate
+from operator import add
 
 from ._seed import derive_seed
 from .errors import ConfigError
@@ -64,6 +66,18 @@ class GeneratorConfig:
             raise ConfigError("per_system_rate must be positive")
         if self.noise_fraction < 0:
             raise ConfigError("noise_fraction must not be negative")
+        # a log timestamp has a four-digit year, so the horizon must lie within 1000-9999
+        if self.start_date.year < 1000:
+            raise ConfigError(
+                f"start_date must be in year 1000 or later, got {self.start_date.date().isoformat()}"
+            )
+        try:
+            self.start_date + timedelta(days=self.days - 1, seconds=_SECONDS_PER_DAY - 1)
+        except OverflowError:
+            raise ConfigError(
+                f"start_date {self.start_date.date().isoformat()} plus {self.days} days"
+                " runs past the year 9999"
+            ) from None
         if self.cause_catalog is not None:
             if not self.cause_catalog:
                 raise ConfigError("cause_catalog must not be empty")
@@ -106,7 +120,7 @@ def _system_records(
     multipliers = [1.0] * 7
     if config.bursty:
         raw = [rng.uniform(0.25, 2.0) for _ in range(7)]
-        mean = sum(raw) / 7
+        mean = reduce(add, raw, 0.0) / 7  # left to right: sum() compensates from Python 3.12
         multipliers = [value / mean for value in raw]
 
     thresholds = [math.exp(-(config.per_system_rate * value)) for value in multipliers]

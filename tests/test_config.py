@@ -196,3 +196,21 @@ def test_readme_config_block_is_the_full_schema():
     section = readme.split("## Config file", 1)[1]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     assert json.loads(block) == resolved_dict(RunConfig())
+
+
+# a log timestamp has a four-digit year; the last day of a 540-day horizon would pass 9999
+@pytest.mark.parametrize(
+    "start_date, message",
+    [
+        ("0999-06-01", "start_date must be in year 1000 or later, got 0999-06-01"),
+        ("9999-12-01", "start_date 9999-12-01 plus 540 days runs past the year 9999"),
+    ],
+)
+def test_synth_horizon_outside_four_digit_years_is_exit_two(tmp_path, start_date, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "paths": {"out_dir": str(tmp_path / "out")}, "generator": {"start_date": start_date}
+    }))
+    result = CliRunner().invoke(main, ["--config", str(path), "run"], catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert message in result.output

@@ -17,6 +17,7 @@ from crashcast.ingest import (
     _derive_kind,
     build_corpus,
     canonical_code,
+    decode_json,
     default_catalog,
     default_catalog_path,
     encode_json,
@@ -350,3 +351,67 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=300)
 def test_encode_json_writes_what_json_dumps_writes(value):
     assert encode_json(value) == json.dumps(value, ensure_ascii=False)
+
+
+# any code point but a lone surrogate: quotes, backslashes and control characters included
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+
+
+def _record_line_by_dict(record):
+    """record_to_line's line as the record's dict through encode_json, optional fields left out."""
+    obj = {"guid": record.system_id, "ts": format_timestamp(record.timestamp), "event_id": record.event_id}
+    if record.bugcheck_code is not None:
+        obj["bugcheck"] = record.bugcheck_code
+    if record.params:
+        obj["params"] = list(record.params)
+    if record.cause is not None:
+        obj["cause"] = record.cause
+    return encode_json(obj)
+
+
+@given(
+    st.builds(
+        RawLogRecord,
+        system_id=_TEXT,
+        timestamp=st.datetimes(min_value=datetime(1000, 1, 1), timezones=st.just(UTC)),
+        event_id=st.integers(min_value=0),
+        bugcheck_code=st.none() | _TEXT,
+        params=st.lists(_TEXT, max_size=4).map(tuple),
+        cause=st.none() | _TEXT,
+    )
+)
+@example(RawLogRecord('a"\\\x00\x1f\x7f \U0001f600', datetime(2021, 3, 1, tzinfo=UTC), 41))
+@example(RawLogRecord("h%s", datetime(2021, 3, 1, tzinfo=UTC), 6008, "%d", ("", '"'), ""))
+@settings(max_examples=300)
+def test_record_to_line_writes_what_the_record_dict_encodes_to(record):
+    assert record_to_line(record) == _record_line_by_dict(record)
+
+
+def _outcome(decode, text):
+    """What decode does with text: ("value", repr of the value) or ("error", type, message)."""
+    try:
+        return "value", repr(decode(text))  # repr tells 1 from 1.0 and True, and nan from itself
+    except Exception as err:
+        return "error", type(err), str(err)
+
+
+_JSON_TEXTS = st.one_of(
+    _JSON_VALUES.map(json.dumps),
+    _JSON_VALUES.map(lambda value: json.dumps(value, ensure_ascii=False)),
+    st.text(),
+)
+
+
+@given(
+    text=_JSON_TEXTS,
+    before=st.sampled_from(["", "\ufeff", " ", "\t\r\n "]),
+    after=st.sampled_from(["", " ", "\r", "\n\t ", " x", "}", "1", "\ufeff", "\x00"]),
+)
+@example(text='{"a": 1}', before="", after="")
+@example(text='{"a": 1', before="", after="")
+@example(text="", before="", after="")
+@example(text="[1, 2] [3]", before="", after="")
+@settings(max_examples=400)
+def test_decode_json_returns_or_raises_what_json_loads_does(text, before, after):
+    text = before + text + after
+    assert _outcome(decode_json, text) == _outcome(json.loads, text)

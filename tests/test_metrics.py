@@ -228,3 +228,24 @@ class TestRougeScoreValidation:
                 p, r = score.precision, score.recall
                 expected = 0.0 if p + r == 0 else 2 * p * r / (p + r)
                 assert score.f1 == pytest.approx(expected)
+
+
+@given(
+    prefix=st.lists(st.sampled_from(["the", "next", "crash", "on"]), max_size=5),
+    suffix=st.lists(st.sampled_from(["caused", "by", "crash", "."]), max_size=3),
+    candidate=st.lists(st.sampled_from(["a", "b", "on", "crash"]), max_size=4),
+    reference=st.lists(st.sampled_from(["a", "b", "by", "crash"]), max_size=4),
+)
+@settings(max_examples=300)
+def test_lcs_with_shared_prefix_and_suffix_matches_bruteforce(prefix, suffix, candidate, reference):
+    a, b = prefix + candidate + suffix, prefix + reference + suffix
+    assert lcs_length(a, b) == lcs_bruteforce(a, b)
+    assert lcs_length(a, b) == len(prefix) + lcs_bruteforce(candidate, reference) + len(suffix)
+
+
+def test_mean_adds_left_to_right_on_every_python():
+    # sum() compensates from Python 3.12 and would give 1.0 / 10
+    score = RougeScore(0.1, 0.1, 0.1)
+    item = ScoredItem("A", 0, None, "both", {category: (score, score) for category in CATEGORIES})
+    for report in aggregate([item] * 10):
+        assert report.rouge1 == report.rougeL == RougeScore(*[0.9999999999999999 / 10] * 3)

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ from crashcast import pipeline
 from crashcast.cli import main
 from crashcast.config import RunConfig, parse_run_config
 from crashcast.errors import DataError, InsufficientData, ScriptExhausted, TransportError
+from crashcast.ingest import encode_json, format_timestamp
 from crashcast.predictor import PredictionRaw, baseline_answer
 from crashcast.sequencer import enumerate_pairs
 from crashcast.pipeline import (
@@ -1126,3 +1127,81 @@ class TestStageReadersUnderCorruption:
         finally:
             path.write_bytes(files[name])
         check(result)
+
+
+# any code point but a lone surrogate: quotes, backslashes and control characters included
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+_INSTANTS = st.datetimes(min_value=datetime(1000, 1, 1), timezones=st.just(timezone.utc))
+# per field type: values encode_line takes, and the plain JSON value the line holds
+_FIELD_VALUES = {
+    "string": (_TEXT, lambda value: value),
+    "integer": (st.integers(), lambda value: value),
+    "timestamp": (_INSTANTS, format_timestamp),
+    "list of strings": (st.lists(_TEXT, max_size=4) | st.tuples(_TEXT), list),
+    "list of timestamps": (st.lists(_INSTANTS, max_size=4), lambda v: [*map(format_timestamp, v)]),
+}
+_TABLES = {
+    EVENTS_FILE: pipeline.EVENT_FIELDS,
+    WINDOWS_FILE: pipeline.WINDOW_FIELDS,
+    PREDICTIONS_FILE: pipeline.PREDICTION_FIELDS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLES))
+@given(data=st.data())
+@settings(max_examples=200)
+def test_encode_line_writes_what_the_record_dict_encodes_to(name, data):
+    table = _TABLES[name]
+    values = [data.draw(_FIELD_VALUES[field.name][0], label=key) for key, field in table.items()]
+    plain = {key: _FIELD_VALUES[field.name][1](value)
+             for (key, field), value in zip(table.items(), values)}
+    assert pipeline.encode_line(table, values) == encode_json(plain)
+
+
+_SCORE = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, 1.0, 1e-07, 1 / 3])
+_SCORES = st.fixed_dictionaries({"precision": _SCORE, "recall": _SCORE, "f1": _SCORE})
+_REPORTS = st.fixed_dictionaries({
+    "backend_id": st.none() | _TEXT,
+    "normalization": st.dictionaries(_TEXT, st.booleans(), max_size=3),
+    "item_count": st.integers(),
+    "categories": st.dictionaries(
+        _TEXT, st.fixed_dictionaries({"rouge1": _SCORES, "rougeL": _SCORES}), max_size=3
+    ),
+    "items": st.lists(
+        st.fixed_dictionaries({
+            "system_id": _TEXT,
+            "index": st.integers(),
+            "window_index": st.none() | st.integers(),
+            "status": _TEXT,
+            "category": _TEXT,
+            "rouge1": _SCORES,
+            "rougeL": _SCORES,
+        }),
+        max_size=4,
+    ),
+})
+
+
+@given(_REPORTS)
+@settings(max_examples=200)
+def test_report_chunks_write_what_the_indenting_encoder_writes(report):
+    expected = json.JSONEncoder(sort_keys=True, indent=2).encode(report) + "\n"
+    assert "".join(pipeline.report_chunks(report)) == expected
+
+
+def test_report_chunks_of_an_empty_report_and_no_items():
+    assert "".join(pipeline.report_chunks({})) == "{}\n"
+    assert "".join(pipeline.report_chunks({"items": []})) == '{\n  "items": []\n}\n'
+
+
+def test_baseline_predict_answers_in_this_thread(tmp_path, monkeypatch):
+    config = small_config(tmp_path / "out")
+    synth_stage(config)
+    pairs = split_stage(config, sequence_stage(config, ingest_stage(config)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("predict started a worker pool for one pair in flight")
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", refuse)
+    rows = predict_stage(config, pairs)
+    assert len(rows) == config.validation_pairs

@@ -184,3 +184,18 @@ class TestConfigValidation:
     def test_bad_values_are_refused(self, kwargs):
         with pytest.raises(ConfigError):
             GeneratorConfig(seed=1, **kwargs)
+
+
+@pytest.mark.parametrize("start, days", [(datetime(1000, 1, 1, tzinfo=timezone.utc), 60),
+                                         (datetime(9999, 12, 1, tzinfo=timezone.utc), 31)])
+def test_horizon_at_either_end_of_four_digit_years_reads_back(start, days):
+    config = GeneratorConfig(n_systems=2, days=days, per_system_rate=2.0, start_date=start)
+    records = parse_lines(generate_corpus(config, seed=3))
+    assert {r.timestamp.year for r in records} == {start.year}
+
+
+@pytest.mark.parametrize("start, days", [(datetime(999, 12, 31, tzinfo=timezone.utc), 1),
+                                         (datetime(9999, 12, 1, tzinfo=timezone.utc), 32)])
+def test_horizon_past_four_digit_years_is_a_config_error(start, days):
+    with pytest.raises(ConfigError, match="start_date"):
+        GeneratorConfig(days=days, start_date=start)
