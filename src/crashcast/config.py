@@ -1,11 +1,11 @@
 """Run configuration: file schema, defaults, and strict loading.
 
-The config file is JSON with one key per RunConfig field group. Every
-value is checked against the type of its dataclass field, `null` only
-where the field is typed `X | None`. Unknown keys are rejected rather
-than ignored so typos fail loudly. Everything has a default; an empty
-file is a valid run against the shipped data files and the baseline
-backend.
+The config file is JSON shaped like the RunConfig dataclass tree: one
+key per field, a nested dataclass as a nested object. Every value is
+checked against the type of its field, `null` only where the field is
+typed `X | None`. Unknown keys are rejected rather than ignored so
+typos fail loudly. Everything has a default; an empty file is a valid
+run against the shipped data files and the baseline backend.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from types import UnionType
 from typing import Any, Mapping, get_args, get_origin, get_type_hints
@@ -45,31 +45,38 @@ class NormalizationFlags:
 
 
 @dataclass(frozen=True)
+class SplitCounts:
+    """How many (history, target) pairs to draw for training and for validation."""
+
+    train_pairs: int = 100
+    validation_pairs: int = 40
+
+    def __post_init__(self):
+        if self.train_pairs < 1 or self.validation_pairs < 1:
+            raise ConfigError("split counts must be positive")
+
+
+@dataclass(frozen=True)
 class RunConfig:
     seed: int = 1234
     paths: RunPaths = dataclasses.field(default_factory=RunPaths)
     window_days: int = 7
     shots_k: int = 10
     history_cap: int = 10
-    train_pairs: int = 100
-    validation_pairs: int = 40
+    split: SplitCounts = dataclasses.field(default_factory=SplitCounts)
     backend: BackendConfig = dataclasses.field(default_factory=BackendConfig)
     normalization: NormalizationFlags = dataclasses.field(default_factory=NormalizationFlags)
     generator: GeneratorConfig = dataclasses.field(default_factory=GeneratorConfig)
 
     def __post_init__(self):
-        if self.window_days < 1:
-            raise ConfigError("window_days must be at least 1")
+        if not 1 <= self.window_days <= timedelta.max.days:  # a window is a timedelta
+            raise ConfigError(f"window_days must be from 1 to {timedelta.max.days}")
         if self.shots_k < 0:
             raise ConfigError("shots_k must not be negative")
         if self.history_cap < 0:
             raise ConfigError("history_cap must not be negative")
-        if self.train_pairs < 1 or self.validation_pairs < 1:
-            raise ConfigError("split counts must be positive")
 
 
-# RunConfig fields that the file nests under one "split" object.
-SPLIT_FIELDS = ("train_pairs", "validation_pairs")
 DATE_FORMAT = "%Y-%m-%d"
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
@@ -81,9 +88,9 @@ def _object(value: Any, where: str) -> Mapping[str, Any]:
     return value
 
 
-def _fields_of(cls: type, data: Mapping[str, Any], prefix: str, names) -> dict[str, Any]:
-    """Decode every key of data, each one of names, by the type of that field of cls."""
-    unknown = set(data) - set(names)
+def _fields_of(cls: type, data: Mapping[str, Any], prefix: str) -> dict[str, Any]:
+    """Decode every key of data, each a field of the dataclass cls, by that field's type."""
+    unknown = set(data) - {field.name for field in dataclasses.fields(cls)}
     if unknown:
         where = prefix.rstrip(".") or "config"
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
@@ -94,8 +101,7 @@ def _fields_of(cls: type, data: Mapping[str, Any], prefix: str, names) -> dict[s
 def _decode(value: Any, hint: Any, where: str) -> Any:
     """One JSON value as the field type hint; where names it in errors."""
     if dataclasses.is_dataclass(hint):
-        names = [field.name for field in dataclasses.fields(hint)]
-        return hint(**_fields_of(hint, _object(value, where), where + ".", names))
+        return hint(**_fields_of(hint, _object(value, where), where + "."))
     if get_origin(hint) is UnionType:
         if value is None:
             return None
@@ -137,14 +143,7 @@ def _decode(value: Any, hint: Any, where: str) -> Any:
 
 
 def parse_run_config(data: Mapping[str, Any]) -> RunConfig:
-    data = dict(_object(data, "config"))
-    split = _object(data.pop("split", {}), "split")
-    names = [field.name for field in dataclasses.fields(RunConfig)]
-    top = [name for name in names if name not in SPLIT_FIELDS]
-    return RunConfig(
-        **_fields_of(RunConfig, data, "", top),
-        **_fields_of(RunConfig, split, "split.", SPLIT_FIELDS),
-    )
+    return RunConfig(**_fields_of(RunConfig, _object(data, "config"), ""))
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -159,24 +158,18 @@ def load_run_config(path: str | Path) -> RunConfig:
     return parse_run_config(data)
 
 
-def _encode(value: Any) -> Any:
+def resolved_dict(value: Any) -> Any:
+    """A config (or any value in it), every field JSON-ready: parse_run_config inverts it."""
     if dataclasses.is_dataclass(value):
         return {
-            field.name: _encode(getattr(value, field.name))
+            field.name: resolved_dict(getattr(value, field.name))
             for field in dataclasses.fields(value)
         }
     if isinstance(value, datetime):
         return value.strftime(DATE_FORMAT)
     if isinstance(value, tuple):
-        return [_encode(item) for item in value]
+        return [resolved_dict(item) for item in value]
     return value
-
-
-def resolved_dict(config: RunConfig) -> dict[str, Any]:
-    """Every field, JSON-ready, in the file's shape: parse_run_config inverts it."""
-    resolved = _encode(config)
-    resolved["split"] = {name: resolved.pop(name) for name in SPLIT_FIELDS}
-    return resolved
 
 
 def config_digest(config: RunConfig) -> str:

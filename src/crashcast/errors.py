@@ -55,10 +55,6 @@ class IndexOutOfRange(DataError):
     """History index outside 1..len(sequence)."""
 
 
-class BadWidth(ConfigError):
-    """Window width below one day."""
-
-
 # prompt
 
 class TemplateError(ConfigError):
@@ -69,18 +65,10 @@ class InsufficientShots(DataError):
     """Demonstration pool smaller than the requested shot count."""
 
 
-class EmptyTimeAnswer(DataError):
-    """Cause prompt requested with an empty time answer."""
-
-
 # predictor
 
 class HistoryTooShort(DataError):
     """Baseline fit needs at least two events to span an interval."""
-
-
-class ZeroRate(DataError):
-    """Baseline model has zero total intensity."""
 
 
 class ScriptExhausted(BackendError):
@@ -103,11 +91,7 @@ class RateLimited(BackendError):
     """Remote endpoint kept rejecting with a rate-limit status."""
 
 
-# metrics / cli
-
-class EmptyEvaluation(DataError):
-    """Aggregation over zero scored items."""
-
+# split
 
 class InsufficientData(DataError):
     """Not enough eligible pairs to fill the requested split."""

@@ -8,7 +8,6 @@ are the records with event_id 41; only those enter the corpus.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -30,23 +29,8 @@ MAX_PARAMS = 4
 _BUGCHECK_RE = re.compile(r"0x[0-9A-Fa-f]{1,8}")
 _TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:Z|\+00:00)")
 
-# One encoder's settings for every JSON line written; its values come from decoded JSON or
-# from records, so none can hold itself. Its C encoder is built once, not on every encode.
-JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
-# the string encoder JSON_ENCODER uses: one str as JSON text, non-ASCII kept raw
+# json.dumps(ensure_ascii=False)'s string encoder: one str as JSON text, non-ASCII kept raw
 encode_basestring = json.encoder.encode_basestring
-if json.encoder.c_make_encoder is None:
-    encode_json = JSON_ENCODER.encode
-else:
-    _C_ENCODER = json.encoder.c_make_encoder(
-        None, JSON_ENCODER.default, json.encoder.encode_basestring, None,
-        JSON_ENCODER.key_separator, JSON_ENCODER.item_separator, JSON_ENCODER.sort_keys,
-        JSON_ENCODER.skipkeys, JSON_ENCODER.allow_nan,
-    )
-
-    def encode_json(value: object) -> str:
-        """value, a JSON value, as JSON_ENCODER.encode writes it."""
-        return "".join(_C_ENCODER(value, 0))
 
 # json.loads's own decoder settings; its scanner (C where built) is called directly,
 # skipping the per-call checks loads makes before it gets there
@@ -143,7 +127,7 @@ def is_utf8_encodable(value: object) -> bool:
     that hold a "\\u".
     """
     try:
-        encode_json(value).encode("utf-8")
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError:
         return False
     return True
@@ -213,8 +197,8 @@ _RECORD_LINE = '{"guid": %s, "ts": "%s", "event_id": %d%s%s%s}'
 def record_to_line(record: RawLogRecord) -> str:
     """Serialize back to the canonical line form; parse(record_to_line(r)) == r.
 
-    The line is encode_json's for {guid, ts, event_id[, bugcheck][, params][, cause]},
-    an optional field left out when it is None (params: empty), built by one template.
+    The line is json.dumps(ensure_ascii=False) of {guid, ts, event_id[, bugcheck][, params]
+    [, cause]}, an optional field left out when None (params: empty), built by one template.
     """
     system_id, timestamp, event_id, bugcheck, params, cause = record
     return _RECORD_LINE % (
@@ -282,16 +266,11 @@ def _derive_kind(record: RawLogRecord, catalog: dict[str, str]) -> str:
     return "unknown"
 
 
-def records_digest(records: Sequence[RawLogRecord]) -> str:
-    payload = "\n".join(record_to_line(r) for r in records)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def build_corpus(
     records: Sequence[RawLogRecord],
     catalog: dict[str, str] | None = None,
     epoch_floor: datetime = DEFAULT_EPOCH_FLOOR,
-    source_digest: str | None = None,
+    source_digest: str = "",
 ) -> CrashCorpus:
     """Turn critical-only records into a deduplicated CrashCorpus.
 
@@ -299,12 +278,10 @@ def build_corpus(
     catalog, then to the bugcheck code itself. Exact duplicates on
     (system_id, time, bugcheck_code) collapse to one and are counted,
     as are events before the epoch floor. Raises EmptyCorpus when
-    nothing survives.
+    nothing survives. source_digest is stored as given.
     """
     if catalog is None:
         catalog = default_catalog()
-    if source_digest is None:
-        source_digest = records_digest(records)
 
     seen: set[tuple[str, datetime, str]] = set()
     # a run holds a dozen or so distinct codes and kinds: derive each once, share the strings

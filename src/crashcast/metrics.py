@@ -14,7 +14,7 @@ from functools import reduce
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyEvaluation
+from .errors import DataError
 from .postprocess import ExtractedPrediction, NormalizationConfig, tokenize
 
 CATEGORIES = ("time", "cause", "full")
@@ -158,7 +158,7 @@ def _mean_score(scores: Sequence[RougeScore]) -> RougeScore:
 def aggregate(items: Sequence[ScoredItem]) -> list[CategoryReport]:
     """Arithmetic mean per category and metric."""
     if not items:
-        raise EmptyEvaluation("no items to aggregate")
+        raise DataError("no items to aggregate")
     reports = []
     for category in CATEGORIES:
         r1 = _mean_score([item.scores[category][0] for item in items])

@@ -180,9 +180,9 @@ class FieldType(NamedTuple):
     """How a stage-file field is held in JSON, and its codec.
 
     kind is the exact JSON type of the value, or of each item when many
-    says the value is a list, so a JSON boolean is never an integer.
-    text writes one value or item as JSON_ENCODER would; decode converts
-    one decoded value or item, None leaving it as it is.
+    says the value is a list, so a JSON boolean is never an integer. text
+    writes one value or item as json.dumps(ensure_ascii=False) does;
+    decode converts one decoded value or item, None leaving it as it is.
     """
 
     name: str  # as the README's "Stage files" section gives it
@@ -213,8 +213,8 @@ TIMESTAMPS = FieldType("list of timestamps", str, _timestamp_text, True, parse_t
 class FieldTable(dict):
     """A stage file's {key: FieldType}, in line order, and its line format, built once.
 
-    template is a line as JSON_ENCODER writes the record, each value a %s
-    slot; texts holds the function that writes each slot's value.
+    template is a line as json.dumps(ensure_ascii=False) writes the record,
+    each value a %s slot; texts holds the function that writes each slot's value.
     """
 
     def __init__(self, fields: dict[str, FieldType]):
@@ -492,7 +492,7 @@ def split_stage(
     if sequences is None:
         sequences = load_sequences(config)
     train, validation = split_pairs(
-        sequences, config.train_pairs, config.validation_pairs, config.seed
+        sequences, config.split.train_pairs, config.split.validation_pairs, config.seed
     )
     train.sort(key=_pair_key)
     validation.sort(key=_pair_key)

@@ -25,17 +25,17 @@ from urllib.parse import urlsplit
 
 from .errors import (
     ConfigError,
+    DataError,
     HistoryTooShort,
     ProtocolError,
     RateLimited,
     ScriptExhausted,
     Timeout,
     TransportError,
-    ZeroRate,
 )
 from .ingest import is_utf8_encodable
 from .prompt import render_answer_sentence, render_date
-from .sequencer import EventSequence, SeqEvent
+from .sequencer import SeqEvent
 
 BACKEND_KINDS = ("remote-llm", "baseline", "scripted")
 
@@ -115,22 +115,21 @@ class BaselineModel:
             raise ValueError("total_rate does not match the sum of rates")
 
 
-def fit_baseline(history: Sequence[SeqEvent] | EventSequence) -> BaselineModel:
+def fit_baseline(history: Sequence[SeqEvent]) -> BaselineModel:
     """Per-cause maximum-likelihood rates: count over observed span in days."""
-    events = history.events if isinstance(history, EventSequence) else tuple(history)
-    if len(events) < 2:
-        raise HistoryTooShort(f"need at least 2 events to fit a span, got {len(events)}")
-    span_days = (events[-1].time - events[0].time) / timedelta(days=1)
+    if len(history) < 2:
+        raise HistoryTooShort(f"need at least 2 events to fit a span, got {len(history)}")
+    span_days = (history[-1].time - history[0].time) / timedelta(days=1)
     span_days = max(span_days, MIN_SPAN_DAYS)
     counts: dict[str, int] = {}
-    for event in events:
+    for event in history:
         counts[event.kind] = counts.get(event.kind, 0) + 1
     rates = {kind: count / span_days for kind, count in counts.items()}
     return BaselineModel(
         rates=rates,
         # left to right: sum() compensates from Python 3.12, which moves the answers' last digit
         total_rate=reduce(add, rates.values(), 0.0),
-        t_last=events[-1].time,
+        t_last=history[-1].time,
         observation_span=span_days,
     )
 
@@ -138,18 +137,18 @@ def fit_baseline(history: Sequence[SeqEvent] | EventSequence) -> BaselineModel:
 def mbr_next_time(model: BaselineModel) -> datetime:
     """Mean of the exponential waiting time: t_last plus 1/Λ days."""
     if model.total_rate <= 0:
-        raise ZeroRate("total rate is zero, waiting time undefined")
+        raise DataError("total rate is zero, waiting time undefined")
     return model.t_last + timedelta(days=1.0 / model.total_rate)
 
 
 def mbr_next_type(model: BaselineModel) -> str:
     """Most probable next cause: argmax of the rates, ties broken by label."""
     if model.total_rate <= 0:
-        raise ZeroRate("total rate is zero, type distribution undefined")
+        raise DataError("total rate is zero, type distribution undefined")
     return min(model.rates, key=lambda kind: (-model.rates[kind], kind))
 
 
-def baseline_answer(history: Sequence[SeqEvent] | EventSequence) -> PredictionRaw:
+def baseline_answer(history: Sequence[SeqEvent]) -> PredictionRaw:
     """Render the MBR (time, type) through the canonical sentence template.
 
     Both stages get the full sentence, so extraction treats baseline output
@@ -165,16 +164,14 @@ def baseline_answer(history: Sequence[SeqEvent] | EventSequence) -> PredictionRa
 # --- scripted test double -----------------------------------------------------
 
 class ScriptedBackend:
-    """Replays canned completions in order and records every prompt."""
+    """Replays canned completions in order."""
 
     def __init__(self, completions: Iterable[str]):
         self.backend_id = "scripted"
         self._completions = list(completions)
         self._cursor = 0
-        self.transcript: list[str] = []
 
     def complete(self, prompt: str) -> str:
-        self.transcript.append(prompt)
         if self._cursor >= len(self._completions):
             raise ScriptExhausted(
                 f"script exhausted after {len(self._completions)} completions"
@@ -182,10 +179,6 @@ class ScriptedBackend:
         answer = self._completions[self._cursor]
         self._cursor += 1
         return answer
-
-    @property
-    def remaining(self) -> int:
-        return len(self._completions) - self._cursor
 
 
 # --- remote chat-completion backend -------------------------------------------

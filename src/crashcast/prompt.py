@@ -15,7 +15,7 @@ from pathlib import Path
 from importlib import resources
 from typing import Sequence
 
-from .errors import EmptyTimeAnswer, InsufficientShots, TemplateError
+from .errors import DataError, InsufficientShots, TemplateError
 from .sequencer import LabeledPair, SeqEvent
 
 TIME_QUESTION = "When will the next crash happen on system {system_id}?"
@@ -200,7 +200,7 @@ def render_cause_prompt(time_answer: str, bundle: PromptBundle) -> str:
     every value verbatim, so no text from the logs or the answer is a slot.
     """
     if not time_answer.strip():
-        raise EmptyTimeAnswer("cause prompt requires a non-empty time answer")
+        raise DataError("cause prompt requires a non-empty time answer")
     cause_block = bundle.cause_template.format(
         system_id=bundle.system_id,
         history=bundle.history_rendering,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, NamedTuple
 
-from .errors import BadWidth, IndexOutOfRange
+from .errors import ConfigError, IndexOutOfRange
 from .ingest import CrashCorpus
 
 TIE_STEP = timedelta(seconds=1)
@@ -37,9 +37,6 @@ class EventSequence:
         for earlier, later in zip(self.events, self.events[1:]):
             if later.time <= earlier.time:
                 raise ValueError(f"times not strictly increasing for {self.system_id}")
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +114,7 @@ def partition_windows(seq: EventSequence, width_days: int) -> list[list[SeqEvent
     so indices are contiguous.
     """
     if width_days < 1:
-        raise BadWidth(f"window width must be at least 1 day, got {width_days}")
+        raise ConfigError(f"window width must be at least 1 day, got {width_days}")
     if not seq.events:
         return []
     origin = day_floor(seq.events[0].time)

@@ -29,6 +29,7 @@ DEFAULT_DOMINANT_WEIGHT = 0.90
 NOISE_EVENT_IDS = (1074, 6008, 7001)
 
 _SECONDS_PER_DAY = 86400
+_KNUTH_MAX_RATE = 500  # Knuth's method needs exp(-rate) a normal float, so rate under ~708
 
 
 def default_cause_catalog(
@@ -91,13 +92,14 @@ class GeneratorConfig:
         return self.cause_catalog if self.cause_catalog is not None else default_cause_catalog()
 
 
-def _poisson_count(rng: random.Random, threshold: float) -> int:
-    """Knuth's product method, threshold exp(-rate); fine for the per-day rates used here."""
+def _poisson_count(rng: random.Random, threshold: float, chunks: int) -> int:
+    """A Poisson(rate) draw as the sum of chunks Knuth draws, threshold exp(-rate / chunks)."""
     count = 0
-    product = rng.random()
-    while product > threshold:
-        count += 1
-        product *= rng.random()
+    for _ in range(chunks):
+        product = rng.random()
+        while product > threshold:
+            count += 1
+            product *= rng.random()
     return count
 
 
@@ -123,10 +125,13 @@ def _system_records(
         mean = reduce(add, raw, 0.0) / 7  # left to right: sum() compensates from Python 3.12
         multipliers = [value / mean for value in raw]
 
-    thresholds = [math.exp(-(config.per_system_rate * value)) for value in multipliers]
+    draws = []  # per weekday: (threshold, chunks), each chunk's rate at most _KNUTH_MAX_RATE
+    for rate in (config.per_system_rate * value for value in multipliers):
+        chunks = math.ceil(rate / _KNUTH_MAX_RATE)
+        draws.append((math.exp(-(rate / chunks)), chunks))
     instants: list[datetime] = []
     for day_start, weekday in days:
-        for _ in range(_poisson_count(rng, thresholds[weekday])):
+        for _ in range(_poisson_count(rng, *draws[weekday])):
             instants.append(day_start + timedelta(seconds=rng.randrange(_SECONDS_PER_DAY)))
     instants.sort()
 

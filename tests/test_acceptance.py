@@ -215,8 +215,8 @@ class TestAcceptance:
     def test_criterion_6_baseline_sanity(self, capsys, tmp_path):
         document = {"seed": 5, "paths": {"out_dir": str(tmp_path / "out")}}
         config = parse_run_config(document)
-        assert config.train_pairs == 100
-        assert config.validation_pairs == 40
+        assert config.split.train_pairs == 100
+        assert config.split.validation_pairs == 40
         assert config.generator.noise_fraction > 0
 
         synth_stage(config)

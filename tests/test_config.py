@@ -39,8 +39,8 @@ class TestDefaults:
         assert config.seed == 1234
         assert config.window_days == 7
         assert config.shots_k == 10
-        assert config.train_pairs == 100
-        assert config.validation_pairs == 40
+        assert config.split.train_pairs == 100
+        assert config.split.validation_pairs == 40
         assert config.backend.kind == "baseline"
         assert config.normalization.lowercase
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crashcast.errors import EmptyEvaluation
+from crashcast.errors import DataError
 from crashcast.metrics import (
     CATEGORIES,
     ZERO_SCORE,
@@ -187,7 +187,7 @@ class TestAggregate:
         assert time_report.item_count == 1
 
     def test_empty_evaluation_is_refused(self):
-        with pytest.raises(EmptyEvaluation):
+        with pytest.raises(DataError):
             aggregate([])
 
     def test_items_are_retained_per_category(self):

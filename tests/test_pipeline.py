@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import signal
@@ -21,7 +22,7 @@ from crashcast import pipeline
 from crashcast.cli import main
 from crashcast.config import RunConfig, parse_run_config
 from crashcast.errors import DataError, InsufficientData, ScriptExhausted, TransportError
-from crashcast.ingest import encode_json, format_timestamp
+from crashcast.ingest import format_timestamp
 from crashcast.predictor import PredictionRaw, baseline_answer
 from crashcast.sequencer import enumerate_pairs
 from crashcast.pipeline import (
@@ -523,7 +524,7 @@ class TestStages:
         config = small_config(tmp_path / "out", paths={"logs": str(logs)})
         run_all(config)
         sequences = load_sequences(config)
-        assert [len(seq) for seq in sequences if seq.system_id == "host-lonely"] == [1]
+        assert [len(seq.events) for seq in sequences if seq.system_id == "host-lonely"] == [1]
         manifest = json.loads((tmp_path / "out" / MANIFEST_FILE).read_text())
         assert manifest["item_counts"]["pairs"] == len(enumerate_pairs(sequences))
 
@@ -810,6 +811,19 @@ class TestCli:
         path.write_text(json.dumps({"bogus": 1}))
         result = self.invoke("--config", str(path), "run")
         assert result.exit_code == 2
+
+    # a window is a timedelta, whose days stop at 999,999,999
+    def test_window_wider_than_a_timedelta_is_exit_two_naming_the_key(self, tmp_path):
+        config_path = self.write_config(tmp_path, window_days=1_000_000_000)
+        result = self.invoke("--config", str(config_path), "run")
+        assert result.exit_code == 2, result.output
+        assert "window_days must be from 1 to 999999999" in result.output
+
+    def test_widest_window_runs(self, tmp_path):
+        config_path = self.write_config(tmp_path, window_days=999_999_999)
+        assert self.invoke("--config", str(config_path), "run").exit_code == 0
+        windows = (tmp_path / "out" / WINDOWS_FILE).read_text().splitlines()
+        assert all('"window_index": 0' in line for line in windows)
 
     def test_insufficient_data_is_exit_three(self, tmp_path):
         config_path = self.write_config(
@@ -1155,7 +1169,7 @@ def test_encode_line_writes_what_the_record_dict_encodes_to(name, data):
     values = [data.draw(_FIELD_VALUES[field.name][0], label=key) for key, field in table.items()]
     plain = {key: _FIELD_VALUES[field.name][1](value)
              for (key, field), value in zip(table.items(), values)}
-    assert pipeline.encode_line(table, values) == encode_json(plain)
+    assert pipeline.encode_line(table, values) == json.dumps(plain, ensure_ascii=False)
 
 
 _SCORE = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, 1.0, 1e-07, 1 / 3])
@@ -1204,4 +1218,16 @@ def test_baseline_predict_answers_in_this_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", refuse)
     rows = predict_stage(config, pairs)
-    assert len(rows) == config.validation_pairs
+    assert len(rows) == config.split.validation_pairs
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_a_pipeline_callable():
+    """bench/tracer.py replaces these attributes of crashcast.pipeline by name."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", Path(__file__).parents[1] / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED_FUNCTIONS
+    for name in [*tracer.TRACED_FUNCTIONS, "make_backend"]:
+        assert callable(getattr(pipeline, name, None)), name

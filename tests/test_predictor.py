@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import at_day, sequence_of
+from conftest import at_day
 from crashcast.errors import (
     ConfigError,
     HistoryTooShort,
+    DataError,
     ScriptExhausted,
-    ZeroRate,
 )
 from crashcast.postprocess import extract_prediction
 from crashcast.predictor import (
@@ -63,11 +63,6 @@ class TestFitBaseline:
         with pytest.raises(HistoryTooShort):
             fit_baseline(events_of([(d, "a") for d in range(n)]))
 
-    def test_accepts_a_sequence_object(self):
-        seq = sequence_of("A", [(0, "a"), (4, "a")])
-        model = fit_baseline(seq)
-        assert model.observation_span == pytest.approx(4.0)
-
     def test_model_validation_rejects_inconsistent_total(self):
         with pytest.raises(ValueError):
             BaselineModel(
@@ -110,7 +105,7 @@ class TestPointPredictions:
         model = BaselineModel(
             rates={}, total_rate=0.0, t_last=at_day(0), observation_span=1.0
         )
-        with pytest.raises(ZeroRate):
+        with pytest.raises(DataError):
             mbr_next_time(model)
 
     @given(
@@ -221,12 +216,6 @@ class TestScriptedBackend:
         line = 'The next crash will happen on 2021-03-09 caused by a.  '
         backend = ScriptedBackend([line])
         assert backend.complete("anything") == line
-
-    def test_remaining_counts_down(self):
-        backend = ScriptedBackend(["x", "y", "z"])
-        assert backend.remaining == 3
-        backend.complete("p")
-        assert backend.remaining == 2
 
     def test_make_backend_reads_a_script_file(self, tmp_path):
         script = tmp_path / "script.jsonl"

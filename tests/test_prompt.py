@@ -4,7 +4,7 @@ from datetime import date
 import pytest
 
 from conftest import sequence_of
-from crashcast.errors import EmptyTimeAnswer, InsufficientShots, TemplateError
+from crashcast.errors import DataError, InsufficientShots, TemplateError
 from crashcast.ingest import default_catalog
 from crashcast.postprocess import extract_prediction
 from crashcast.prompt import (
@@ -134,7 +134,7 @@ class TestCausePrompt:
         assert prompt.index(answer) > prompt.index("### Task")
 
     def test_empty_answer_is_refused(self, bundle):
-        with pytest.raises(EmptyTimeAnswer):
+        with pytest.raises(DataError):
             render_cause_prompt("   ", bundle)
 
     def test_prompts_differ_only_in_the_answer(self, bundle):

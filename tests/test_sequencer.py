@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from conftest import at_day, sequence_of
-from crashcast.errors import BadWidth, IndexOutOfRange
+from crashcast.errors import ConfigError, IndexOutOfRange
 from crashcast.ingest import CrashCorpus, CrashEvent
 from crashcast.pipeline import (
     WINDOW_FIELDS,
@@ -44,12 +44,12 @@ class TestBuildSequences:
         sequences = build_sequences(corpus)
         assert [s.system_id for s in sequences] == ["A", "B"]
         assert [e.time for e in sequences[0].events] == [at_day(1), at_day(2)]
-        assert len(sequences[1]) == 1
+        assert len(sequences[1].events) == 1
 
     def test_single_system_keeps_every_event(self):
         corpus = corpus_of(*[("A", at_day(d), "x") for d in range(40)])
         (seq,) = build_sequences(corpus)
-        assert len(seq) == 40
+        assert len(seq.events) == 40
 
     def test_identical_instants_shift_by_one_second_in_kind_order(self):
         instant = at_day(0)
@@ -165,7 +165,7 @@ class TestPartitionWindows:
             assert second["window_start"] == first["window_start"] + timedelta(days=7)
 
     def test_width_below_one_day_is_rejected(self):
-        with pytest.raises(BadWidth):
+        with pytest.raises(ConfigError):
             partition_windows(sequence_of("A", [(0, "a")]), 0)
 
     def test_every_event_lands_inside_its_window(self):

@@ -110,6 +110,12 @@ class TestPoissonConcentration:
                 misses += 1
         assert misses <= trials * 0.01
 
+    # exp(-rate) is no longer a normal float past a rate of about 708
+    def test_daily_mean_holds_past_where_one_knuth_draw_saturates(self):
+        days = 30
+        count = len(generate_records(one_system(seed=3, days=days, rate=2000.0)))
+        assert count / days == pytest.approx(2000.0, rel=0.02)
+
     def test_rate_scales_the_count(self):
         slow = len(generate_corpus(one_system(seed=30, rate=0.25, days=800)))
         fast = len(generate_corpus(one_system(seed=30, rate=1.0, days=800)))
