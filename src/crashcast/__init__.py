@@ -24,7 +24,7 @@ from .predictor import (
     mbr_next_type,
 )
 from .postprocess import ExtractedPrediction, NormalizationConfig, extract_prediction, tokenize
-from .metrics import CategoryReport, RougeScore, aggregate, rouge_1, rouge_l, score_item
+from .metrics import RougeScore, aggregate, rouge_1, rouge_l, score_item
 from .synthgen import GeneratorConfig, generate_corpus
 from .config import RunConfig, load_run_config
 from .pipeline import run_all, split_pairs
@@ -35,7 +35,6 @@ __all__ = [
     "BackendConfig",
     "BackendError",
     "BaselineModel",
-    "CategoryReport",
     "ConfigError",
     "CrashCorpus",
     "CrashEvent",

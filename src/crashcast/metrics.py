@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
 from .postprocess import ExtractedPrediction, NormalizationConfig, tokenize
+from .prompt import render_answer_sentence
 
 CATEGORIES = ("time", "cause", "full")
 
@@ -88,23 +89,15 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
     return _prf(lcs_length(candidate, reference), len(candidate), len(reference))
 
 
-@dataclass(frozen=True)
-class TruthTarget:
-    """What the item should have answered, in all three scored forms."""
-
-    target_date: str
-    target_cause: str
-    reference_sentence: str
-
-
 def score_item(
-    pred: ExtractedPrediction, truth: TruthTarget, config: NormalizationConfig
+    pred: ExtractedPrediction, target_date: str, target_cause: str, config: NormalizationConfig
 ) -> dict[str, tuple[RougeScore, RougeScore]]:
-    """Score one prediction in every category.
+    """Score one prediction in every category as {category: (rouge1, rougeL)}.
 
-    Absent fields become empty candidates and score zero; a prediction
-    with nothing extracted scores zero across the board, full category
-    included, but is still counted.
+    The full answer is scored against the answer sentence rendered from
+    the target. Absent fields become empty candidates and score zero; a
+    prediction with nothing extracted scores zero across the board, full
+    category included, but is still counted.
     """
     time_candidate = tokenize(pred.time_text or "", config)
     cause_candidate = tokenize(pred.cause_text or "", config)
@@ -113,32 +106,16 @@ def score_item(
     else:
         full_candidate = tokenize(pred.full_text, config)
 
+    reference_sentence = render_answer_sentence(target_date, target_cause)
     pairs = {
-        "time": (time_candidate, tokenize(truth.target_date, config)),
-        "cause": (cause_candidate, tokenize(truth.target_cause, config)),
-        "full": (full_candidate, tokenize(truth.reference_sentence, config)),
+        "time": (time_candidate, tokenize(target_date, config)),
+        "cause": (cause_candidate, tokenize(target_cause, config)),
+        "full": (full_candidate, tokenize(reference_sentence, config)),
     }
     return {
         category: (rouge_1(cand, ref), rouge_l(cand, ref))
         for category, (cand, ref) in pairs.items()
     }
-
-
-@dataclass(frozen=True)
-class ScoredItem:
-    system_id: str
-    index: int
-    window_index: int | None
-    extraction_status: str
-    scores: Mapping[str, tuple[RougeScore, RougeScore]]
-
-
-@dataclass(frozen=True)
-class CategoryReport:
-    category: str
-    rouge1: RougeScore
-    rougeL: RougeScore
-    item_count: int
 
 
 def _left_sum(values: Iterable[float]) -> float:
@@ -155,20 +132,16 @@ def _mean_score(scores: Sequence[RougeScore]) -> RougeScore:
     )
 
 
-def aggregate(items: Sequence[ScoredItem]) -> list[CategoryReport]:
-    """Arithmetic mean per category and metric."""
+def aggregate(
+    items: Sequence[Mapping[str, tuple[RougeScore, RougeScore]]]
+) -> dict[str, tuple[RougeScore, RougeScore]]:
+    """Arithmetic mean per category and metric of score_item results, categories in order."""
     if not items:
         raise DataError("no items to aggregate")
-    reports = []
-    for category in CATEGORIES:
-        r1 = _mean_score([item.scores[category][0] for item in items])
-        rl = _mean_score([item.scores[category][1] for item in items])
-        reports.append(
-            CategoryReport(
-                category=category,
-                rouge1=r1,
-                rougeL=rl,
-                item_count=len(items),
-            )
+    return {
+        category: (
+            _mean_score([scores[category][0] for scores in items]),
+            _mean_score([scores[category][1] for scores in items]),
         )
-    return reports
+        for category in CATEGORIES
+    }

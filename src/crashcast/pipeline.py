@@ -18,6 +18,7 @@ import gc
 import hashlib
 import json
 import operator
+import os
 import random
 import time
 from collections import Counter
@@ -53,13 +54,7 @@ from .ingest import (
     parse_lines,
     parse_timestamp,
 )
-from .metrics import (
-    CATEGORIES,
-    ScoredItem,
-    TruthTarget,
-    aggregate,
-    score_item,
-)
+from .metrics import CATEGORIES, aggregate, score_item
 from .postprocess import (
     NormalizationConfig,
     default_stopwords,
@@ -78,7 +73,6 @@ from .prompt import (
     build_bundle,
     default_template,
     load_template,
-    render_answer_sentence,
     render_cause_prompt,
     render_date,
     shots_from_pairs,
@@ -135,10 +129,20 @@ def collector_paused() -> Iterator[None]:
 
 
 def _write(path: Path, chunks: Iterable[str]) -> None:
-    """Write the text chunks to path as they come, creating its directory."""
+    """Write the text chunks to path as they come, creating its directory.
+
+    They go to a hidden .partial sibling that then replaces path, so a
+    write stopped partway leaves the earlier file whole, or no file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as stream:
-        stream.writelines(chunks)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with partial.open("w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -712,66 +716,49 @@ def evaluate_stage(
     if rows is None:
         rows = load_predictions(config)
 
-    def scored(row: dict[str, Any]) -> ScoredItem:
+    scored = []  # (row, extraction status, score_item's scores), in row order
+    for row in rows:
         merged = merge_extractions(
-            extract_prediction(row["time_answer"]),
-            extract_prediction(row["cause_answer"]),
+            extract_prediction(row["time_answer"]), extract_prediction(row["cause_answer"])
         )
-        truth = TruthTarget(
-            target_date=row["target_time"],
-            target_cause=row["target_cause"],
-            reference_sentence=render_answer_sentence(row["target_time"], row["target_cause"]),
-        )
-        return ScoredItem(
-            system_id=row["system_id"],
-            index=row["index"],
-            window_index=row["window_index"],
-            extraction_status=merged.extraction_status,
-            scores=score_item(merged, truth, normalization),
-        )
-
-    backend_id = rows[-1]["backend_id"] if rows else None
-    items = [scored(row) for row in rows]
-    reports = aggregate(items)
+        scores = score_item(merged, row["target_time"], row["target_cause"], normalization)
+        scored.append((row, merged.extraction_status, scores))
+    means = aggregate([scores for _, _, scores in scored])
+    backend_id = rows[-1]["backend_id"]
+    by_pair = sorted(scored, key=lambda item: (item[0]["system_id"], item[0]["index"]))
 
     def score_dict(score) -> dict[str, float]:
         return {"precision": score.precision, "recall": score.recall, "f1": score.f1}
 
-    item_rows = []
-    for item in sorted(items, key=lambda i: (i.system_id, i.index)):
-        for category in CATEGORIES:
-            r1, rl = item.scores[category]
-            item_rows.append(
-                {
-                    "system_id": item.system_id,
-                    "index": item.index,
-                    "window_index": item.window_index,
-                    "status": item.extraction_status,
-                    "category": category,
-                    "rouge1": score_dict(r1),
-                    "rougeL": score_dict(rl),
-                }
-            )
-
     report = {
         "backend_id": backend_id,
         "normalization": dataclasses.asdict(config.normalization),
-        "item_count": len(items),
+        "item_count": len(rows),
         "categories": {
-            r.category: {"rouge1": score_dict(r.rouge1), "rougeL": score_dict(r.rougeL)}
-            for r in reports
+            category: {"rouge1": score_dict(r1), "rougeL": score_dict(rl)}
+            for category, (r1, rl) in means.items()
         },
-        "items": item_rows,
+        "items": [
+            {
+                "system_id": row["system_id"],
+                "index": row["index"],
+                "window_index": row["window_index"],
+                "status": status,
+                "category": category,
+                "rouge1": score_dict(scores[category][0]),
+                "rougeL": score_dict(scores[category][1]),
+            }
+            for row, status, scores in by_pair
+            for category in CATEGORIES
+        ],
     }
     _write(out_dir / REPORT_FILE, report_chunks(report))
 
-    table_lines = ["backend_id,category,metric,precision,recall,f1"]
-    for r in reports:
-        for metric, score in (("rouge1", r.rouge1), ("rougeL", r.rougeL)):
-            table_lines.append(
-                f"{backend_id},{r.category},{metric},"
-                f"{score.precision:.6f},{score.recall:.6f},{score.f1:.6f}"
-            )
+    table_lines = ["backend_id,category,metric,precision,recall,f1"] + [
+        f"{backend_id},{category},{metric},{s.precision:.6f},{s.recall:.6f},{s.f1:.6f}"
+        for category, pair in means.items()
+        for metric, s in zip(("rouge1", "rougeL"), pair)
+    ]
     _write_lines(out_dir / TABLE_FILE, table_lines)
     return report
 

@@ -16,14 +16,12 @@ from importlib import resources
 from .errors import ConfigError
 from .ingest import normalize_cause
 
-DATE_RE = re.compile(r"\b\d{4}-\d{2}-\d{2}\b")
+DATE_RE = re.compile(r"\b[0-9]{4}-[0-9]{2}-[0-9]{2}\b")
 CAUSE_MARKER_RE = re.compile(r"caused\s+by", re.IGNORECASE)
 _SENTENCE_END_RE = re.compile(r"[.!?\n]")
 
 # Dates stay whole; everything else splits on non-alphanumeric runs.
-_TOKEN_RE = re.compile(r"\b\d{4}-\d{2}-\d{2}\b|[0-9A-Za-z]+")
-
-STATUSES = ("both", "time-only", "cause-only", "none")
+_TOKEN_RE = re.compile(r"\b[0-9]{4}-[0-9]{2}-[0-9]{2}\b|[0-9A-Za-z]+")
 
 
 @dataclass(frozen=True)
@@ -31,24 +29,17 @@ class ExtractedPrediction:
     time_text: str | None
     cause_text: str | None
     full_text: str
-    extraction_status: str
 
-    def __post_init__(self):
-        expected = _status_of(self.time_text, self.cause_text)
-        if self.extraction_status != expected:
-            raise ValueError(
-                f"status {self.extraction_status!r} inconsistent with fields"
-            )
-
-
-def _status_of(time_text: str | None, cause_text: str | None) -> str:
-    if time_text and cause_text:
-        return "both"
-    if time_text:
-        return "time-only"
-    if cause_text:
-        return "cause-only"
-    return "none"
+    @property
+    def extraction_status(self) -> str:
+        """Which of the time and the cause were found: both, time-only, cause-only or none."""
+        if self.time_text and self.cause_text:
+            return "both"
+        if self.time_text:
+            return "time-only"
+        if self.cause_text:
+            return "cause-only"
+        return "none"
 
 
 def extract_prediction(answer: str) -> ExtractedPrediction:
@@ -70,7 +61,6 @@ def extract_prediction(answer: str) -> ExtractedPrediction:
         time_text=time_text,
         cause_text=cause_text,
         full_text=answer,
-        extraction_status=_status_of(time_text, cause_text),
     )
 
 
@@ -83,13 +73,10 @@ def merge_extractions(
     from the second (first as fallback). The full text stays the raw
     first-stage answer: that is the sentence the template asked for.
     """
-    time_text = time_stage.time_text or cause_stage.time_text
-    cause_text = cause_stage.cause_text or time_stage.cause_text
     return ExtractedPrediction(
-        time_text=time_text,
-        cause_text=cause_text,
+        time_text=time_stage.time_text or cause_stage.time_text,
+        cause_text=cause_stage.cause_text or time_stage.cause_text,
         full_text=time_stage.full_text,
-        extraction_status=_status_of(time_text, cause_text),
     )
 
 

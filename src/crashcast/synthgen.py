@@ -32,17 +32,14 @@ _SECONDS_PER_DAY = 86400
 _KNUTH_MAX_RATE = 500  # Knuth's method needs exp(-rate) a normal float, so rate under ~708
 
 
-def default_cause_catalog(
-    dominant_code: str = DEFAULT_DOMINANT_CODE,
-    dominant_weight: float = DEFAULT_DOMINANT_WEIGHT,
-) -> tuple[tuple[str, str, float], ...]:
+def default_cause_catalog() -> tuple[tuple[str, str, float], ...]:
     """The shipped code catalog with one dominant cause and the rest uniform."""
     catalog = default_catalog()
-    if dominant_code not in catalog:
-        raise ConfigError(f"dominant code {dominant_code} not in the shipped catalog")
-    rest = [code for code in sorted(catalog) if code != dominant_code]
-    share = (1.0 - dominant_weight) / len(rest)
-    entries = [(dominant_code, catalog[dominant_code], dominant_weight)]
+    if DEFAULT_DOMINANT_CODE not in catalog:
+        raise ConfigError(f"dominant code {DEFAULT_DOMINANT_CODE} not in the shipped catalog")
+    rest = [code for code in sorted(catalog) if code != DEFAULT_DOMINANT_CODE]
+    share = (1.0 - DEFAULT_DOMINANT_WEIGHT) / len(rest)
+    entries = [(DEFAULT_DOMINANT_CODE, catalog[DEFAULT_DOMINANT_CODE], DEFAULT_DOMINANT_WEIGHT)]
     entries.extend((code, catalog[code], share) for code in rest)
     return tuple(entries)
 

@@ -8,10 +8,7 @@ from crashcast.errors import DataError
 from crashcast.metrics import (
     CATEGORIES,
     ZERO_SCORE,
-    CategoryReport,
     RougeScore,
-    ScoredItem,
-    TruthTarget,
     aggregate,
     lcs_length,
     rouge_1,
@@ -114,18 +111,15 @@ class TestLcs:
 
 class TestScoreItem:
     config = NormalizationConfig()
+    date_text = "2021-03-04"
+    cause = "driver power state failure"
 
-    def truth(self, date_text="2021-03-04", cause="driver power state failure"):
-        return TruthTarget(
-            target_date=date_text,
-            target_cause=cause,
-            reference_sentence=render_answer_sentence(date_text, cause),
-        )
+    def score(self, pred, date_text=date_text, cause=cause):
+        return score_item(pred, date_text, cause, self.config)
 
     def test_exact_answer_scores_one_everywhere(self):
-        truth = self.truth()
-        pred = extract_prediction(truth.reference_sentence)
-        scores = score_item(pred, truth, self.config)
+        pred = extract_prediction(render_answer_sentence(self.date_text, self.cause))
+        scores = self.score(pred)
         assert set(scores) == set(CATEGORIES)
         for rouge1, rougeL in scores.values():
             assert rouge1 == RougeScore(1.0, 1.0, 1.0)
@@ -134,17 +128,16 @@ class TestScoreItem:
     def test_nothing_extracted_scores_zero_everywhere(self):
         pred = extract_prediction("I cannot answer that.")
         assert pred.extraction_status == "none"
-        scores = score_item(pred, self.truth(), self.config)
+        scores = self.score(pred)
         for rouge1, rougeL in scores.values():
             assert rouge1 == ZERO_SCORE
             assert rougeL == ZERO_SCORE
 
     def test_right_date_wrong_cause(self):
-        truth = self.truth(cause="page fault in nonpaged area")
         pred = extract_prediction(
             "The next crash will happen on 2021-03-04 caused by memory corruption."
         )
-        scores = score_item(pred, truth, self.config)
+        scores = self.score(pred, cause="page fault in nonpaged area")
         time_r1, time_rl = scores["time"]
         cause_r1, cause_rl = scores["cause"]
         full_r1, full_rl = scores["full"]
@@ -154,46 +147,40 @@ class TestScoreItem:
         assert 0.0 < full_rl.f1 < 1.0
 
     def test_missing_time_still_scores_cause(self):
-        truth = self.truth()
         pred = extract_prediction("It is caused by driver power state failure.")
-        scores = score_item(pred, truth, self.config)
+        scores = self.score(pred)
         assert scores["time"][0] == ZERO_SCORE
         assert scores["cause"][0].f1 == 1.0
         assert scores["full"][0].f1 > 0.0
 
 
-class TestAggregate:
-    def item(self, f1_value, index=0):
-        score = RougeScore(f1_value, f1_value, f1_value)
-        return ScoredItem(
-            system_id="A",
-            index=index,
-            window_index=None,
-            extraction_status="both",
-            scores={cat: (score, score) for cat in CATEGORIES},
-        )
+def scored(f1_value):
+    """A score_item result scoring f1_value in every component of every category."""
+    score = RougeScore(f1_value, f1_value, f1_value)
+    return {category: (score, score) for category in CATEGORIES}
 
+
+class TestAggregate:
     def test_two_items_average_to_half(self):
-        reports = aggregate([self.item(0.0, 1), self.item(1.0, 2)])
-        assert [r.category for r in reports] == list(CATEGORIES)
-        for report in reports:
-            assert report.rouge1.f1 == pytest.approx(0.5)
-            assert report.rougeL.f1 == pytest.approx(0.5)
-            assert report.item_count == 2
+        reports = aggregate([scored(0.0), scored(1.0)])
+        assert list(reports) == list(CATEGORIES)
+        for rouge1, rougeL in reports.values():
+            assert rouge1.f1 == pytest.approx(0.5)
+            assert rougeL.f1 == pytest.approx(0.5)
 
     def test_single_item_passes_through(self):
-        (time_report, _, _) = aggregate([self.item(0.8235)])
-        assert time_report.rouge1.f1 == pytest.approx(0.8235)
-        assert time_report.item_count == 1
+        time_rouge1, _ = aggregate([scored(0.8235)])["time"]
+        assert time_rouge1.f1 == pytest.approx(0.8235)
 
     def test_empty_evaluation_is_refused(self):
         with pytest.raises(DataError):
             aggregate([])
 
-    def test_items_are_retained_per_category(self):
-        reports = aggregate([self.item(0.5, 3), self.item(0.25, 4)])
-        for report in reports:
-            assert isinstance(report, CategoryReport)
+    def test_each_category_maps_to_a_rouge1_rougel_pair(self):
+        reports = aggregate([scored(0.5), scored(0.25)])
+        for pair in reports.values():
+            assert isinstance(pair, tuple) and len(pair) == 2
+            assert all(isinstance(score, RougeScore) for score in pair)
 
     @given(
         f1s=st.lists(
@@ -204,12 +191,12 @@ class TestAggregate:
     )
     @settings(max_examples=200)
     def test_mean_is_componentwise_within_tolerance(self, f1s):
-        reports = aggregate([self.item(v, i) for i, v in enumerate(f1s)])
+        reports = aggregate([scored(v) for v in f1s])
         expected = sum(f1s) / len(f1s)
-        for report in reports:
-            assert abs(report.rouge1.precision - expected) <= 1e-12
-            assert abs(report.rouge1.recall - expected) <= 1e-12
-            assert abs(report.rouge1.f1 - expected) <= 1e-12
+        for rouge1, _ in reports.values():
+            assert abs(rouge1.precision - expected) <= 1e-12
+            assert abs(rouge1.recall - expected) <= 1e-12
+            assert abs(rouge1.f1 - expected) <= 1e-12
 
 
 class TestRougeScoreValidation:
@@ -245,7 +232,5 @@ def test_lcs_with_shared_prefix_and_suffix_matches_bruteforce(prefix, suffix, ca
 
 def test_mean_adds_left_to_right_on_every_python():
     # sum() compensates from Python 3.12 and would give 1.0 / 10
-    score = RougeScore(0.1, 0.1, 0.1)
-    item = ScoredItem("A", 0, None, "both", {category: (score, score) for category in CATEGORIES})
-    for report in aggregate([item] * 10):
-        assert report.rouge1 == report.rougeL == RougeScore(*[0.9999999999999999 / 10] * 3)
+    for rouge1, rougeL in aggregate([scored(0.1)] * 10).values():
+        assert rouge1 == rougeL == RougeScore(*[0.9999999999999999 / 10] * 3)

@@ -1208,6 +1208,35 @@ def test_report_chunks_of_an_empty_report_and_no_items():
     assert "".join(pipeline.report_chunks({"items": []})) == '{\n  "items": []\n}\n'
 
 
+def test_readme_report_files_section_is_a_default_runs_keys(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Report files\n", 1)[1].split("\n## ", 1)[0]
+    tables = [
+        [row.split("|")[1].strip().strip("`") for row in block.splitlines() if row.startswith("| `")]
+        for block in section.split("\n\n")
+        if block.startswith("|")
+    ]
+    out = tmp_path / "out"
+    run_all(parse_run_config({"paths": {"out_dir": str(out)}}))
+    report = json.loads((out / REPORT_FILE).read_text(encoding="utf-8"))
+    header = (out / TABLE_FILE).read_text(encoding="utf-8").splitlines()[0]
+    assert tables == [list(report), list(report["items"][0]), header.split(",")]
+
+
+def test_a_write_stopped_partway_leaves_the_earlier_file_whole(tmp_path):
+    path = tmp_path / "out" / EVENTS_FILE
+    pipeline._write(path, ["the earlier file\n"])
+
+    def chunks():
+        yield "the first half of a line"
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError):
+        pipeline._write(path, chunks())
+    assert path.read_bytes() == b"the earlier file\n"
+    assert [p.name for p in path.parent.iterdir()] == [EVENTS_FILE]
+
+
 def test_baseline_predict_answers_in_this_thread(tmp_path, monkeypatch):
     config = small_config(tmp_path / "out")
     synth_stage(config)
