@@ -78,9 +78,9 @@ def main(ctx, config_path, seed, out_dir, backend):
 @main.command()
 @click.pass_obj
 def synth(config: RunConfig):
-    """Generate a synthetic raw crash log."""
-    path = _execute(lambda: pipeline.synth_stage(config))
-    click.echo(f"wrote {path}")
+    """Generate a synthetic raw crash log; refused when paths.logs names the logs."""
+    _execute(lambda: pipeline.synth_stage(config))
+    click.echo(f"wrote {pipeline.logs_path_of(config)}")
 
 
 @main.command()

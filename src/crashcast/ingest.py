@@ -26,7 +26,7 @@ DEFAULT_EPOCH_FLOOR = datetime(2000, 1, 1, tzinfo=timezone.utc)
 MAX_PARAMS = 4
 
 # Both patterns must match the whole value (fullmatch), in ASCII digits only.
-_BUGCHECK_RE = re.compile(r"0x[0-9A-Fa-f]{1,8}")
+BUGCHECK_RE = re.compile(r"0x[0-9A-Fa-f]{1,8}")
 _TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:Z|\+00:00)")
 
 # json.dumps(ensure_ascii=False)'s string encoder: one str as JSON text, non-ASCII kept raw
@@ -170,7 +170,7 @@ def parse_record(line: str, line_no: int | None = None) -> RawLogRecord:
     if bugcheck is not None:
         if not isinstance(bugcheck, str):
             raise MalformedRecord("bugcheck must be a string", line_no)
-        if _BUGCHECK_RE.fullmatch(bugcheck) is None:
+        if BUGCHECK_RE.fullmatch(bugcheck) is None:
             raise BadCode(f"bugcheck {bugcheck!r} violates 0x hex pattern", line_no)
 
     params_raw = obj.get("params")
@@ -241,7 +241,7 @@ def load_catalog(path: str | Path) -> dict[str, str]:
         if len(parts) != 2:
             raise MalformedRecord(f"catalog line needs two columns: {line!r}", line_no)
         code, label = parts
-        if _BUGCHECK_RE.fullmatch(code) is None:
+        if BUGCHECK_RE.fullmatch(code) is None:
             raise BadCode(f"catalog code {code!r} violates 0x hex pattern", line_no)
         catalog[canonical_code(code)] = normalize_cause(label)
     return catalog

@@ -3,7 +3,9 @@
 Each stage writes its own file once. Run alone, a stage reads only the
 files the previous stage declared, so any stage can be rerun; inside
 `run_all` each stage takes the previous stage's in-memory result instead,
-and no stage file is read back. Each JSON-lines stage file past the logs
+and no file is parsed back, logs.jsonl included: synth hands its records to
+ingest, which parses a logs file only when `paths.logs` names one (synth
+then does not run). Each JSON-lines stage file past the logs
 (events.jsonl, windows.jsonl, predictions.jsonl) has one field table here,
 which both writes its lines and checks and decodes them when read. The
 full run also writes a manifest that pins the resolved config, the seed,
@@ -43,6 +45,7 @@ from .errors import (
 from .ingest import (
     CrashCorpus,
     CrashEvent,
+    RawLogRecord,
     build_corpus,
     decode_json,
     default_catalog,
@@ -53,6 +56,7 @@ from .ingest import (
     load_catalog,
     parse_lines,
     parse_timestamp,
+    record_to_line,
 )
 from .metrics import CATEGORIES, aggregate, score_item
 from .postprocess import (
@@ -87,7 +91,8 @@ from .sequencer import (
     partition_windows,
     window_index_of,
 )
-from .synthgen import generate_corpus
+# generate_corpus is not called here: bench/tracer.py wraps it by its name in this module
+from .synthgen import generate_corpus, generate_records
 
 LOGS_FILE = "logs.jsonl"
 EVENTS_FILE = "events.jsonl"
@@ -327,20 +332,29 @@ def _pair_key(pair: LabeledPair) -> tuple[str, int]:
 
 # --- synth ---------------------------------------------------------------------
 
-def synth_stage(config: RunConfig) -> Path:
-    path = logs_path_of(config)
-    _write_lines(path, generate_corpus(config.generator, seed=config.seed))
-    return path
+def synth_stage(config: RunConfig) -> list[RawLogRecord]:
+    """The synthetic records, written to logs.jsonl; a paths.logs file is input, never written."""
+    if config.paths.logs:
+        raise ConfigError(f"synth never writes to paths.logs ({config.paths.logs}): unset it")
+    records = generate_records(config.generator, seed=config.seed)
+    _write_lines(logs_path_of(config), map(record_to_line, records))
+    return records
 
 
 # --- ingest --------------------------------------------------------------------
 
-def ingest_stage(config: RunConfig) -> CrashCorpus:
-    digest = hashlib.sha256()
-    records = parse_lines(_read_lines(logs_path_of(config), digest))
+def ingest_stage(config: RunConfig, records: Sequence[RawLogRecord] | None = None) -> CrashCorpus:
+    """The corpus of records, those synth_stage wrote to the logs file; None parses that file."""
+    path = logs_path_of(config)
+    if records is None:
+        digest = hashlib.sha256()
+        records = parse_lines(_read_lines(path, digest))
+        source_digest = digest.hexdigest()
+    else:
+        source_digest = _file_digest(path)
     critical = filter_critical(records)
     catalog = _named_file("paths.catalog", config.paths.catalog, load_catalog, default_catalog)
-    corpus = build_corpus(critical, catalog=catalog, source_digest=digest.hexdigest())
+    corpus = build_corpus(critical, catalog=catalog, source_digest=source_digest)
 
     out_dir = out_dir_of(config)
     _write_lines(out_dir / EVENTS_FILE, (encode_line(EVENT_FIELDS, e) for e in corpus.events))
@@ -830,9 +844,9 @@ def run_all(config: RunConfig) -> dict[str, Any]:
             timings[name] = time.perf_counter() - started
 
     try:
-        if not config.paths.logs:
-            timed("synth", lambda: synth_stage(config))
-        corpus = timed("ingest", lambda: ingest_stage(config))
+        records = None if config.paths.logs else timed("synth", lambda: synth_stage(config))
+        corpus = timed("ingest", lambda: ingest_stage(config, records))
+        records = None  # the corpus holds what later stages need
         counts["events"] = len(corpus.events)
         sequences = timed("sequence", lambda: sequence_stage(config, corpus))
         counts["systems"] = len(sequences)

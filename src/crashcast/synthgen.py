@@ -20,7 +20,7 @@ from operator import add
 
 from ._seed import derive_seed
 from .errors import ConfigError
-from .ingest import RawLogRecord, default_catalog, record_to_line
+from .ingest import BUGCHECK_RE, RawLogRecord, default_catalog, record_to_line
 
 DEFAULT_START = datetime(2021, 1, 1, tzinfo=timezone.utc)
 DEFAULT_DOMINANT_CODE = "0x9F"
@@ -64,6 +64,11 @@ class GeneratorConfig:
             raise ConfigError("per_system_rate must be positive")
         if self.noise_fraction < 0:
             raise ConfigError("noise_fraction must not be negative")
+        # ingest takes the records as generated, so each must equal what its log line parses
+        # to: a UTC instant in whole seconds, and a code the log's bugcheck pattern accepts
+        start = self.start_date
+        if not isinstance(start, datetime) or start.tzinfo is not timezone.utc or start.microsecond:
+            raise ConfigError(f"start_date must be a UTC instant in whole seconds, got {start!r}")
         # a log timestamp has a four-digit year, so the horizon must lie within 1000-9999
         if self.start_date.year < 1000:
             raise ConfigError(
@@ -80,6 +85,8 @@ class GeneratorConfig:
             if not self.cause_catalog:
                 raise ConfigError("cause_catalog must not be empty")
             for code, label, weight in self.cause_catalog:
+                if not (isinstance(code, str) and BUGCHECK_RE.fullmatch(code)):
+                    raise ConfigError(f"cause_catalog code {code!r} is not 0x and 1-8 hex digits")
                 if not (math.isfinite(weight) and weight > 0):
                     raise ConfigError(f"weight for {code} must be positive and finite")
                 if not label:

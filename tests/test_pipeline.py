@@ -403,6 +403,9 @@ class TestStages:
             "load_predictions",
             "_read_records",
             "_read_json",
+            # synth hands its records to ingest: logs.jsonl is not parsed back either
+            "parse_lines",
+            "_read_lines",
         ):
             monkeypatch.setattr(pipeline, reader, refuse)
         report = run_all(small_config(tmp_path / "out"))
@@ -430,7 +433,8 @@ class TestStages:
         # a logs file of about 1.8 MB; ingest keeps its records and its corpus, about
         # 5.5 times the file, and holding the file's text or every output line too passes 9
         config = small_config(tmp_path / "out", generator={"n_systems": 40, "days": 540})
-        size = synth_stage(config).stat().st_size
+        synth_stage(config)
+        size = pipeline.logs_path_of(config).stat().st_size
         tracemalloc.start()
         try:
             ingest_stage(config)
@@ -927,6 +931,46 @@ class TestCli:
         assert written == {"logs", "events", "windows"}
         for name in (SPLIT_FILE, PREDICTIONS_FILE, REPORT_FILE, TABLE_FILE):
             assert not (out / name).exists()
+
+    # run hands synth's records to ingest; the other routes parse the logs file they wrote
+    @pytest.mark.parametrize("bursty", [False, True], ids=["flat", "bursty"])
+    def test_synth_run_matches_a_run_on_its_logs_and_the_stage_commands(self, tmp_path, bursty):
+        generator = {**SMALL_RUN["generator"], "bursty": bursty}
+        run_all(small_config(tmp_path / "synth", generator=generator))
+        logs = tmp_path / "copy.jsonl"
+        logs.write_bytes((tmp_path / "synth" / LOGS_FILE).read_bytes())
+        run_all(small_config(tmp_path / "named", generator=generator, paths={"logs": str(logs)}))
+        config_path = self.write_config(tmp_path, generator=generator)
+        for stage in STAGES:
+            result = self.invoke("--config", str(config_path), stage)
+            assert result.exit_code == 0, (stage, result.output)
+        for name in (EVENTS_FILE, INGEST_FILE, WINDOWS_FILE, REPORT_FILE):
+            expected = (tmp_path / "synth" / name).read_bytes()
+            assert (tmp_path / "named" / name).read_bytes() == expected, name
+            assert (tmp_path / "out" / name).read_bytes() == expected, name
+
+    def test_synth_refuses_to_overwrite_the_named_logs_file(self, tmp_path):
+        mine = tmp_path / "mine.jsonl"
+        mine.write_text('{"guid": "mine", "ts": "2021-03-04T05:06:07Z", "event_id": 41}\n')
+        before = mine.read_bytes()
+        config_path = self.write_config(
+            tmp_path, paths={"logs": str(mine), "out_dir": str(tmp_path / "out")}
+        )
+        result = self.invoke("--config", str(config_path), "synth")
+        assert result.exit_code == 2, result.output
+        assert "paths.logs" in result.output
+        assert mine.read_bytes() == before
+        assert not (tmp_path / "out" / LOGS_FILE).exists()
+
+    # ingest takes synth's records unparsed, so a code the log pattern refuses is refused early
+    @pytest.mark.parametrize("code", ["0xZZ", "9F"])
+    def test_catalog_code_past_the_log_pattern_is_exit_two(self, tmp_path, code):
+        generator = {**SMALL_RUN["generator"], "cause_catalog": [[code, "bad code", 1.0]]}
+        config_path = self.write_config(tmp_path, generator=generator)
+        result = self.invoke("--config", str(config_path), "run")
+        assert result.exit_code == 2, result.output
+        assert f"cause_catalog code {code!r}" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_never_touches_the_named_logs_file(self, tmp_path):
         out = tmp_path / "out"

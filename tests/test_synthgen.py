@@ -1,6 +1,6 @@
 import collections
 import math
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -185,6 +185,12 @@ class TestConfigValidation:
             {"noise_fraction": -0.1},
             {"cause_catalog": [("0xA", "a", 0.0)]},
             {"cause_catalog": [("0xA", "a", float("inf"))]},
+            # a code or start the logs cannot hold: a record would differ from its parsed line
+            *({"cause_catalog": [(code, "a", 1.0)]}
+              for code in ("0xZZ", "9F", "0x", "0x123456789", "0x9F\n", "0x\u0669")),
+            {"start_date": datetime(2021, 1, 1)},
+            {"start_date": datetime(2021, 1, 1, tzinfo=timezone(timedelta(hours=1)))},
+            {"start_date": datetime(2021, 1, 1, 0, 0, 0, 500000, tzinfo=timezone.utc)},
         ],
     )
     def test_bad_values_are_refused(self, kwargs):
@@ -205,3 +211,28 @@ def test_horizon_at_either_end_of_four_digit_years_reads_back(start, days):
 def test_horizon_past_four_digit_years_is_a_config_error(start, days):
     with pytest.raises(ConfigError, match="start_date"):
         GeneratorConfig(days=days, start_date=start)
+
+
+# configs whose records the pipeline hands to ingest without writing and parsing them
+HANDOFF_CONFIGS = {
+    "default": GeneratorConfig(),
+    "bursty": GeneratorConfig(bursty=True),
+    "no-noise": GeneratorConfig(noise_fraction=0.0),
+    "padded-lower-case-codes": GeneratorConfig(
+        cause_catalog=(("0x0000009f", "driver power state failure", 3.0),
+                       ("0xa", "irql not less or equal", 1.0)),
+    ),
+    "year-1000": GeneratorConfig(n_systems=2, days=60, per_system_rate=2.0,
+                                 start_date=datetime(1000, 1, 1, tzinfo=timezone.utc)),
+    "year-9999": GeneratorConfig(n_systems=2, days=31, per_system_rate=2.0,
+                                 start_date=datetime(9999, 12, 1, tzinfo=timezone.utc)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HANDOFF_CONFIGS))
+def test_records_equal_what_their_log_lines_parse_to(name):
+    config = HANDOFF_CONFIGS[name]
+    records = generate_records(config, seed=3)
+    parsed = parse_lines(generate_corpus(config, seed=3))
+    assert parsed == records
+    assert [*map(repr, parsed)] == [*map(repr, records)]  # the same tzinfo, too
