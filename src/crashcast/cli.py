@@ -1,7 +1,8 @@
 """Command-line front end: one subcommand per stage plus an all-in-one run.
 
-Exit codes: 0 success, 2 configuration problems, 3 data problems,
-4 backend problems, 130 stopped by Ctrl-C or SIGTERM.
+Exit codes: 0 success, 2 configuration problems (an output that cannot
+be written included), 3 data problems, 4 backend problems, 130 stopped by
+Ctrl-C or SIGTERM.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ def _execute(fn):
     except BackendError as err:
         click.echo(f"backend error: {err}", err=True)
         sys.exit(EXIT_BACKEND)
+    except OSError as err:  # an output the config places where it cannot be written
+        click.echo(f"config error: cannot write {err.filename}: {err.strerror or err}", err=True)
+        sys.exit(EXIT_CONFIG)
     except KeyboardInterrupt:
         click.echo("stopped", err=True)
         sys.exit(EXIT_STOPPED)

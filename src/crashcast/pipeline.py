@@ -11,6 +11,13 @@ which both writes its lines and checks and decodes them when read. The
 full run also writes a manifest that pins the resolved config, the seed,
 the backend, and the digests of every output; wall-clock timings go to a
 separate file so the manifest stays byte-identical across identical runs.
+
+The three large files (logs.jsonl, events.jsonl, windows.jsonl) are each
+encoded and written by a child made with os.fork(), so this module needs
+POSIX, while this process goes on to the next stage. `run_all` waits for
+every child before its manifest; a stage called alone waits for its child
+before it returns. The child only encodes and writes: it logs, prints and
+imports nothing, and leaves with os._exit.
 """
 
 from __future__ import annotations
@@ -133,25 +140,114 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+def _partial_of(path: Path) -> Path:
+    return path.with_name(f".{path.name}.partial")
+
+
 def _write(path: Path, chunks: Iterable[str]) -> None:
     """Write the text chunks to path as they come, creating its directory.
 
     They go to a hidden .partial sibling that then replaces path, so a
-    write stopped partway leaves the earlier file whole, or no file.
+    write stopped partway leaves the earlier file whole, or no file. An
+    OSError names path, not the sibling.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    partial = path.with_name(f".{path.name}.partial")
+    partial = _partial_of(path)
     try:
         with partial.open("w", encoding="utf-8") as stream:
             stream.writelines(chunks)
         os.replace(partial, path)
-    except BaseException:
+    except BaseException as err:
         partial.unlink(missing_ok=True)
+        if isinstance(err, OSError):
+            raise OSError(err.errno, err.strerror or str(err), str(path)) from None
         raise
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
     _write(path, (line + "\n" for line in lines))
+
+
+class Writers:
+    """Forked children, each writing one file with _write_lines while this process goes on.
+
+    Leaving the with block waits for every child, so the files the run got
+    to are whole. Left normally, it then raises the first child's failure;
+    left on an exception, it only removes a failed child's .partial file,
+    and the exception goes on. An interrupt while it waits kills the
+    children that are left. No child outlives the block. A stage given no
+    Writers makes its own, so it returns with its file whole.
+    """
+
+    def __init__(self) -> None:
+        self._live: dict[Path, tuple[int, int]] = {}  # path: (pid, read end of its report pipe)
+
+    def __enter__(self) -> Writers:
+        return self
+
+    def __exit__(self, kind, err, tb) -> None:
+        try:
+            self.wait(*self._live, raising=kind is None)
+        finally:
+            self.stop()
+
+    def start(self, path: Path, lines: Iterable[str]) -> None:
+        """Write lines to path from a forked child, which only encodes and writes."""
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: an error goes down the pipe as "<errno or 0> <reason>"
+            try:
+                os.nice(10)  # where it contends for a core, the next stage goes first
+                _write_lines(path, lines)
+                os._exit(0)
+            except OSError as err:
+                os.write(write_end, f"{err.errno or 0} {err.strerror or err}".encode())
+            except BaseException as err:
+                os.write(write_end, f"- {err!r}".encode())
+            finally:
+                os._exit(1)
+        os.close(write_end)
+        self._live[path] = (pid, read_end)
+
+    def wait(self, *paths: Path, raising: bool = True) -> None:
+        """Reap the writers of paths that still run, then raise the first failure if raising.
+
+        A failed writer's .partial file is removed: a killed child cannot remove it.
+        """
+        failure: Exception | None = None
+        for path in paths:
+            if path not in self._live:
+                continue
+            pid, read_end = self._live[path]
+            with open(read_end, "rb", closefd=False) as pipe:
+                report = pipe.read().decode("utf-8", "replace")  # to EOF: the child has left
+            status = os.waitpid(pid, 0)[1]
+            del self._live[path]
+            os.close(read_end)
+            if status:
+                _partial_of(path).unlink(missing_ok=True)
+                code, _, reason = report.partition(" ")
+                failure = failure or (
+                    OSError(int(code) or None, reason, str(path)) if code.isdigit()
+                    else RuntimeError(f"the writer of {path} failed: {reason or status}")
+                )
+        if failure is not None and raising:
+            raise failure
+
+    def stop(self) -> None:
+        """Kill every writer that still runs, reap it and remove its .partial file."""
+        for path, (pid, read_end) in [*self._live.items()]:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            del self._live[path]
+            os.close(read_end)
+            _partial_of(path).unlink(missing_ok=True)
+
+
+def _write_forked(path: Path, lines: Iterable[str], writers: Writers | None) -> None:
+    """Write lines to path from a child: one of writers, or, given None, one waited for here."""
+    with (nullcontext(writers) if writers is not None else Writers()) as writers:
+        writers.start(path, lines)
 
 
 def _write_json(path: Path, payload: Any) -> None:
@@ -332,32 +428,40 @@ def _pair_key(pair: LabeledPair) -> tuple[str, int]:
 
 # --- synth ---------------------------------------------------------------------
 
-def synth_stage(config: RunConfig) -> list[RawLogRecord]:
+def synth_stage(config: RunConfig, writers: Writers | None = None) -> list[RawLogRecord]:
     """The synthetic records, written to logs.jsonl; a paths.logs file is input, never written."""
     if config.paths.logs:
         raise ConfigError(f"synth never writes to paths.logs ({config.paths.logs}): unset it")
     records = generate_records(config.generator, seed=config.seed)
-    _write_lines(logs_path_of(config), map(record_to_line, records))
+    _write_forked(logs_path_of(config), map(record_to_line, records), writers)
     return records
 
 
 # --- ingest --------------------------------------------------------------------
 
-def ingest_stage(config: RunConfig, records: Sequence[RawLogRecord] | None = None) -> CrashCorpus:
+def ingest_stage(
+    config: RunConfig,
+    records: Sequence[RawLogRecord] | None = None,
+    writers: Writers | None = None,
+) -> CrashCorpus:
     """The corpus of records, those synth_stage wrote to the logs file; None parses that file."""
     path = logs_path_of(config)
+    digest = None
     if records is None:
         digest = hashlib.sha256()
         records = parse_lines(_read_lines(path, digest))
-        source_digest = digest.hexdigest()
-    else:
-        source_digest = _file_digest(path)
     critical = filter_critical(records)
     catalog = _named_file("paths.catalog", config.paths.catalog, load_catalog, default_catalog)
-    corpus = build_corpus(critical, catalog=catalog, source_digest=source_digest)
+    corpus = build_corpus(critical, catalog=catalog)
 
     out_dir = out_dir_of(config)
-    _write_lines(out_dir / EVENTS_FILE, (encode_line(EVENT_FIELDS, e) for e in corpus.events))
+    _write_forked(
+        out_dir / EVENTS_FILE, (encode_line(EVENT_FIELDS, e) for e in corpus.events), writers
+    )
+    if writers is not None:
+        writers.wait(path)  # synth's writer, if it still runs: the digest needs the whole file
+    source_digest = digest.hexdigest() if digest is not None else _file_digest(path)
+    corpus = dataclasses.replace(corpus, source_digest=source_digest)
     _write_json(
         out_dir / INGEST_FILE,
         {
@@ -382,17 +486,21 @@ def load_events(path: Path) -> CrashCorpus:
 
 # --- sequence ------------------------------------------------------------------
 
-def sequence_stage(config: RunConfig, corpus: CrashCorpus | None = None) -> list[EventSequence]:
+def sequence_stage(
+    config: RunConfig, corpus: CrashCorpus | None = None, writers: Writers | None = None
+) -> list[EventSequence]:
     """Sequences and windows of the corpus; None reads the corpus from events.jsonl."""
     out_dir = out_dir_of(config)
     if corpus is None:
         corpus = load_events(out_dir / EVENTS_FILE)
     sequences = build_sequences(corpus)
     width = config.window_days
-    _write_lines(
+    # partitioned here, encoded in the writer
+    partitions = [(seq, partition_windows(seq, width)) for seq in sequences]
+    _write_forked(
         out_dir / WINDOWS_FILE,
-        (line for seq in sequences
-         for line in windows_to_lines(seq, partition_windows(seq, width), width)),
+        (line for seq, windows in partitions for line in windows_to_lines(seq, windows, width)),
+        writers,
     )
     return sequences
 
@@ -844,21 +952,25 @@ def run_all(config: RunConfig) -> dict[str, Any]:
             timings[name] = time.perf_counter() - started
 
     try:
-        records = None if config.paths.logs else timed("synth", lambda: synth_stage(config))
-        corpus = timed("ingest", lambda: ingest_stage(config, records))
-        records = None  # the corpus holds what later stages need
-        counts["events"] = len(corpus.events)
-        sequences = timed("sequence", lambda: sequence_stage(config, corpus))
-        counts["systems"] = len(sequences)
-        counts["pairs"] = sum(max(len(seq.events) - 1, 0) for seq in sequences)
-        train, validation = timed("split", lambda: split_stage(config, sequences))
-        counts["train"] = len(train)
-        counts["validation"] = len(validation)
-        validation_systems = _count_by_system(validation)
-        predictions = timed("predict", lambda: predict_stage(config, (train, validation)))
-        counts["predictions"] = len(predictions)
-        backend_id = predictions[0]["backend_id"] if predictions else None
-        report = timed("evaluate", lambda: evaluate_stage(config, predictions))
+        # the large stage files are written by forked children, all waited for or stopped here
+        with Writers() as writers:
+            records = (
+                None if config.paths.logs else timed("synth", lambda: synth_stage(config, writers))
+            )
+            corpus = timed("ingest", lambda: ingest_stage(config, records, writers))
+            records = None  # the corpus holds what later stages need
+            counts["events"] = len(corpus.events)
+            sequences = timed("sequence", lambda: sequence_stage(config, corpus, writers))
+            counts["systems"] = len(sequences)
+            counts["pairs"] = sum(max(len(seq.events) - 1, 0) for seq in sequences)
+            train, validation = timed("split", lambda: split_stage(config, sequences))
+            counts["train"] = len(train)
+            counts["validation"] = len(validation)
+            validation_systems = _count_by_system(validation)
+            predictions = timed("predict", lambda: predict_stage(config, (train, validation)))
+            counts["predictions"] = len(predictions)
+            backend_id = predictions[0]["backend_id"] if predictions else None
+            report = timed("evaluate", lambda: evaluate_stage(config, predictions))
     except (ConfigError, DataError, BackendError, KeyboardInterrupt) as err:
         predictions_path = out_dir / PREDICTIONS_FILE
         lines = _read_lines(predictions_path) if predictions_path.is_file() else ()

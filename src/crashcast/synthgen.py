@@ -65,10 +65,13 @@ class GeneratorConfig:
         if self.noise_fraction < 0:
             raise ConfigError("noise_fraction must not be negative")
         # ingest takes the records as generated, so each must equal what its log line parses
-        # to: a UTC instant in whole seconds, and a code the log's bugcheck pattern accepts
+        # to (a UTC instant, a code the log's bugcheck pattern accepts); and the manifest
+        # holds start_date as a date, so it must be midnight to rebuild the same records
         start = self.start_date
-        if not isinstance(start, datetime) or start.tzinfo is not timezone.utc or start.microsecond:
-            raise ConfigError(f"start_date must be a UTC instant in whole seconds, got {start!r}")
+        if not isinstance(start, datetime) or start.tzinfo is not timezone.utc:
+            raise ConfigError(f"start_date must be a UTC datetime, got {start!r}")
+        if start.time() != datetime.min.time():
+            raise ConfigError(f"start_date must be midnight UTC, got {start.isoformat()}")
         # a log timestamp has a four-digit year, so the horizon must lie within 1000-9999
         if self.start_date.year < 1000:
             raise ConfigError(

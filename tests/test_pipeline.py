@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import gc
 import hashlib
 import importlib.util
@@ -22,7 +23,7 @@ from crashcast import pipeline
 from crashcast.cli import main
 from crashcast.config import RunConfig, parse_run_config
 from crashcast.errors import DataError, InsufficientData, ScriptExhausted, TransportError
-from crashcast.ingest import format_timestamp
+from crashcast.ingest import format_timestamp, record_to_line
 from crashcast.predictor import PredictionRaw, baseline_answer
 from crashcast.sequencer import enumerate_pairs
 from crashcast.pipeline import (
@@ -972,6 +973,20 @@ class TestCli:
         assert f"cause_catalog code {code!r}" in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_an_output_under_a_regular_file_is_exit_two(self, tmp_path):
+        (tmp_path / "a-file").write_text("")
+        out = tmp_path / "a-file" / "out"
+        result = self.invoke("--out-dir", str(out), "run")
+        assert result.exit_code == 2, result.output
+        assert f"config error: cannot write {out}: Not a directory" in result.output
+
+    def test_a_writer_that_fails_is_exit_two_naming_its_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "record_to_line", _no_space)
+        result = self.invoke("--config", str(self.write_config(tmp_path)), "run")
+        assert result.exit_code == 2, result.output
+        logs = tmp_path / "out" / LOGS_FILE
+        assert f"config error: cannot write {logs}: No space left on device" in result.output
+
     def test_rerun_never_touches_the_named_logs_file(self, tmp_path):
         out = tmp_path / "out"
         config_path = self.write_config(tmp_path)
@@ -1279,6 +1294,146 @@ def test_a_write_stopped_partway_leaves_the_earlier_file_whole(tmp_path):
         pipeline._write(path, chunks())
     assert path.read_bytes() == b"the earlier file\n"
     assert [p.name for p in path.parent.iterdir()] == [EVENTS_FILE]
+
+
+def _no_space(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.fixture
+def writer_pids(monkeypatch):
+    """The pids of the children forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_no_writer_left(out, pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # reaped: neither running nor a zombie
+            os.waitpid(pid, os.WNOHANG)
+    assert not [*out.glob(".*.partial")]
+
+
+class TestWriters:
+    """The large stage files are written by forked children."""
+
+    @pytest.mark.parametrize("ending", [None, InsufficientData, KeyboardInterrupt, RuntimeError])
+    def test_no_writer_outlives_run_all(self, tmp_path, monkeypatch, writer_pids, ending):
+        out = tmp_path / "out"
+        config = small_config(out)
+        if ending is InsufficientData:
+            config = small_config(out, split={"train_pairs": 30, "validation_pairs": 100000})
+        real_windows_to_lines = pipeline.windows_to_lines
+
+        def slow_windows_to_lines(seq, windows, width_days):
+            time.sleep(0.05)
+            return real_windows_to_lines(seq, windows, width_days)
+
+        def stop_while_windows_are_written(history):
+            deadline = time.monotonic() + 10
+            while not (out / f".{WINDOWS_FILE}.partial").exists():
+                assert time.monotonic() < deadline, "the windows writer never started"
+                time.sleep(0.001)
+            raise ending()
+
+        monkeypatch.setattr(pipeline, "windows_to_lines", slow_windows_to_lines)
+        if ending in (KeyboardInterrupt, RuntimeError):
+            monkeypatch.setattr(pipeline, "baseline_answer", stop_while_windows_are_written)
+        if ending is None:
+            run_all(config)
+        else:
+            with pytest.raises(ending):
+                run_all(config)
+        _assert_no_writer_left(out, writer_pids)
+        if ending is RuntimeError:  # not an error run_all handles: no manifest
+            assert not (out / MANIFEST_FILE).exists()
+            return
+        # run_all waited for every writer: the manifest digests whole files
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        for name in (LOGS_FILE, EVENTS_FILE, WINDOWS_FILE):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert manifest["outputs"][name.split(".")[0]] == digest, name
+        assert manifest["item_counts"]["systems"] == len(load_sequences(config))
+
+    def test_partition_windows_runs_in_this_process_once_per_sequence(self, tmp_path, monkeypatch):
+        calls = []
+        real_partition_windows = pipeline.partition_windows
+
+        def recording(seq, width_days):
+            calls.append((os.getpid(), seq.system_id))
+            return real_partition_windows(seq, width_days)
+
+        monkeypatch.setattr(pipeline, "partition_windows", recording)
+        config = small_config(tmp_path / "out")
+        sequences = sequence_stage(config, ingest_stage(config, synth_stage(config)))
+        assert calls == [(os.getpid(), seq.system_id) for seq in sequences]
+
+    def test_each_stage_alone_returns_with_its_file_whole(self, tmp_path, writer_pids):
+        out = tmp_path / "out"
+        config = small_config(out)
+        records = synth_stage(config)
+        _assert_no_writer_left(out, writer_pids)
+        assert (out / LOGS_FILE).read_text() == "".join(record_to_line(r) + "\n" for r in records)
+        corpus = ingest_stage(config, records)
+        _assert_no_writer_left(out, writer_pids)
+        assert load_events(out / EVENTS_FILE).events == corpus.events
+        sequences = sequence_stage(config, corpus)
+        _assert_no_writer_left(out, writer_pids)
+        assert load_sequences(config) == sequences
+
+    def test_a_write_that_fails_in_a_writer_reaches_the_caller(
+        self, tmp_path, monkeypatch, writer_pids
+    ):
+        out = tmp_path / "out"
+        config = small_config(out)
+        synth_stage(config)
+        monkeypatch.setattr(pipeline, "encode_line", _no_space)
+        with pytest.raises(OSError) as raised:
+            ingest_stage(config)
+        assert raised.value.errno == errno.ENOSPC
+        assert raised.value.filename == str(out / EVENTS_FILE)
+        assert not (out / EVENTS_FILE).exists()
+        _assert_no_writer_left(out, writer_pids)
+
+    def test_run_all_raises_a_failed_writer_error_with_no_writer_left(
+        self, tmp_path, monkeypatch, writer_pids
+    ):
+        out = tmp_path / "out"
+        monkeypatch.setattr(pipeline, "record_to_line", _no_space)
+        with pytest.raises(OSError) as raised:
+            run_all(small_config(out))
+        assert raised.value.errno == errno.ENOSPC
+        assert raised.value.filename == str(out / LOGS_FILE)
+        assert not (out / LOGS_FILE).exists()
+        _assert_no_writer_left(out, writer_pids)
+
+    def test_stop_kills_a_running_writer_and_removes_its_partial_file(self, tmp_path, writer_pids):
+        path = tmp_path / EVENTS_FILE
+
+        def endless():
+            while True:
+                time.sleep(0.01)
+                yield "a line"
+
+        writers = pipeline.Writers()
+        writers.start(path, endless())
+        deadline = time.monotonic() + 10
+        while not (tmp_path / f".{EVENTS_FILE}.partial").exists():
+            assert time.monotonic() < deadline, "the writer never started"
+            time.sleep(0.001)
+        writers.stop()
+        _assert_no_writer_left(tmp_path, writer_pids)
+        assert not path.exists()
 
 
 def test_baseline_predict_answers_in_this_thread(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from crashcast.config import RunConfig, parse_run_config, resolved_dict
 from crashcast.errors import ConfigError
 from crashcast.ingest import build_corpus, filter_critical, parse_lines
 from crashcast.synthgen import (
@@ -191,6 +192,8 @@ class TestConfigValidation:
             {"start_date": datetime(2021, 1, 1)},
             {"start_date": datetime(2021, 1, 1, tzinfo=timezone(timedelta(hours=1)))},
             {"start_date": datetime(2021, 1, 1, 0, 0, 0, 500000, tzinfo=timezone.utc)},
+            # the manifest holds the date only, so a time of day would not replay
+            {"start_date": datetime(2021, 1, 1, 12, tzinfo=timezone.utc)},
         ],
     )
     def test_bad_values_are_refused(self, kwargs):
@@ -236,3 +239,10 @@ def test_records_equal_what_their_log_lines_parse_to(name):
     parsed = parse_lines(generate_corpus(config, seed=3))
     assert parsed == records
     assert [*map(repr, parsed)] == [*map(repr, records)]  # the same tzinfo, too
+
+
+@pytest.mark.parametrize("name", sorted(HANDOFF_CONFIGS))
+def test_the_manifest_config_rebuilds_the_same_generator(name):
+    # default, bursty and a custom catalog among them
+    config = RunConfig(generator=HANDOFF_CONFIGS[name])
+    assert parse_run_config(resolved_dict(config)) == config
