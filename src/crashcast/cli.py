@@ -53,7 +53,8 @@ def _execute(fn):
         click.echo(f"backend error: {err}", err=True)
         sys.exit(EXIT_BACKEND)
     except OSError as err:  # an output the config places where it cannot be written
-        click.echo(f"config error: cannot write {err.filename}: {err.strerror or err}", err=True)
+        name = "an output" if err.filename is None else err.filename
+        click.echo(f"config error: cannot write {name}: {err.strerror or err}", err=True)
         sys.exit(EXIT_CONFIG)
     except KeyboardInterrupt:
         click.echo("stopped", err=True)

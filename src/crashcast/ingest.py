@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -276,43 +278,40 @@ def build_corpus(
 
     Cause text is normalized; records without a cause fall back to the
     catalog, then to the bugcheck code itself. Exact duplicates on
-    (system_id, time, bugcheck_code) collapse to one and are counted,
-    as are events before the epoch floor. Raises EmptyCorpus when
+    (system_id, time, bugcheck_code) collapse to the first in input
+    order and are counted, as are events before the epoch floor. Raises EmptyCorpus when
     nothing survives. source_digest is stored as given.
     """
     if catalog is None:
         catalog = default_catalog()
 
-    seen: set[tuple[str, datetime, str]] = set()
     # a run holds a dozen or so distinct codes and kinds: derive each once, share the strings
     codes: dict[str | None, str] = {}
     kinds: dict[tuple[str | None, str | None], str] = {}
     events: list[CrashEvent] = []
-    duplicates = 0
+    append, new = events.append, tuple.__new__
     dropped = 0
     for record in records:
-        if record.timestamp < epoch_floor:
+        system_id, timestamp, _, raw, params, cause = record
+        if timestamp < epoch_floor:
             dropped += 1
             continue
-        raw = record.bugcheck_code
         if (code := codes.get(raw)) is None:
             code = codes[raw] = canonical_code(raw) if raw else ""
-        key = (record.system_id, record.timestamp, code)
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        if (kind := kinds.get((record.cause, raw))) is None:
-            kind = kinds[record.cause, raw] = _derive_kind(record, catalog)
-        events.append(CrashEvent(record.system_id, record.timestamp, kind, code, record.params))
+        if (kind := kinds.get((cause, raw))) is None:
+            kind = kinds[cause, raw] = _derive_kind(record, catalog)
+        append(new(CrashEvent, (system_id, timestamp, kind, code, params)))
 
     if not events:
         raise EmptyCorpus("zero crash events survived corpus construction")
 
-    events.sort(key=lambda e: (e.system_id, e.time, e.bugcheck_code))
+    # the sort is stable, so the first of each run of equal keys is the first in input order
+    key = itemgetter(0, 1, 3)  # (system_id, time, bugcheck_code)
+    events.sort(key=key)
+    kept = [next(group) for _, group in groupby(events, key)]
     return CrashCorpus(
-        events=tuple(events),
+        events=tuple(kept),
         source_digest=source_digest,
-        duplicates=duplicates,
+        duplicates=len(events) - len(kept),
         dropped_before_floor=dropped,
     )

@@ -48,6 +48,8 @@ def _prf(overlap: float, candidate_len: int, reference_len: int) -> RougeScore:
 
 def rouge_1(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
     """Clipped unigram overlap: each token counts at most its reference count."""
+    if candidate == reference:  # every token overlaps: no counting needed
+        return _prf(len(candidate), len(candidate), len(reference))
     cand_counts = Counter(candidate)
     ref_counts = Counter(reference)
     overlap = sum(min(count, ref_counts[token]) for token, count in cand_counts.items())

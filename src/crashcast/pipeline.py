@@ -181,6 +181,7 @@ class Writers:
 
     def __init__(self) -> None:
         self._live: dict[Path, tuple[int, int]] = {}  # path: (pid, read end of its report pipe)
+        self.waits: dict[str, float] = {}  # file name: seconds wait() blocked on its writer
 
     def __enter__(self) -> Writers:
         return self
@@ -193,8 +194,16 @@ class Writers:
 
     def start(self, path: Path, lines: Iterable[str]) -> None:
         """Write lines to path from a forked child, which only encodes and writes."""
-        read_end, write_end = os.pipe()
-        pid = os.fork()
+        try:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+        except OSError as err:  # no writer to start is a failure to write path
+            raise OSError(err.errno, err.strerror, str(path)) from None
         if pid == 0:  # the child: an error goes down the pipe as "<errno or 0> <reason>"
             try:
                 os.nice(10)  # where it contends for a core, the next stage goes first
@@ -219,9 +228,11 @@ class Writers:
             if path not in self._live:
                 continue
             pid, read_end = self._live[path]
+            started = time.perf_counter()
             with open(read_end, "rb", closefd=False) as pipe:
                 report = pipe.read().decode("utf-8", "replace")  # to EOF: the child has left
             status = os.waitpid(pid, 0)[1]
+            self.waits[path.name] = time.perf_counter() - started
             del self._live[path]
             os.close(read_end)
             if status:
@@ -940,6 +951,10 @@ def run_all(config: RunConfig) -> dict[str, Any]:
         if path.resolve() != keep:
             path.unlink(missing_ok=True)
     timings: dict[str, float] = {}
+    # the large stage files are written by forked children, all waited for or stopped here
+    writers = Writers()
+    # each wait is already inside its stage's seconds, so the waits are kept apart
+    timings_file = {"seconds": timings, "writer_waits": writers.waits}
     counts: dict[str, Any] = {}
     validation_systems: dict[str, int] = {}
     backend_id: str | None = None
@@ -952,8 +967,7 @@ def run_all(config: RunConfig) -> dict[str, Any]:
             timings[name] = time.perf_counter() - started
 
     try:
-        # the large stage files are written by forked children, all waited for or stopped here
-        with Writers() as writers:
+        with writers:
             records = (
                 None if config.paths.logs else timed("synth", lambda: synth_stage(config, writers))
             )
@@ -976,9 +990,9 @@ def run_all(config: RunConfig) -> dict[str, Any]:
         lines = _read_lines(predictions_path) if predictions_path.is_file() else ()
         counts.setdefault("predictions", sum(1 for line in lines if line.strip()))
         _write_manifest(config, "failed", err, counts, validation_systems, backend_id)
-        _write_json(out_dir / TIMINGS_FILE, {"seconds": timings})
+        _write_json(out_dir / TIMINGS_FILE, timings_file)
         raise
 
     _write_manifest(config, "ok", None, counts, validation_systems, backend_id)
-    _write_json(out_dir / TIMINGS_FILE, {"seconds": timings})
+    _write_json(out_dir / TIMINGS_FILE, timings_file)
     return report

@@ -16,10 +16,11 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import reduce
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
@@ -121,9 +122,8 @@ def fit_baseline(history: Sequence[SeqEvent]) -> BaselineModel:
         raise HistoryTooShort(f"need at least 2 events to fit a span, got {len(history)}")
     span_days = (history[-1].time - history[0].time) / timedelta(days=1)
     span_days = max(span_days, MIN_SPAN_DAYS)
-    counts: dict[str, int] = {}
-    for event in history:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
+    # a Counter keeps first-seen order, so total_rate adds the rates in the same order
+    counts = Counter(map(itemgetter(1), history))  # SeqEvent.kind
     rates = {kind: count / span_days for kind, count in counts.items()}
     return BaselineModel(
         rates=rates,

@@ -74,8 +74,9 @@ def build_sequences(corpus: CrashCorpus) -> list[EventSequence]:
     subsequent event forward by one second.
     """
     by_system: dict[str, list[SeqEvent]] = {}
-    for event in corpus.events:
-        by_system.setdefault(event.system_id, []).append(SeqEvent(event.time, event.kind))
+    new = tuple.__new__
+    for system_id, time, kind, _, _ in corpus.events:
+        by_system.setdefault(system_id, []).append(new(SeqEvent, (time, kind)))
 
     sequences = []
     for system_id in sorted(by_system):

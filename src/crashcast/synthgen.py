@@ -5,18 +5,22 @@ of whole days, with causes drawn from a weighted catalog. A bursty mode
 modulates the rate with per-system day-of-week multipliers so the data
 stops matching the baseline predictor's model family. Noise records with
 non-critical event ids are mixed in for filter testing. Identical configs
-produce byte-identical output.
+produce byte-identical output. Every draw goes through random() or
+getrandbits(), in the order and the way choices(), randrange() and choice()
+of the random API would make it, so the records are the same on Python
+3.10 to 3.13 and the per-record loops skip those methods' overhead.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import reduce
 from itertools import accumulate
-from operator import add
+from operator import add, itemgetter
 
 from ._seed import derive_seed
 from .errors import ConfigError
@@ -29,6 +33,7 @@ DEFAULT_DOMINANT_WEIGHT = 0.90
 NOISE_EVENT_IDS = (1074, 6008, 7001)
 
 _SECONDS_PER_DAY = 86400
+_SECONDS_BITS = _SECONDS_PER_DAY.bit_length()
 _KNUTH_MAX_RATE = 500  # Knuth's method needs exp(-rate) a normal float, so rate under ~708
 
 
@@ -99,32 +104,31 @@ class GeneratorConfig:
         return self.cause_catalog if self.cause_catalog is not None else default_cause_catalog()
 
 
-def _poisson_count(rng: random.Random, threshold: float, chunks: int) -> int:
-    """A Poisson(rate) draw as the sum of chunks Knuth draws, threshold exp(-rate / chunks)."""
-    count = 0
-    for _ in range(chunks):
-        product = rng.random()
-        while product > threshold:
-            count += 1
-            product *= rng.random()
-    return count
+def _below(getrandbits, n: int) -> int:
+    """randrange(n) as random.Random draws it: n.bit_length() random bits until one is under n."""
+    value = getrandbits(n.bit_length())
+    while value >= n:
+        value = getrandbits(n.bit_length())
+    return value
 
 
 def _system_records(
     config: GeneratorConfig,
     seed: int,
     system_index: int,
-    days: list[tuple[datetime, int]],
+    days: list[tuple[int, int]],
     labels: list[tuple[str, str]],
     cum_weights: list[float],
 ) -> list[RawLogRecord]:
     """One system's records.
 
-    days are the horizon's (day start, weekday) pairs; labels are the catalog's
-    (code, label) pairs, drawn by cum_weights.
+    days are the horizon's (seconds from start_date, weekday) pairs; labels are
+    the catalog's (code, label) pairs, drawn by cum_weights.
     """
     rng = random.Random(derive_seed(seed, "synth", system_index))
+    random_, getrandbits = rng.random, rng.getrandbits
     system_id = f"host-{system_index:03d}"
+    start, new = config.start_date, tuple.__new__
 
     multipliers = [1.0] * 7
     if config.bursty:
@@ -132,29 +136,43 @@ def _system_records(
         mean = reduce(add, raw, 0.0) / 7  # left to right: sum() compensates from Python 3.12
         multipliers = [value / mean for value in raw]
 
-    draws = []  # per weekday: (threshold, chunks), each chunk's rate at most _KNUTH_MAX_RATE
+    # a Poisson(rate) count is the sum of Knuth draws in chunks of rate at most
+    # _KNUTH_MAX_RATE, each against the threshold exp(-chunk rate): per weekday, one per chunk
+    thresholds = []
     for rate in (config.per_system_rate * value for value in multipliers):
         chunks = math.ceil(rate / _KNUTH_MAX_RATE)
-        draws.append((math.exp(-(rate / chunks)), chunks))
-    instants: list[datetime] = []
-    for day_start, weekday in days:
-        for _ in range(_poisson_count(rng, *draws[weekday])):
-            instants.append(day_start + timedelta(seconds=rng.randrange(_SECONDS_PER_DAY)))
-    instants.sort()
+        thresholds.append((math.exp(-(rate / chunks)),) * chunks)
+    offsets: list[int] = []  # crash instants as seconds from start_date
+    append = offsets.append
+    for day_offset, weekday in days:
+        count = 0
+        for threshold in thresholds[weekday]:
+            product = random_()
+            while product > threshold:
+                count += 1
+                product *= random_()
+        while count:  # _below(getrandbits, _SECONDS_PER_DAY) each, inlined
+            count -= 1
+            second = getrandbits(_SECONDS_BITS)
+            while second >= _SECONDS_PER_DAY:
+                second = getrandbits(_SECONDS_BITS)
+            append(day_offset + second)
+    offsets.sort()
 
+    # choices(labels, cum_weights=cum_weights): a bisection of the weights' running total
+    total, hi = cum_weights[-1] + 0.0, len(labels) - 1
     records = []
-    for instant in instants:
-        code, label = rng.choices(labels, cum_weights=cum_weights)[0]
-        records.append(
-            RawLogRecord(system_id, instant, 41, code, (f"0x{rng.getrandbits(16):X}", "0x0"), label)
-        )
+    append = records.append
+    for offset in offsets:
+        code, label = labels[bisect(cum_weights, random_() * total, 0, hi)]
+        params = ("0x%X" % getrandbits(16), "0x0")
+        append(new(RawLogRecord, (system_id, start + timedelta(0, offset), 41, code, params, label)))
 
-    noise_count = round(config.noise_fraction * len(records))
-    for _ in range(noise_count):
-        instant = config.start_date + timedelta(
-            days=rng.randrange(config.days), seconds=rng.randrange(_SECONDS_PER_DAY)
-        )
-        records.append(RawLogRecord(system_id, instant, rng.choice(NOISE_EVENT_IDS)))
+    for _ in range(round(config.noise_fraction * len(records))):
+        day, second = _below(getrandbits, config.days), _below(getrandbits, _SECONDS_PER_DAY)
+        event_id = NOISE_EVENT_IDS[_below(getrandbits, len(NOISE_EVENT_IDS))]  # choice()
+        instant = start + timedelta(day, second)
+        append(new(RawLogRecord, (system_id, instant, event_id, None, (), None)))
     return records
 
 
@@ -167,14 +185,14 @@ def generate_records(config: GeneratorConfig, seed: int | None = None) -> list[R
     labels = [(code, label) for code, label, _ in catalog]
     # the same draws as weights=: choices() only accumulates the weights first
     cum_weights = list(accumulate(weight for _, _, weight in catalog))
-    starts = (config.start_date + timedelta(days=day) for day in range(config.days))
-    days = [(start, start.weekday()) for start in starts]
+    weekday = config.start_date.weekday()
+    days = [(day * _SECONDS_PER_DAY, (weekday + day) % 7) for day in range(config.days)]
     records: list[RawLogRecord] = []
     for index in range(config.n_systems):
         records.extend(_system_records(config, effective_seed, index, days, labels, cum_weights))
-    records.sort(
-        key=lambda r: (r.timestamp, r.system_id, r.event_id, r.bugcheck_code or "", r.params)
-    )
+    # (timestamp, system_id, event_id, bugcheck_code, params): None never meets a str, as
+    # one event_id never mixes a None code with a string one (noise has none, event 41 one)
+    records.sort(key=itemgetter(1, 0, 2, 3, 4))
     return records
 
 

@@ -1,10 +1,12 @@
 import json
+import random
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import build_corpus_loop
 from crashcast.errors import (
     BadCode,
     BadTimestamp,
@@ -303,6 +305,43 @@ def test_corpus_kinds_and_codes_match_a_per_record_derivation(records, catalog):
         assert event.kind == _derive_kind(record, resolved)
         if record.bugcheck_code:
             assert event.bugcheck_code == canonical_code(record.bugcheck_code)
+
+
+def _corpus_inputs():
+    """Records that exercise each order-sensitive branch of build_corpus."""
+    records = [
+        make_record(system_id=f"S{n % 3}", day=1 + n % 4, hour=n % 5, bugcheck_code=code)
+        for n, code in enumerate(["0x9F", "0xa", "0x0000009f", "0xDEAD", "0x1"] * 6)
+    ]
+    # duplicates that differ only in params: the first in input order is kept
+    records += [
+        make_record(system_id="S9", day=2, bugcheck_code="0x9F", params=("0x1",)),
+        make_record(system_id="S9", day=2, bugcheck_code="0x9f", params=("0x2",)),
+    ]
+    # before the epoch floor, and a cause beside a catalog code
+    records.append(make_record()._replace(timestamp=datetime(1999, 12, 31, tzinfo=UTC)))
+    records.append(make_record(system_id="S7", day=3, bugcheck_code="0x9F", cause="Irql_Not"))
+    records.append(make_record(system_id="S7", day=3, hour=1, bugcheck_code="0xA", cause=" "))
+    return records
+
+
+@pytest.mark.parametrize("shuffle_seed", [None, 1, 2, 3])
+def test_build_corpus_equals_a_record_by_record_loop(shuffle_seed):
+    records = _corpus_inputs()
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(records)
+    catalog = default_catalog()
+    corpus = build_corpus(records, catalog=catalog)
+    events, duplicates, dropped = build_corpus_loop(records, catalog)
+    assert [*corpus.events] == events
+    assert [type(event) for event in corpus.events] == [type(event) for event in events]
+    assert (corpus.duplicates, corpus.dropped_before_floor) == (duplicates, dropped)
+    assert (duplicates, dropped) == (1, 1)
+    first = next(r for r in records if r.system_id == "S9")
+    assert [e.params for e in corpus.events if e.system_id == "S9"] == [first.params]
+    # a cause wins over the catalog; a blank cause falls back to it
+    kinds = [e.kind for e in corpus.events if e.system_id == "S7"]
+    assert kinds == ["irql not", catalog["0xA"]]
 
 
 class TestCatalog:

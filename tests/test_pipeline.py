@@ -987,6 +987,18 @@ class TestCli:
         logs = tmp_path / "out" / LOGS_FILE
         assert f"config error: cannot write {logs}: No space left on device" in result.output
 
+    @pytest.mark.parametrize(
+        "call, code, stage", [("fork", errno.EAGAIN, "run"), ("pipe", errno.EMFILE, "synth")]
+    )
+    def test_a_writer_that_cannot_start_is_exit_two_naming_its_file(
+        self, tmp_path, monkeypatch, call, code, stage
+    ):
+        monkeypatch.setattr(os, call, lambda: _refused(code))
+        result = self.invoke("--config", str(self.write_config(tmp_path)), stage)
+        assert result.exit_code == 2, result.output
+        logs = tmp_path / "out" / LOGS_FILE
+        assert f"config error: cannot write {logs}: {os.strerror(code)}" in result.output
+
     def test_rerun_never_touches_the_named_logs_file(self, tmp_path):
         out = tmp_path / "out"
         config_path = self.write_config(tmp_path)
@@ -1296,8 +1308,12 @@ def test_a_write_stopped_partway_leaves_the_earlier_file_whole(tmp_path):
     assert [p.name for p in path.parent.iterdir()] == [EVENTS_FILE]
 
 
+def _refused(code):
+    raise OSError(code, os.strerror(code))
+
+
 def _no_space(*args):
-    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    _refused(errno.ENOSPC)
 
 
 @pytest.fixture
@@ -1416,6 +1432,39 @@ class TestWriters:
         assert raised.value.filename == str(out / LOGS_FILE)
         assert not (out / LOGS_FILE).exists()
         _assert_no_writer_left(out, writer_pids)
+
+    def test_a_fork_that_fails_closes_the_pipe_and_names_the_file(self, tmp_path, monkeypatch):
+        pipes = []
+        real_pipe = os.pipe
+
+        def recording_pipe():
+            pipes.extend(real_pipe())
+            return pipes[-2], pipes[-1]
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(os, "fork", lambda: _refused(errno.EAGAIN))
+        writers = pipeline.Writers()
+        with pytest.raises(OSError) as raised:
+            writers.start(tmp_path / LOGS_FILE, ["a line"])
+        assert raised.value.errno == errno.EAGAIN
+        assert raised.value.filename == str(tmp_path / LOGS_FILE)
+        assert len(pipes) == 2
+        for fd in pipes:
+            with pytest.raises(OSError) as closed:
+                os.fstat(fd)
+            assert closed.value.errno == errno.EBADF
+        writers.wait(tmp_path / LOGS_FILE)  # nothing started, nothing to wait for
+        assert writers.waits == {}
+
+    def test_run_all_records_each_writer_wait_apart_from_the_stage_seconds(self, tmp_path):
+        out = tmp_path / "out"
+        run_all(small_config(out))
+        timings = json.loads((out / TIMINGS_FILE).read_text())
+        stages = ["synth", "ingest", "sequence", "split", "predict", "evaluate"]
+        assert sorted(timings["seconds"]) == sorted(stages)
+        waits = timings["writer_waits"]
+        assert sorted(waits) == sorted([LOGS_FILE, EVENTS_FILE, WINDOWS_FILE])
+        assert all(isinstance(value, float) and value >= 0 for value in waits.values())
 
     def test_stop_kills_a_running_writer_and_removes_its_partial_file(self, tmp_path, writer_pids):
         path = tmp_path / EVENTS_FILE

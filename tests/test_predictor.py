@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import at_day
+from oracles import baseline_rates_loop
 from crashcast.errors import (
     ConfigError,
     HistoryTooShort,
@@ -100,6 +101,20 @@ class TestPointPredictions:
         model = fit_baseline(events_of([(0, "b"), (1, "a"), (2, "b"), (3, "a")]))
         assert model.rates["a"] == model.rates["b"]
         assert mbr_next_type(model) == "a"
+
+    def test_rates_follow_first_seen_order_and_sum_left_to_right(self):
+        # four a, three b, two c over ten days: the three orders sum to three different floats
+        totals = set()
+        for order in (["a", "b", "c"], ["a", "c", "b"], ["b", "c", "a"]):
+            kinds = [*order, *"aaabbc"]
+            history = events_of([(n * 10 / (len(kinds) - 1), k) for n, k in enumerate(kinds)])
+            model = fit_baseline(history)
+            rates, total = baseline_rates_loop(history)
+            assert [*model.rates] == [*rates] == order
+            assert model.rates == rates
+            assert model.total_rate.hex() == total.hex()
+            totals.add(total.hex())
+        assert len(totals) == 3
 
     def test_zero_rate_is_refused(self):
         model = BaselineModel(

@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from oracles import records_by_random_api
 from crashcast.config import RunConfig, parse_run_config, resolved_dict
 from crashcast.errors import ConfigError
 from crashcast.ingest import build_corpus, filter_critical, parse_lines
@@ -246,3 +247,22 @@ def test_the_manifest_config_rebuilds_the_same_generator(name):
     # default, bursty and a custom catalog among them
     config = RunConfig(generator=HANDOFF_CONFIGS[name])
     assert parse_run_config(resolved_dict(config)) == config
+
+
+# each draws through another branch of the inlined draws: weekday multipliers, two Knuth
+# chunks a day, a one-entry catalog (bisect's hi is 0), no noise and much noise
+_DRAW_CONFIGS = {
+    "default": {},
+    "bursty": {"bursty": True},
+    "two knuth chunks": {"per_system_rate": 600.0, "days": 4},
+    "one cause": {"cause_catalog": (("0x9F", "driver power state failure", 2.5),)},
+    "no noise": {"noise_fraction": 0.0},
+    "half noise": {"noise_fraction": 0.5},
+}
+
+
+@pytest.mark.parametrize("seed", [1234, 99, 7])
+@pytest.mark.parametrize("name", sorted(_DRAW_CONFIGS))
+def test_records_equal_those_the_random_api_draws(name, seed):
+    config = GeneratorConfig(**{"n_systems": 3, "days": 45, **_DRAW_CONFIGS[name]})
+    assert generate_records(config, seed=seed) == records_by_random_api(config, seed)
