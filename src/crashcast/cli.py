@@ -85,7 +85,7 @@ def main(ctx, config_path, seed, out_dir, backend):
 def synth(config: RunConfig):
     """Generate a synthetic raw crash log; refused when paths.logs names the logs."""
     _execute(lambda: pipeline.synth_stage(config))
-    click.echo(f"wrote {pipeline.logs_path_of(config)}")
+    click.echo(f"wrote {pipeline.path_of(config, pipeline.LOGS_FILE)}")
 
 
 @main.command()
@@ -147,7 +147,7 @@ def run(config: RunConfig):
     """Run every stage and write the report and manifest."""
     report = _execute(lambda: pipeline.run_all(config))
     _echo_summary(report)
-    click.echo(f"report written to {pipeline.out_dir_of(config) / pipeline.REPORT_FILE}")
+    click.echo(f"report written to {pipeline.path_of(config, pipeline.REPORT_FILE)}")
 
 
 def _echo_summary(report):

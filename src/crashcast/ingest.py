@@ -84,7 +84,6 @@ class CrashCorpus:
     """Deduplicated crash events plus bookkeeping about what was folded away."""
 
     events: tuple[CrashEvent, ...]
-    source_digest: str
     duplicates: int = 0
     dropped_before_floor: int = 0
 
@@ -272,7 +271,6 @@ def build_corpus(
     records: Sequence[RawLogRecord],
     catalog: dict[str, str] | None = None,
     epoch_floor: datetime = DEFAULT_EPOCH_FLOOR,
-    source_digest: str = "",
 ) -> CrashCorpus:
     """Turn critical-only records into a deduplicated CrashCorpus.
 
@@ -280,7 +278,7 @@ def build_corpus(
     catalog, then to the bugcheck code itself. Exact duplicates on
     (system_id, time, bugcheck_code) collapse to the first in input
     order and are counted, as are events before the epoch floor. Raises EmptyCorpus when
-    nothing survives. source_digest is stored as given.
+    nothing survives.
     """
     if catalog is None:
         catalog = default_catalog()
@@ -311,7 +309,6 @@ def build_corpus(
     kept = [next(group) for _, group in groupby(events, key)]
     return CrashCorpus(
         events=tuple(kept),
-        source_digest=source_digest,
         duplicates=len(events) - len(kept),
         dropped_before_floor=dropped,
     )

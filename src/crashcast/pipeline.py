@@ -1,23 +1,27 @@
 """Drive the stages end to end and keep their file contracts.
 
-Each stage writes its own file once. Run alone, a stage reads only the
-files the previous stage declared, so any stage can be rerun; inside
-`run_all` each stage takes the previous stage's in-memory result instead,
-and no file is parsed back, logs.jsonl included: synth hands its records to
-ingest, which parses a logs file only when `paths.logs` names one (synth
-then does not run). Each JSON-lines stage file past the logs
-(events.jsonl, windows.jsonl, predictions.jsonl) has one field table here,
-which both writes its lines and checks and decodes them when read. The
-full run also writes a manifest that pins the resolved config, the seed,
-the backend, and the digests of every output; wall-clock timings go to a
-separate file so the manifest stays byte-identical across identical runs.
+STAGES lists the six stages in run order and the files each writes, and
+path_of places every file: under paths.out_dir, except the logs when
+paths.logs names them. Each stage writes its own files once. Run alone, a
+stage reads only the files the previous stage declared, so any stage can
+be rerun; inside `run_all` each stage takes the previous stage's
+in-memory result instead, and no file is parsed back, logs.jsonl
+included: synth hands its records to ingest, which parses a logs file
+only when `paths.logs` names one (synth then does not run). Each
+JSON-lines stage file past the logs (events.jsonl, windows.jsonl,
+predictions.jsonl) has one field table here, which both writes its lines
+and checks and decodes them when read. The full run also writes a
+manifest that pins the resolved config, the seed, the backend, and the
+digests of every output; wall-clock timings go to a separate file so the
+manifest stays byte-identical across identical runs.
 
 The three large files (logs.jsonl, events.jsonl, windows.jsonl) are each
 encoded and written by a child made with os.fork(), so this module needs
 POSIX, while this process goes on to the next stage. `run_all` waits for
 every child before its manifest; a stage called alone waits for its child
 before it returns. The child only encodes and writes: it logs, prints and
-imports nothing, and leaves with os._exit.
+imports nothing, and leaves with os._exit, its exit status its only
+report: 0, the errno of the OSError that stopped it, or 255.
 """
 
 from __future__ import annotations
@@ -112,20 +116,28 @@ TABLE_FILE = "table.csv"
 MANIFEST_FILE = "manifest.json"
 TIMINGS_FILE = "timings.json"
 
+# each stage in run order, with the files it writes: {file name: its key in the manifest's
+# "outputs", or None for a file the manifest does not digest}
+STAGES: dict[str, dict[str, str | None]] = {
+    "synth": {LOGS_FILE: "logs"},
+    "ingest": {EVENTS_FILE: "events", INGEST_FILE: None},
+    "sequence": {WINDOWS_FILE: "windows"},
+    "split": {SPLIT_FILE: "split"},
+    "predict": {PREDICTIONS_FILE: "predictions"},
+    "evaluate": {REPORT_FILE: "report", TABLE_FILE: "table"},
+}
+
 T = TypeVar("T")
 
 # every indented JSON file: split, ingest, report, manifest, timings
 _INDENTED = json.JSONEncoder(sort_keys=True, indent=2)
 
 
-def out_dir_of(config: RunConfig) -> Path:
-    return Path(config.paths.out_dir)
-
-
-def logs_path_of(config: RunConfig) -> Path:
-    if config.paths.logs:
+def path_of(config: RunConfig, name: str) -> Path:
+    """Where the run's file called name goes: paths.logs names the logs when set, else out_dir."""
+    if name == LOGS_FILE and config.paths.logs:
         return Path(config.paths.logs)
-    return out_dir_of(config) / LOGS_FILE
+    return Path(config.paths.out_dir) / name
 
 
 @contextmanager
@@ -180,7 +192,7 @@ class Writers:
     """
 
     def __init__(self) -> None:
-        self._live: dict[Path, tuple[int, int]] = {}  # path: (pid, read end of its report pipe)
+        self._live: dict[Path, int] = {}  # path: pid of its writer
         self.waits: dict[str, float] = {}  # file name: seconds wait() blocked on its writer
 
     def __enter__(self) -> Writers:
@@ -195,28 +207,20 @@ class Writers:
     def start(self, path: Path, lines: Iterable[str]) -> None:
         """Write lines to path from a forked child, which only encodes and writes."""
         try:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
+            pid = os.fork()
         except OSError as err:  # no writer to start is a failure to write path
             raise OSError(err.errno, err.strerror, str(path)) from None
-        if pid == 0:  # the child: an error goes down the pipe as "<errno or 0> <reason>"
+        if pid == 0:  # the child exits 0, with its OSError's errno (1-254), or with 255
+            code = 255
             try:
                 os.nice(10)  # where it contends for a core, the next stage goes first
                 _write_lines(path, lines)
-                os._exit(0)
+                code = 0
             except OSError as err:
-                os.write(write_end, f"{err.errno or 0} {err.strerror or err}".encode())
-            except BaseException as err:
-                os.write(write_end, f"- {err!r}".encode())
+                code = err.errno if err.errno in range(1, 255) else 255
             finally:
-                os._exit(1)
-        os.close(write_end)
-        self._live[path] = (pid, read_end)
+                os._exit(code)
+        self._live[path] = pid
 
     def wait(self, *paths: Path, raising: bool = True) -> None:
         """Reap the writers of paths that still run, then raise the first failure if raising.
@@ -227,31 +231,25 @@ class Writers:
         for path in paths:
             if path not in self._live:
                 continue
-            pid, read_end = self._live[path]
             started = time.perf_counter()
-            with open(read_end, "rb", closefd=False) as pipe:
-                report = pipe.read().decode("utf-8", "replace")  # to EOF: the child has left
-            status = os.waitpid(pid, 0)[1]
+            code = os.waitstatus_to_exitcode(os.waitpid(self._live[path], 0)[1])
             self.waits[path.name] = time.perf_counter() - started
             del self._live[path]
-            os.close(read_end)
-            if status:
+            if code:  # a signal's is negative
                 _partial_of(path).unlink(missing_ok=True)
-                code, _, reason = report.partition(" ")
                 failure = failure or (
-                    OSError(int(code) or None, reason, str(path)) if code.isdigit()
-                    else RuntimeError(f"the writer of {path} failed: {reason or status}")
+                    OSError(code, os.strerror(code), str(path)) if 0 < code < 255
+                    else RuntimeError(f"the writer of {path} failed with status {code}")
                 )
         if failure is not None and raising:
             raise failure
 
     def stop(self) -> None:
         """Kill every writer that still runs, reap it and remove its .partial file."""
-        for path, (pid, read_end) in [*self._live.items()]:
+        for path, pid in [*self._live.items()]:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
             del self._live[path]
-            os.close(read_end)
             _partial_of(path).unlink(missing_ok=True)
 
 
@@ -393,10 +391,10 @@ def decode_record(table: FieldTable, obj: Any) -> dict[str, Any]:
     return record
 
 
-def _read_records(path: Path, table: FieldTable, digest: Any = None) -> list[dict]:
+def _read_records(path: Path, table: FieldTable) -> list[dict]:
     """Each non-blank JSON line of a stage file decoded by table; a bad line is a DataError."""
     records = []
-    for line_no, line in enumerate(_read_lines(path, digest), start=1):
+    for line_no, line in enumerate(_read_lines(path), start=1):
         if line.strip():
             try:
                 obj = decode_json(line)
@@ -444,7 +442,7 @@ def synth_stage(config: RunConfig, writers: Writers | None = None) -> list[RawLo
     if config.paths.logs:
         raise ConfigError(f"synth never writes to paths.logs ({config.paths.logs}): unset it")
     records = generate_records(config.generator, seed=config.seed)
-    _write_forked(logs_path_of(config), map(record_to_line, records), writers)
+    _write_forked(path_of(config, LOGS_FILE), map(record_to_line, records), writers)
     return records
 
 
@@ -456,7 +454,7 @@ def ingest_stage(
     writers: Writers | None = None,
 ) -> CrashCorpus:
     """The corpus of records, those synth_stage wrote to the logs file; None parses that file."""
-    path = logs_path_of(config)
+    path = path_of(config, LOGS_FILE)
     digest = None
     if records is None:
         digest = hashlib.sha256()
@@ -465,18 +463,14 @@ def ingest_stage(
     catalog = _named_file("paths.catalog", config.paths.catalog, load_catalog, default_catalog)
     corpus = build_corpus(critical, catalog=catalog)
 
-    out_dir = out_dir_of(config)
-    _write_forked(
-        out_dir / EVENTS_FILE, (encode_line(EVENT_FIELDS, e) for e in corpus.events), writers
-    )
+    lines = (encode_line(EVENT_FIELDS, e) for e in corpus.events)
+    _write_forked(path_of(config, EVENTS_FILE), lines, writers)
     if writers is not None:
         writers.wait(path)  # synth's writer, if it still runs: the digest needs the whole file
-    source_digest = digest.hexdigest() if digest is not None else _file_digest(path)
-    corpus = dataclasses.replace(corpus, source_digest=source_digest)
     _write_json(
-        out_dir / INGEST_FILE,
+        path_of(config, INGEST_FILE),
         {
-            "source_digest": corpus.source_digest,
+            "source_digest": digest.hexdigest() if digest is not None else _file_digest(path),
             "records": len(records),
             "critical": len(critical),
             "events": len(corpus.events),
@@ -488,11 +482,10 @@ def ingest_stage(
 
 
 def load_events(path: Path) -> CrashCorpus:
-    digest = hashlib.sha256()
-    events = [CrashEvent(*record.values()) for record in _read_records(path, EVENT_FIELDS, digest)]
+    events = [CrashEvent(*record.values()) for record in _read_records(path, EVENT_FIELDS)]
     if not events:
         raise DataError(f"{path.name} holds no events")
-    return CrashCorpus(events=tuple(events), source_digest=digest.hexdigest())
+    return CrashCorpus(events=tuple(events))
 
 
 # --- sequence ------------------------------------------------------------------
@@ -501,15 +494,14 @@ def sequence_stage(
     config: RunConfig, corpus: CrashCorpus | None = None, writers: Writers | None = None
 ) -> list[EventSequence]:
     """Sequences and windows of the corpus; None reads the corpus from events.jsonl."""
-    out_dir = out_dir_of(config)
     if corpus is None:
-        corpus = load_events(out_dir / EVENTS_FILE)
+        corpus = load_events(path_of(config, EVENTS_FILE))
     sequences = build_sequences(corpus)
     width = config.window_days
     # partitioned here, encoded in the writer
     partitions = [(seq, partition_windows(seq, width)) for seq in sequences]
     _write_forked(
-        out_dir / WINDOWS_FILE,
+        path_of(config, WINDOWS_FILE),
         (line for seq, windows in partitions for line in windows_to_lines(seq, windows, width)),
         writers,
     )
@@ -559,7 +551,7 @@ def rebuild_sequences(records: Iterable[dict[str, Any]]) -> list[EventSequence]:
 
 
 def load_sequences(config: RunConfig) -> list[EventSequence]:
-    records = _read_records(out_dir_of(config) / WINDOWS_FILE, WINDOW_FIELDS)
+    records = _read_records(path_of(config, WINDOWS_FILE), WINDOW_FIELDS)
     if not records:
         raise DataError(f"{WINDOWS_FILE} holds no windows")
     for record in records:
@@ -640,7 +632,7 @@ def split_stage(
         "counts": {"train": len(train), "validation": len(validation)},
         "validation_systems": _count_by_system(validation),
     }
-    _write_json(out_dir_of(config) / SPLIT_FILE, payload)
+    _write_json(path_of(config, SPLIT_FILE), payload)
     return train, validation
 
 
@@ -654,6 +646,8 @@ def _restore_pairs(
         seq = sequences_by_id.get(system_id)
         if seq is None:
             raise DataError(f"split references unknown system {system_id!r}")
+        if index < 2:  # a pair's history holds at least one event
+            raise DataError(f"split references {system_id!r} pair {index!r}, below 2")
         pairs.append(LabeledPair(seq, index))
     return pairs
 
@@ -662,7 +656,7 @@ def load_split(
     config: RunConfig, sequences: Sequence[EventSequence]
 ) -> tuple[list[LabeledPair], list[LabeledPair]]:
     """The (train, validation) pairs split.json names, restored into sequences."""
-    split = _read_json(out_dir_of(config) / SPLIT_FILE)
+    split = _read_json(path_of(config, SPLIT_FILE))
     sequences_by_id = {seq.system_id: seq for seq in sequences}
     try:
         return (
@@ -733,7 +727,6 @@ def predict_stage(
     The first backend error stops submission; on any error or interrupt
     the rows finished so far are flushed before it propagates.
     """
-    out_dir = out_dir_of(config)
     if pairs is None:
         pairs = load_split(config, load_sequences(config))
     train, validation = (sorted(pool, key=_pair_key) for pool in pairs)
@@ -783,7 +776,7 @@ def predict_stage(
     finally:
         ordered = [rows[key] for key in sorted(rows)]
         _write_lines(
-            out_dir / PREDICTIONS_FILE,
+            path_of(config, PREDICTIONS_FILE),
             (encode_line(PREDICTION_FIELDS, row.values()) for row in ordered),
         )
     return ordered
@@ -793,7 +786,7 @@ def predict_stage(
 
 def load_predictions(config: RunConfig) -> list[dict[str, Any]]:
     """The rows of predictions.jsonl, each field checked against PREDICTION_FIELDS."""
-    return _read_records(out_dir_of(config) / PREDICTIONS_FILE, PREDICTION_FIELDS)
+    return _read_records(path_of(config, PREDICTIONS_FILE), PREDICTION_FIELDS)
 
 
 # one report.json item row as _INDENTED writes it at depth 2, keys sorted; every score
@@ -804,7 +797,7 @@ _SCORES_TEXT = (
 _REPORT_ROW = (
     '\n    {\n      "category": %s,\n      "index": %d,\n'
     f'      "rouge1": {_SCORES_TEXT},\n      "rougeL": {_SCORES_TEXT},\n'
-    '      "status": %s,\n      "system_id": %s,\n      "window_index": %s\n    }'
+    '      "status": %s,\n      "system_id": %s,\n      "window_index": %d\n    }'
 )
 
 
@@ -816,12 +809,11 @@ def _report_rows(rows: Sequence[dict[str, Any]]) -> Iterator[str]:
     text = encode_basestring_ascii
     separator = "["
     for row in rows:
-        r1, rl, window = row["rouge1"], row["rougeL"], row["window_index"]
+        r1, rl = row["rouge1"], row["rougeL"]
         yield separator + _REPORT_ROW % (
             text(row["category"]), row["index"],
             r1["f1"], r1["precision"], r1["recall"], rl["f1"], rl["precision"], rl["recall"],
-            text(row["status"]), text(row["system_id"]),
-            "null" if window is None else int.__repr__(window),
+            text(row["status"]), text(row["system_id"]), row["window_index"],
         )
         separator = ","
     yield "\n  ]"
@@ -844,7 +836,6 @@ def evaluate_stage(
     config: RunConfig, rows: Sequence[dict[str, Any]] | None = None
 ) -> dict[str, Any]:
     """Score the prediction rows; None reads them from predictions.jsonl."""
-    out_dir = out_dir_of(config)
     normalization = _normalization_of(config.normalization, config.paths.stopwords)
     if rows is None:
         rows = load_predictions(config)
@@ -885,14 +876,14 @@ def evaluate_stage(
             for category in CATEGORIES
         ],
     }
-    _write(out_dir / REPORT_FILE, report_chunks(report))
+    _write(path_of(config, REPORT_FILE), report_chunks(report))
 
     table_lines = ["backend_id,category,metric,precision,recall,f1"] + [
         f"{backend_id},{category},{metric},{s.precision:.6f},{s.recall:.6f},{s.f1:.6f}"
         for category, pair in means.items()
         for metric, s in zip(("rouge1", "rougeL"), pair)
     ]
-    _write_lines(out_dir / TABLE_FILE, table_lines)
+    _write_lines(path_of(config, TABLE_FILE), table_lines)
     return report
 
 
@@ -900,15 +891,9 @@ def evaluate_stage(
 
 def _output_paths(config: RunConfig) -> dict[str, Path]:
     """The files a run's manifest digests, by their manifest key."""
-    out_dir = out_dir_of(config)
     return {
-        "logs": logs_path_of(config),
-        "events": out_dir / EVENTS_FILE,
-        "windows": out_dir / WINDOWS_FILE,
-        "split": out_dir / SPLIT_FILE,
-        "predictions": out_dir / PREDICTIONS_FILE,
-        "report": out_dir / REPORT_FILE,
-        "table": out_dir / TABLE_FILE,
+        key: path_of(config, name)
+        for files in STAGES.values() for name, key in files.items() if key is not None
     }
 
 
@@ -935,20 +920,18 @@ def _write_manifest(
         "outputs": outputs,
         "timings_file": TIMINGS_FILE,
     }
-    _write_json(out_dir_of(config) / MANIFEST_FILE, manifest)
+    _write_json(path_of(config, MANIFEST_FILE), manifest)
 
 
 @collector_paused()
 def run_all(config: RunConfig) -> dict[str, Any]:
     """Every stage in order, GC paused; manifest and timings written on failure or interrupt too."""
-    out_dir = out_dir_of(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(config.paths.out_dir).mkdir(parents=True, exist_ok=True)
     # an earlier run's files would otherwise pass for this run's, and its
     # manifest for this run's if this run is stopped before writing its own
     keep = Path(config.paths.logs).resolve() if config.paths.logs else None
-    stale = (INGEST_FILE, MANIFEST_FILE, TIMINGS_FILE)
-    for path in (*_output_paths(config).values(), *(out_dir / name for name in stale)):
-        if path.resolve() != keep:
+    for name in chain(*STAGES.values(), (MANIFEST_FILE, TIMINGS_FILE)):
+        if (path := path_of(config, name)).resolve() != keep:
             path.unlink(missing_ok=True)
     timings: dict[str, float] = {}
     # the large stage files are written by forked children, all waited for or stopped here
@@ -986,13 +969,13 @@ def run_all(config: RunConfig) -> dict[str, Any]:
             backend_id = predictions[0]["backend_id"] if predictions else None
             report = timed("evaluate", lambda: evaluate_stage(config, predictions))
     except (ConfigError, DataError, BackendError, KeyboardInterrupt) as err:
-        predictions_path = out_dir / PREDICTIONS_FILE
+        predictions_path = path_of(config, PREDICTIONS_FILE)
         lines = _read_lines(predictions_path) if predictions_path.is_file() else ()
         counts.setdefault("predictions", sum(1 for line in lines if line.strip()))
         _write_manifest(config, "failed", err, counts, validation_systems, backend_id)
-        _write_json(out_dir / TIMINGS_FILE, timings_file)
+        _write_json(path_of(config, TIMINGS_FILE), timings_file)
         raise
 
     _write_manifest(config, "ok", None, counts, validation_systems, backend_id)
-    _write_json(out_dir / TIMINGS_FILE, timings_file)
+    _write_json(path_of(config, TIMINGS_FILE), timings_file)
     return report

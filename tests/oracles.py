@@ -4,28 +4,46 @@ Deliberately naive: the unigram overlap marks reference tokens off one by
 one, and the LCS enumerates subsequences outright. Slow but obviously
 correct, which is the point. The synth, build_corpus and baseline oracles
 are the plain loops their fast versions must match draw for draw and
-record for record.
+record for record, and run_by_reference strings them into a whole
+baseline run written with json.dumps.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import math
 import random
 from datetime import datetime, timedelta
 from functools import reduce
 from itertools import accumulate, combinations
 from operator import add
-from typing import Sequence
+from pathlib import Path
+from typing import Any, Sequence
 
 from crashcast._seed import derive_seed
+from crashcast.config import RunConfig
+from crashcast.errors import EmptyCorpus, InsufficientData
 from crashcast.ingest import (
     DEFAULT_EPOCH_FLOOR,
     CrashEvent,
     RawLogRecord,
     canonical_code,
+    default_catalog,
+    load_catalog,
     normalize_cause,
 )
+from crashcast.postprocess import (
+    NormalizationConfig,
+    default_stopwords,
+    extract_prediction,
+    load_stopwords,
+    merge_extractions,
+    tokenize,
+)
 from crashcast.predictor import MIN_SPAN_DAYS
+from crashcast.prompt import render_answer_sentence
 from crashcast.sequencer import SeqEvent
 from crashcast.synthgen import GeneratorConfig
 
@@ -170,3 +188,228 @@ def baseline_rates_loop(history: Sequence[SeqEvent]) -> tuple[dict[str, float], 
     for rate in rates.values():
         total += rate
     return rates, total
+
+
+# --- a whole run: plain loops, json.dumps, no forks and no templates ---------------------
+
+def _stamp(ts: datetime) -> str:
+    return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _write_json_lines(path: Path, objects: list[dict[str, Any]]) -> None:
+    text = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objects)
+    path.write_bytes(text.encode("utf-8"))
+
+
+def _write_indented(path: Path, payload: Any) -> None:
+    path.write_bytes((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+
+
+def _prf(overlap: int, candidate_len: int, reference_len: int) -> dict[str, float]:
+    if candidate_len == 0 or reference_len == 0:
+        return {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+    precision = overlap / candidate_len
+    recall = overlap / reference_len
+    f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
+    return {"precision": precision, "recall": recall, "f1": f1}
+
+
+def _lcs_table(a: Sequence[str], b: Sequence[str]) -> int:
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            if a[i - 1] == b[j - 1]:
+                table[i][j] = table[i - 1][j - 1] + 1
+            else:
+                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+    return table[len(a)][len(b)]
+
+
+def _baseline_answers(history: Sequence[SeqEvent]) -> tuple[str, str]:
+    """(time answer, cause answer): the next crash after the mean wait, of the likeliest kind."""
+    if len(history) < 2:
+        return "", ""
+    rates, total = baseline_rates_loop(history)
+    best = None
+    for kind, rate in rates.items():
+        if best is None or rate > rates[best] or (rate == rates[best] and kind < best):
+            best = kind
+    when = history[-1].time + timedelta(days=1.0 / total)
+    sentence = render_answer_sentence(when.date().isoformat(), best)
+    return sentence, sentence
+
+
+def run_by_reference(config: RunConfig, out_dir: Path) -> None:
+    """Write what run_all writes for a baseline run of config, all seven outputs and ingest.json.
+
+    Raises EmptyCorpus or InsufficientData where the run does.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    generator = config.generator
+    seed = generator.seed if generator.seed is not None else config.seed
+
+    # synth
+    records = records_by_random_api(generator, seed)
+    log_lines = []
+    for record in records:
+        obj: dict[str, Any] = {
+            "guid": record.system_id, "ts": _stamp(record.timestamp), "event_id": record.event_id
+        }
+        if record.bugcheck_code is not None:
+            obj["bugcheck"] = record.bugcheck_code
+        if record.params:
+            obj["params"] = list(record.params)
+        if record.cause is not None:
+            obj["cause"] = record.cause
+        log_lines.append(obj)
+    _write_json_lines(out_dir / "logs.jsonl", log_lines)
+
+    # ingest
+    critical = [record for record in records if record.event_id == 41]
+    catalog = load_catalog(config.paths.catalog) if config.paths.catalog else default_catalog()
+    events, duplicates, dropped = build_corpus_loop(critical, catalog)
+    if not events:
+        raise EmptyCorpus("no events")
+    _write_json_lines(out_dir / "events.jsonl", [
+        {"system_id": e.system_id, "time": _stamp(e.time), "kind": e.kind,
+         "bugcheck": e.bugcheck_code, "params": list(e.params)}
+        for e in events
+    ])
+    _write_indented(out_dir / "ingest.json", {
+        "source_digest": hashlib.sha256((out_dir / "logs.jsonl").read_bytes()).hexdigest(),
+        "records": len(records),
+        "critical": len(critical),
+        "events": len(events),
+        "duplicates": duplicates,
+        "dropped_before_floor": dropped,
+    })
+
+    # sequence: ties pushed one second on, then abutting windows from the first event's midnight
+    sequences: dict[str, list[SeqEvent]] = {}
+    for event in events:
+        sequences.setdefault(event.system_id, []).append(SeqEvent(event.time, event.kind))
+    width = timedelta(days=config.window_days)
+    windows = []
+    for system_id in sorted(sequences):
+        shifted: list[SeqEvent] = []
+        for event in sorted(sequences[system_id], key=lambda e: (e.time, e.kind)):
+            if shifted and event.time <= shifted[-1].time:
+                event = SeqEvent(shifted[-1].time + timedelta(seconds=1), event.kind)
+            shifted.append(event)
+        sequences[system_id] = shifted
+        origin = shifted[0].time.replace(hour=0, minute=0, second=0)
+        for index in range((shifted[-1].time - origin) // width + 1):
+            inside = [e for e in shifted if (e.time - origin) // width == index]
+            windows.append({
+                "system_id": system_id, "window_index": index,
+                "window_start": _stamp(origin + index * width), "width_days": config.window_days,
+                "times": [_stamp(e.time) for e in inside], "causes": [e.kind for e in inside],
+            })
+    _write_json_lines(out_dir / "windows.jsonl", windows)
+
+    # split: validation first, then training pairs ending before each system's validation targets
+    pairs = [
+        (system_id, index)
+        for system_id in sorted(sequences)
+        for index in range(2, len(sequences[system_id]) + 1)
+    ]
+    train_n, val_n = config.split.train_pairs, config.split.validation_pairs
+    if len(pairs) < train_n + val_n:
+        raise InsufficientData(train_n + val_n - len(pairs))
+    random.Random(derive_seed(config.seed, "split")).shuffle(pairs)
+    validation = pairs[:val_n]
+    train = []
+    for system_id, index in pairs[val_n:]:
+        if all(index < other for other_id, other in validation if other_id == system_id):
+            train.append((system_id, index))
+    if len(train) < train_n:
+        raise InsufficientData(train_n - len(train))
+    train = sorted(train[:train_n])
+    validation.sort()
+    per_system: dict[str, int] = {}
+    for system_id, _ in validation:
+        per_system[system_id] = per_system.get(system_id, 0) + 1
+    _write_indented(out_dir / "split.json", {
+        "seed": config.seed,
+        "train": [list(pair) for pair in train],
+        "validation": [list(pair) for pair in validation],
+        "counts": {"train": len(train), "validation": len(validation)},
+        "validation_systems": per_system,
+    })
+
+    # predict
+    rows = []
+    for system_id, index in validation:
+        sequence = sequences[system_id]
+        target = sequence[index - 1]
+        time_answer, cause_answer = _baseline_answers(sequence[: index - 1])
+        origin = sequence[0].time.replace(hour=0, minute=0, second=0)
+        rows.append({
+            "backend_id": "baseline", "cause_answer": cause_answer, "index": index,
+            "system_id": system_id, "target_cause": target.kind,
+            "target_time": target.time.date().isoformat(), "time_answer": time_answer,
+            "window_index": (target.time - origin) // width,
+        })
+    _write_json_lines(out_dir / "predictions.jsonl", rows)
+
+    # evaluate
+    flags = config.normalization
+    stopwords: frozenset[str] = frozenset()
+    if flags.remove_stopwords:
+        paths = config.paths
+        stopwords = load_stopwords(paths.stopwords) if paths.stopwords else default_stopwords()
+    normalization = NormalizationConfig(
+        flags.lowercase, flags.strip_punctuation, flags.remove_stopwords, stopwords
+    )
+    categories = ("time", "cause", "full")
+    items = []
+    for row in rows:
+        merged = merge_extractions(
+            extract_prediction(row["time_answer"]), extract_prediction(row["cause_answer"])
+        )
+        status = merged.extraction_status
+        candidates = {
+            "time": merged.time_text or "",
+            "cause": merged.cause_text or "",
+            "full": "" if status == "none" else merged.full_text,
+        }
+        references = {
+            "time": row["target_time"],
+            "cause": row["target_cause"],
+            "full": render_answer_sentence(row["target_time"], row["target_cause"]),
+        }
+        for category in categories:
+            candidate = tokenize(candidates[category], normalization)
+            reference = tokenize(references[category], normalization)
+            items.append({
+                "system_id": row["system_id"], "index": row["index"],
+                "window_index": row["window_index"], "status": status, "category": category,
+                "rouge1": _prf(clipped_overlap_bruteforce(candidate, reference),
+                               len(candidate), len(reference)),
+                "rougeL": _prf(_lcs_table(candidate, reference), len(candidate), len(reference)),
+            })
+    means: dict[str, dict[str, dict[str, float]]] = {}
+    for category in categories:
+        means[category] = {}
+        for metric in ("rouge1", "rougeL"):
+            scores = [item[metric] for item in items if item["category"] == category]
+            means[category][metric] = {}
+            for part in ("precision", "recall", "f1"):
+                total = 0.0
+                for score in scores:
+                    total += score[part]
+                means[category][metric][part] = total / len(scores)
+    _write_indented(out_dir / "report.json", {
+        "backend_id": "baseline",
+        "normalization": dataclasses.asdict(flags),
+        "item_count": len(rows),
+        "categories": means,
+        "items": items,
+    })
+    table = ["backend_id,category,metric,precision,recall,f1"]
+    for category in categories:
+        for metric in ("rouge1", "rougeL"):
+            score = means[category][metric]
+            table.append(f"baseline,{category},{metric},{score['precision']:.6f},"
+                         f"{score['recall']:.6f},{score['f1']:.6f}")
+    (out_dir / "table.csv").write_bytes("".join(line + "\n" for line in table).encode("utf-8"))

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import errno
 import gc
@@ -8,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from datetime import datetime, timezone
@@ -19,10 +21,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import sequence_of
+from oracles import run_by_reference
 from crashcast import pipeline
 from crashcast.cli import main
 from crashcast.config import RunConfig, parse_run_config
-from crashcast.errors import DataError, InsufficientData, ScriptExhausted, TransportError
+from crashcast.errors import (
+    DataError,
+    EmptyCorpus,
+    InsufficientData,
+    ScriptExhausted,
+    TransportError,
+)
 from crashcast.ingest import format_timestamp, record_to_line
 from crashcast.predictor import PredictionRaw, baseline_answer
 from crashcast.sequencer import enumerate_pairs
@@ -96,7 +105,13 @@ def _corrupt_first_line(corrupt, where=lambda line: True):
     return rewrite
 
 
-STAGES = ("synth", "ingest", "sequence", "split", "predict", "evaluate")
+def _first_validation_index_one(text):
+    split = json.loads(text)
+    split["validation"][0][1] = 1
+    return json.dumps(split)
+
+
+STAGES = tuple(pipeline.STAGES)
 
 # case: (stage file, corruption of its text, the stage that reads it[, config overrides])
 CORRUPT_STAGE_FILES = {
@@ -132,6 +147,8 @@ CORRUPT_STAGE_FILES = {
     ),
     "events-not-utf8": (EVENTS_FILE, lambda text: text + "\udcff\n", "sequence"),
     "split-not-utf8": (SPLIT_FILE, lambda text: text + "\udcff", "predict"),
+    # a pair's history holds at least one event: split draws index 2 and up
+    "split-index-one": (SPLIT_FILE, _first_validation_index_one, "predict"),
     "prediction-time-not-a-string": (
         PREDICTIONS_FILE,
         _corrupt_first_line(_with_field("target_time", 5)),
@@ -182,6 +199,33 @@ CORRUPT_STAGE_FILES = {
     "duplicated-empty-window": (WINDOWS_FILE, _with_a_repeated_empty_window, "split",
                                 {"window_days": 1}),
 }
+
+# every file run_by_reference writes: the manifest's outputs and ingest.json
+REFERENCE_FILES = [name for files in pipeline.STAGES.values() for name in files]
+
+
+@st.composite
+def _reference_configs(draw):
+    """Small baseline runs that vary every knob the outputs depend on."""
+    rate = draw(st.sampled_from([0.3, 1.0, 2.5, 600.0]))
+    heavy = rate > 500  # a day's count takes two Knuth chunks: one system, a few days
+    return {
+        "seed": draw(st.integers(0, 2**32)),
+        "window_days": draw(st.sampled_from([1, 3, 7, 30, 100000])),
+        "split": {
+            "train_pairs": draw(st.integers(1, 20)),
+            "validation_pairs": draw(st.integers(1, 20)),
+        },
+        "normalization": {"remove_stopwords": draw(st.booleans())},
+        "generator": {
+            "n_systems": 1 if heavy else draw(st.integers(1, 6)),
+            "days": 5 if heavy else draw(st.integers(5, 120)),
+            "per_system_rate": rate,
+            "bursty": draw(st.booleans()),
+            "noise_fraction": draw(st.sampled_from([0.0, 0.2, 0.5])),
+        },
+    }
+
 
 # case: (config key named in the error, config overrides given the test's tmp_path)
 UNREADABLE_CONFIG_FILES = {
@@ -435,7 +479,7 @@ class TestStages:
         # 5.5 times the file, and holding the file's text or every output line too passes 9
         config = small_config(tmp_path / "out", generator={"n_systems": 40, "days": 540})
         synth_stage(config)
-        size = pipeline.logs_path_of(config).stat().st_size
+        size = pipeline.path_of(config, LOGS_FILE).stat().st_size
         tracemalloc.start()
         try:
             ingest_stage(config)
@@ -520,6 +564,30 @@ class TestStages:
         run_all(parse_run_config({**overrides, "paths": {"out_dir": str(out)}}))
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pins}
         assert digests == pins
+
+    @pytest.mark.parametrize("variant", sorted(OUTPUT_PINS))
+    def test_the_reference_run_writes_the_pinned_outputs(self, tmp_path, variant):
+        overrides, pins = OUTPUT_PINS[variant]
+        run_by_reference(parse_run_config(overrides), tmp_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in pins}
+        assert digests == pins
+
+    @given(_reference_configs())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_run_all_writes_what_the_reference_run_writes(self, document):
+        with tempfile.TemporaryDirectory() as root:
+            out, reference = Path(root) / "out", Path(root) / "reference"
+            config = parse_run_config({**document, "paths": {"out_dir": str(out)}})
+            try:
+                run_all(config)
+            except (EmptyCorpus, InsufficientData) as err:
+                with pytest.raises(type(err)):
+                    run_by_reference(config, reference)
+                return
+            run_by_reference(config, reference)
+            for name in REFERENCE_FILES:
+                assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
     def test_manifest_pair_count_matches_the_enumerated_pairs(self, tmp_path):
         synth_stage(small_config(tmp_path / "seed"))
@@ -884,6 +952,20 @@ class TestCli:
         result = self.invoke("--config", str(config_path), reader)
         assert result.exit_code == 3
 
+    def test_a_split_pair_at_index_one_is_exit_three_for_a_prompting_backend(self, tmp_path):
+        script = tmp_path / "script.jsonl"
+        script.write_text(json.dumps("It will crash on 2021-06-01.") + "\n")
+        config_path = self.write_config(
+            tmp_path, backend={"kind": "scripted", "script_path": str(script)}
+        )
+        for stage in STAGES[: STAGES.index("predict")]:
+            assert self.invoke("--config", str(config_path), stage).exit_code == 0
+        split = tmp_path / "out" / SPLIT_FILE
+        split.write_text(_first_validation_index_one(split.read_text()))
+        result = self.invoke("--config", str(config_path), "predict")
+        assert result.exit_code == 3, result.output
+        assert f"bad pair list in {SPLIT_FILE}" in result.output
+
     def test_predict_at_another_window_width_is_exit_three(self, tmp_path):
         config_path = self.write_config(tmp_path)
         for stage in STAGES[: STAGES.index("predict")]:
@@ -988,12 +1070,12 @@ class TestCli:
         assert f"config error: cannot write {logs}: No space left on device" in result.output
 
     @pytest.mark.parametrize(
-        "call, code, stage", [("fork", errno.EAGAIN, "run"), ("pipe", errno.EMFILE, "synth")]
+        "code, stage", [(errno.EAGAIN, "run"), (errno.ENOMEM, "synth")]
     )
     def test_a_writer_that_cannot_start_is_exit_two_naming_its_file(
-        self, tmp_path, monkeypatch, call, code, stage
+        self, tmp_path, monkeypatch, code, stage
     ):
-        monkeypatch.setattr(os, call, lambda: _refused(code))
+        monkeypatch.setattr(os, "fork", lambda: _refused(code))
         result = self.invoke("--config", str(self.write_config(tmp_path)), stage)
         assert result.exit_code == 2, result.output
         logs = tmp_path / "out" / LOGS_FILE
@@ -1256,7 +1338,7 @@ _REPORTS = st.fixed_dictionaries({
         st.fixed_dictionaries({
             "system_id": _TEXT,
             "index": st.integers(),
-            "window_index": st.none() | st.integers(),
+            "window_index": st.integers(),  # an integer on both routes, as PREDICTION_FIELDS has it
             "status": _TEXT,
             "category": _TEXT,
             "rouge1": _SCORES,
@@ -1433,35 +1515,47 @@ class TestWriters:
         assert not (out / LOGS_FILE).exists()
         _assert_no_writer_left(out, writer_pids)
 
-    def test_a_fork_that_fails_closes_the_pipe_and_names_the_file(self, tmp_path, monkeypatch):
-        pipes = []
-        real_pipe = os.pipe
-
-        def recording_pipe():
-            pipes.extend(real_pipe())
-            return pipes[-2], pipes[-1]
-
-        monkeypatch.setattr(os, "pipe", recording_pipe)
+    def test_a_fork_that_fails_names_the_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "fork", lambda: _refused(errno.EAGAIN))
         writers = pipeline.Writers()
         with pytest.raises(OSError) as raised:
             writers.start(tmp_path / LOGS_FILE, ["a line"])
         assert raised.value.errno == errno.EAGAIN
         assert raised.value.filename == str(tmp_path / LOGS_FILE)
-        assert len(pipes) == 2
-        for fd in pipes:
-            with pytest.raises(OSError) as closed:
-                os.fstat(fd)
-            assert closed.value.errno == errno.EBADF
         writers.wait(tmp_path / LOGS_FILE)  # nothing started, nothing to wait for
         assert writers.waits == {}
+
+    def test_a_writer_that_fails_past_an_os_error_names_the_file_and_its_status(
+        self, tmp_path, monkeypatch, writer_pids
+    ):
+        out = tmp_path / "out"
+
+        def broken(record):
+            raise ValueError("not a record")
+
+        monkeypatch.setattr(pipeline, "record_to_line", broken)
+        with pytest.raises(RuntimeError) as raised:
+            run_all(small_config(out))
+        assert str(raised.value) == f"the writer of {out / LOGS_FILE} failed with status 255"
+        _assert_no_writer_left(out, writer_pids)
+
+    def test_a_writer_killed_by_a_signal_names_the_signal(self, tmp_path, writer_pids):
+        def killed():
+            yield "a line"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        writers = pipeline.Writers()
+        writers.start(tmp_path / EVENTS_FILE, killed())
+        with pytest.raises(RuntimeError, match=f"failed with status {-signal.SIGKILL}"):
+            writers.wait(tmp_path / EVENTS_FILE)
+        _assert_no_writer_left(tmp_path, writer_pids)
+        assert not (tmp_path / EVENTS_FILE).exists()
 
     def test_run_all_records_each_writer_wait_apart_from_the_stage_seconds(self, tmp_path):
         out = tmp_path / "out"
         run_all(small_config(out))
         timings = json.loads((out / TIMINGS_FILE).read_text())
-        stages = ["synth", "ingest", "sequence", "split", "predict", "evaluate"]
-        assert sorted(timings["seconds"]) == sorted(stages)
+        assert sorted(timings["seconds"]) == sorted(pipeline.STAGES)
         waits = timings["writer_waits"]
         assert sorted(waits) == sorted([LOGS_FILE, EVENTS_FILE, WINDOWS_FILE])
         assert all(isinstance(value, float) and value >= 0 for value in waits.values())
@@ -1498,13 +1592,56 @@ def test_baseline_predict_answers_in_this_thread(tmp_path, monkeypatch):
     assert len(rows) == config.split.validation_pairs
 
 
-def test_every_name_the_benchmark_tracer_wraps_is_a_pipeline_callable():
-    """bench/tracer.py replaces these attributes of crashcast.pipeline by name."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracer", Path(__file__).parents[1] / "bench" / "tracer.py"
-    )
+BENCH = Path(__file__).parents[1] / "bench"
+
+
+def _bench_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_the_benchmark_file_lists_follow_the_stage_table():
+    """bench/ keeps its own lists of the stage files; each must agree with pipeline.STAGES."""
+    tracer = _bench_tracer()
+    run_py = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    lists = {
+        target.id: ast.literal_eval(node.value)
+        for node in run_py.body if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("OUTPUTS", "UPSTREAM_OUTPUTS")
+    }
+    outputs = {
+        key: name for files in pipeline.STAGES.values() for name, key in files.items() if key
+    }
+    assert tracer.STAGES == STAGES
+    assert lists["OUTPUTS"] == tuple(outputs)
+    assert {key: outputs.get(key) for key in tracer.OUTPUT_FILES} == tracer.OUTPUT_FILES
+    upstream = [
+        key for stage in STAGES[: STAGES.index("predict")]
+        for key in pipeline.STAGES[stage].values() if key
+    ]
+    assert lists["UPSTREAM_OUTPUTS"] == tuple(upstream)
+
+
+def test_readme_command_table_is_the_stage_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    writes = {}
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            command, cell = (cell.strip() for cell in row.strip("|").split("|")[:2])
+            # run's cell: "all of the above + <its own files>"
+            own = cell.split(" + ")[-1]
+            writes[command.strip("`")] = [name.strip("`") for name in own.split(", ")]
+    assert writes.pop("run") == [MANIFEST_FILE, TIMINGS_FILE]
+    assert writes == {stage: [*files] for stage, files in pipeline.STAGES.items()}
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_a_pipeline_callable():
+    """bench/tracer.py replaces these attributes of crashcast.pipeline by name."""
+    tracer = _bench_tracer()
     assert tracer.TRACED_FUNCTIONS
     for name in [*tracer.TRACED_FUNCTIONS, "make_backend"]:
         assert callable(getattr(pipeline, name, None)), name

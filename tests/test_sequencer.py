@@ -31,7 +31,7 @@ def corpus_of(*events):
     crash_events = tuple(
         CrashEvent(system_id=s, time=t, kind=k, bugcheck_code="0x9F") for s, t, k in events
     )
-    return CrashCorpus(events=crash_events, source_digest="test")
+    return CrashCorpus(events=crash_events)
 
 
 class TestBuildSequences:
