@@ -188,12 +188,14 @@ class Writers:
     left on an exception, it only removes a failed child's .partial file,
     and the exception goes on. An interrupt while it waits kills the
     children that are left. No child outlives the block. A stage given no
-    Writers makes its own, so it returns with its file whole.
+    Writers makes its own, so it returns with its file whole. failure is the
+    error of the first writer that could not start or failed, raised or not.
     """
 
     def __init__(self) -> None:
         self._live: dict[Path, int] = {}  # path: pid of its writer
         self.waits: dict[str, float] = {}  # file name: seconds wait() blocked on its writer
+        self.failure: Exception | None = None
 
     def __enter__(self) -> Writers:
         return self
@@ -209,7 +211,9 @@ class Writers:
         try:
             pid = os.fork()
         except OSError as err:  # no writer to start is a failure to write path
-            raise OSError(err.errno, err.strerror, str(path)) from None
+            failure = OSError(err.errno, err.strerror, str(path))
+            self.failure = self.failure or failure
+            raise failure from None
         if pid == 0:  # the child exits 0, with its OSError's errno (1-254), or with 255
             code = 255
             try:
@@ -241,6 +245,7 @@ class Writers:
                     OSError(code, os.strerror(code), str(path)) if 0 < code < 255
                     else RuntimeError(f"the writer of {path} failed with status {code}")
                 )
+        self.failure = self.failure or failure
         if failure is not None and raising:
             raise failure
 
@@ -421,13 +426,15 @@ def _named_file(
 
 
 def _file_digest(path: Path) -> str | None:
-    """Hex sha256 of a file's bytes, read in chunks; None when there is no file."""
+    """Hex sha256 of a file's bytes, read in 64 KiB chunks; None when there is no file."""
     if not path.is_file():
         return None
     digest = hashlib.sha256()
+    buffer = bytearray(1 << 16)  # one buffer for the whole file: no new bytes per chunk
+    view = memoryview(buffer)
     with path.open("rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(chunk)
+        while size := stream.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -958,6 +965,7 @@ def run_all(config: RunConfig) -> dict[str, Any]:
             records = None  # the corpus holds what later stages need
             counts["events"] = len(corpus.events)
             sequences = timed("sequence", lambda: sequence_stage(config, corpus, writers))
+            corpus = None  # the sequences hold what later stages need
             counts["systems"] = len(sequences)
             counts["pairs"] = sum(max(len(seq.events) - 1, 0) for seq in sequences)
             train, validation = timed("split", lambda: split_stage(config, sequences))
@@ -968,7 +976,12 @@ def run_all(config: RunConfig) -> dict[str, Any]:
             counts["predictions"] = len(predictions)
             backend_id = predictions[0]["backend_id"] if predictions else None
             report = timed("evaluate", lambda: evaluate_stage(config, predictions))
-    except (ConfigError, DataError, BackendError, KeyboardInterrupt) as err:
+    except BaseException as err:
+        # a stage's error, an interrupt or a failed writer gets a failed manifest; a bug, none
+        if err is not writers.failure and not isinstance(
+            err, (ConfigError, DataError, BackendError, KeyboardInterrupt)
+        ):
+            raise
         predictions_path = path_of(config, PREDICTIONS_FILE)
         lines = _read_lines(predictions_path) if predictions_path.is_file() else ()
         counts.setdefault("predictions", sum(1 for line in lines if line.strip()))

@@ -10,12 +10,9 @@ template the prompts teach, so everything downstream is backend-agnostic.
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -44,6 +41,9 @@ BACKEND_KINDS = ("remote-llm", "baseline", "scripted")
 MIN_SPAN_DAYS = 1.0
 
 SYSTEM_MESSAGE = "Answer with a single sentence in the format shown by the examples."
+
+# the longest sleep between two attempts of one remote call, in seconds
+MAX_BACKOFF_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,9 @@ class RemoteBackend:
     """Chat-style completion client with retry on transient failures.
 
     Timeouts, connection drops, 5xx responses, and 429s are retried up to
-    retry_limit times with exponential backoff; anything that indicates the
-    request itself is wrong (other 4xx, malformed body) is raised at once.
+    retry_limit times with exponential backoff, each sleep at most
+    MAX_BACKOFF_S; anything that indicates the request itself is wrong
+    (other 4xx, malformed body) is raised at once.
     Safe to call from several threads.
     """
 
@@ -205,9 +206,11 @@ class RemoteBackend:
     def complete(self, prompt: str) -> str:
         attempts = self.config.retry_limit + 1
         last_error: Exception | None = None
+        delay = min(self.config.backoff_base, MAX_BACKOFF_S)
         for attempt in range(attempts):
             if attempt:
-                self._sleep(self.config.backoff_base * 2 ** (attempt - 1))
+                self._sleep(delay)  # backoff_base * 2 ** (attempt - 1), doubled exactly, capped
+                delay = min(2 * delay, MAX_BACKOFF_S)
             try:
                 text = self._request_once(prompt)
             except (Timeout, TransportError, RateLimited) as err:
@@ -224,6 +227,11 @@ class RemoteBackend:
         raise last_error
 
     def _request_once(self, prompt: str) -> str:
+        # imported here, not at module level: they load ssl, email and socket, which only this needs
+        import http.client
+        import urllib.error
+        import urllib.request
+
         body = {
             "model": self.config.model_name or "default",
             "messages": [

@@ -6,12 +6,14 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+import weakref
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -1398,6 +1400,10 @@ def _no_space(*args):
     _refused(errno.ENOSPC)
 
 
+def _not_a_record(*args):
+    raise ValueError("not a record")
+
+
 @pytest.fixture
 def writer_pids(monkeypatch):
     """The pids of the children forked while the test runs."""
@@ -1539,6 +1545,34 @@ class TestWriters:
         assert str(raised.value) == f"the writer of {out / LOGS_FILE} failed with status 255"
         _assert_no_writer_left(out, writer_pids)
 
+    @pytest.mark.parametrize(
+        "failure, kind", [(_no_space, "OSError"), (_not_a_record, "RuntimeError")]
+    )
+    def test_a_failed_writer_leaves_a_failed_manifest(
+        self, tmp_path, monkeypatch, writer_pids, failure, kind
+    ):
+        out = tmp_path / "out"
+        monkeypatch.setattr(pipeline, "record_to_line", failure)
+        with pytest.raises((OSError, RuntimeError)) as raised:
+            run_all(small_config(out))
+        assert type(raised.value).__name__ == kind
+        _assert_no_writer_left(out, writer_pids)
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {"kind": kind, "message": str(raised.value)}
+        assert manifest["outputs"]["logs"] is None
+        assert "synth" in json.loads((out / TIMINGS_FILE).read_text())["seconds"]
+
+    def test_a_writer_that_cannot_start_leaves_a_failed_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        monkeypatch.setattr(os, "fork", lambda: _refused(errno.EAGAIN))
+        with pytest.raises(OSError) as raised:
+            run_all(small_config(out))
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        error = raised.value  # OSError(EAGAIN, ...) is a BlockingIOError
+        assert manifest["error"] == {"kind": type(error).__name__, "message": str(error)}
+        assert error.filename == str(out / LOGS_FILE)
+
     def test_a_writer_killed_by_a_signal_names_the_signal(self, tmp_path, writer_pids):
         def killed():
             yield "a line"
@@ -1577,6 +1611,32 @@ class TestWriters:
         writers.stop()
         _assert_no_writer_left(tmp_path, writer_pids)
         assert not path.exists()
+
+
+def test_run_all_drops_the_corpus_once_it_is_sequenced(tmp_path, monkeypatch):
+    corpus_refs, alive_at_split = [], []
+    real_sequence_stage, real_split_stage = pipeline.sequence_stage, pipeline.split_stage
+
+    def sequencing(config, corpus, writers):
+        corpus_refs.append(weakref.ref(corpus))
+        return real_sequence_stage(config, corpus, writers)
+
+    def splitting(config, sequences):
+        alive_at_split.append(corpus_refs[0]() is not None)
+        return real_split_stage(config, sequences)
+
+    monkeypatch.setattr(pipeline, "sequence_stage", sequencing)
+    monkeypatch.setattr(pipeline, "split_stage", splitting)
+    run_all(small_config(tmp_path / "out"))
+    assert alive_at_split == [False]
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 200_001])
+def test_file_digest_is_the_sha256_of_the_bytes(tmp_path, size):
+    path = tmp_path / "file"
+    path.write_bytes(random.Random(size).randbytes(size))
+    assert pipeline._file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert pipeline._file_digest(tmp_path / "missing") is None
 
 
 def test_baseline_predict_answers_in_this_thread(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from crashcast.errors import (
     TransportError,
 )
 from crashcast.predictor import (
+    MAX_BACKOFF_S,
     SYSTEM_MESSAGE,
     BackendConfig,
     RemoteBackend,
@@ -102,6 +103,22 @@ class TestRetries:
         backend.complete("p")
         assert waits == [0.5, 1.0, 2.0]
 
+    @pytest.mark.parametrize("base", [0.5, 45.0])
+    def test_no_backoff_sleep_passes_the_cap(self, base):
+        waits = []
+        backend = RemoteBackend(
+            config_for("http://127.0.0.1:9/v1/chat", retry_limit=40, backoff_base=base),
+            sleep=waits.append,
+        )
+        with pytest.raises(TransportError):
+            backend.complete("p")
+        assert len(waits) == 40
+        assert max(waits) == waits[-1] == MAX_BACKOFF_S
+        doubled = [base * 2 ** attempt for attempt in range(40)]
+        assert waits == [min(wait, MAX_BACKOFF_S) for wait in doubled]
+        if base < MAX_BACKOFF_S:  # the sleeps below the cap are as they were
+            assert waits[:6] == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+
     def test_zero_retry_limit_means_one_attempt(self, stub_server):
         stub_server.fail_first = 1
         backend = quiet_backend(config_for(stub_server.url("flaky"), retry_limit=0))
@@ -170,6 +187,34 @@ def test_importing_crashcast_loads_no_requests_module():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_a_baseline_run_loads_no_http_stack(tmp_path):
+    """The HTTP modules are imported by a remote backend's first request, not by the package."""
+    http_stack = {"ssl", "http.client", "urllib.request"}
+    run = (
+        "import sys, crashcast, crashcast.cli\n"
+        "from crashcast.config import parse_run_config\n"
+        "from crashcast.pipeline import run_all\n"
+        "run_all(parse_run_config({'seed': 9, 'split': {'train_pairs': 30, 'validation_pairs': 12},"
+        " 'generator': {'n_systems': 6, 'days': 240}, 'paths': {'out_dir': sys.argv[1]}}))\n"
+    )
+    report = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+
+    def modules_after(code):
+        result = subprocess.run(
+            [sys.executable, "-c", code + "\n" + report, str(tmp_path / "out")],
+            env={"PYTHONPATH": str(Path(crashcast.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return set(json.loads(result.stdout))
+
+    loaded = modules_after(run)
+    assert (tmp_path / "out" / "report.json").is_file()
+    assert "crashcast.predictor" in loaded
+    assert not http_stack & (loaded - modules_after("pass"))
 
 
 class TestCounters:
