@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -286,8 +287,8 @@ def build_corpus(
     # a run holds a dozen or so distinct codes and kinds: derive each once, share the strings
     codes: dict[str | None, str] = {}
     kinds: dict[tuple[str | None, str | None], str] = {}
-    events: list[CrashEvent] = []
-    append, new = events.append, tuple.__new__
+    systems: defaultdict[str, list[CrashEvent]] = defaultdict(list)  # each in input order
+    new = tuple.__new__
     dropped = 0
     for record in records:
         system_id, timestamp, _, raw, params, cause = record
@@ -298,17 +299,22 @@ def build_corpus(
             code = codes[raw] = canonical_code(raw) if raw else ""
         if (kind := kinds.get((cause, raw))) is None:
             kind = kinds[cause, raw] = _derive_kind(record, catalog)
-        append(new(CrashEvent, (system_id, timestamp, kind, code, params)))
+        systems[system_id].append(new(CrashEvent, (system_id, timestamp, kind, code, params)))
 
-    if not events:
+    if not systems:
         raise EmptyCorpus("zero crash events survived corpus construction")
 
-    # the sort is stable, so the first of each run of equal keys is the first in input order
-    key = itemgetter(0, 1, 3)  # (system_id, time, bugcheck_code)
-    events.sort(key=key)
-    kept = [next(group) for _, group in groupby(events, key)]
+    # (system_id, time, bugcheck_code) order, one system's keys alive at a time; each sort is
+    # stable, so the first of each run of equal keys is the first in input order
+    built = sum(map(len, systems.values()))
+    key = itemgetter(1, 3)  # (time, bugcheck_code)
+    kept: list[CrashEvent] = []
+    for system_id in sorted(systems):
+        events = systems.pop(system_id)
+        events.sort(key=key)
+        kept.extend(next(group) for _, group in groupby(events, key))
     return CrashCorpus(
         events=tuple(kept),
-        duplicates=len(events) - len(kept),
+        duplicates=built - len(kept),
         dropped_before_floor=dropped,
     )

@@ -44,6 +44,8 @@ SYSTEM_MESSAGE = "Answer with a single sentence in the format shown by the examp
 
 # the longest sleep between two attempts of one remote call, in seconds
 MAX_BACKOFF_S = 30.0
+# the most remote calls in flight at once, each on a thread of its own
+MAX_IN_FLIGHT = 64
 
 
 @dataclass(frozen=True)
@@ -61,12 +63,16 @@ class BackendConfig:
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise ConfigError(f"unknown backend kind {self.kind!r}")
-        if self.max_in_flight < 1:
-            raise ConfigError("max_in_flight must be at least 1")
+        if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT:
+            raise ConfigError(f"max_in_flight must be from 1 to {MAX_IN_FLIGHT}")
         if self.timeout <= 0:
             raise ConfigError("timeout must be positive")
         if self.retry_limit < 0:
             raise ConfigError("retry_limit must not be negative")
+        if self.backoff_base < 0:  # time.sleep refuses a negative length
+            raise ConfigError("backoff_base must not be negative")
+        if self.max_output_tokens < 1:
+            raise ConfigError("max_output_tokens must be at least 1")
         # urlopen would also read file: and data: URLs as if they were answers
         if self.kind == "remote-llm" and not _is_http_url(self.endpoint):
             raise ConfigError(

@@ -35,6 +35,7 @@ NOISE_EVENT_IDS = (1074, 6008, 7001)
 _SECONDS_PER_DAY = 86400
 _SECONDS_BITS = _SECONDS_PER_DAY.bit_length()
 _KNUTH_MAX_RATE = 500  # Knuth's method needs exp(-rate) a normal float, so rate under ~708
+_SYSTEM_ID = "host-{:03d}".format  # of a system index
 
 
 def default_cause_catalog() -> tuple[tuple[str, str, float], ...]:
@@ -127,7 +128,7 @@ def _system_records(
     """
     rng = random.Random(derive_seed(seed, "synth", system_index))
     random_, getrandbits = rng.random, rng.getrandbits
-    system_id = f"host-{system_index:03d}"
+    system_id = _SYSTEM_ID(system_index)
     start, new = config.start_date, tuple.__new__
 
     multipliers = [1.0] * 7
@@ -188,11 +189,15 @@ def generate_records(config: GeneratorConfig, seed: int | None = None) -> list[R
     weekday = config.start_date.weekday()
     days = [(day * _SECONDS_PER_DAY, (weekday + day) % 7) for day in range(config.days)]
     records: list[RawLogRecord] = []
-    for index in range(config.n_systems):
-        records.extend(_system_records(config, effective_seed, index, days, labels, cum_weights))
-    # (timestamp, system_id, event_id, bugcheck_code, params): None never meets a str, as
-    # one event_id never mixes a None code with a string one (noise has none, event 41 one)
-    records.sort(key=itemgetter(1, 0, 2, 3, 4))
+    # (timestamp, system_id, event_id, bugcheck_code, params) order, no key tuple per record:
+    # each system sorted on all but system_id (None never meets a str: noise has no code,
+    # event 41 one), joined in system_id order ("host-1000" before "host-999"), then a
+    # stable sort on the datetime each record holds
+    for index in sorted(range(config.n_systems), key=_SYSTEM_ID):
+        system = _system_records(config, effective_seed, index, days, labels, cum_weights)
+        system.sort(key=itemgetter(1, 2, 3, 4))
+        records.extend(system)
+    records.sort(key=itemgetter(1))
     return records
 
 

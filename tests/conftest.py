@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -17,6 +18,17 @@ def sequence_of(system_id: str, day_kinds) -> EventSequence:
     """Build a sequence from (day offset, kind) pairs at the shared base date."""
     events = tuple(SeqEvent(at_day(day), kind) for day, kind in day_kinds)
     return EventSequence(system_id=system_id, events=events)
+
+
+def transient_peak(fn, *args):
+    """fn(*args), and how many bytes the call's traced peak rose above what it left allocated."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - kept
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from crashcast.config import (
     resolved_dict,
 )
 from crashcast.errors import ConfigError
+from crashcast.predictor import MAX_IN_FLIGHT
 
 FULL_DOCUMENT = {
     "seed": 42,
@@ -214,3 +215,32 @@ def test_synth_horizon_outside_four_digit_years_is_exit_two(tmp_path, start_date
     result = CliRunner().invoke(main, ["--config", str(path), "run"], catch_exceptions=False)
     assert result.exit_code == 2, result.output
     assert message in result.output
+
+
+# refused at load, before any request: time.sleep raises on a negative backoff, a server
+# cannot answer in fewer than one token, and each call in flight holds a thread of its own
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("backoff_base", -0.5, "backoff_base must not be negative"),
+        ("max_output_tokens", 0, "max_output_tokens must be at least 1"),
+        ("max_output_tokens", -64, "max_output_tokens must be at least 1"),
+        ("max_in_flight", 65, "max_in_flight must be from 1 to 64"),
+    ],
+)
+def test_a_backend_value_out_of_bounds_is_exit_two_naming_the_key(tmp_path, key, value, message):
+    path = tmp_path / "run.json"
+    backend = {"kind": "remote-llm", "endpoint": "http://127.0.0.1:1/v1", key: value}
+    path.write_text(json.dumps({"paths": {"out_dir": str(tmp_path / "out")}, "backend": backend}))
+    result = CliRunner().invoke(main, ["--config", str(path), "run"], catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_max_in_flight_may_be_the_bound(tmp_path):
+    assert MAX_IN_FLIGHT == 64
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"backend": {"max_in_flight": 64, "backoff_base": 0.0}}))
+    backend = load_run_config(path).backend
+    assert (backend.max_in_flight, backend.backoff_base) == (64, 0.0)

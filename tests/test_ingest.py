@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import transient_peak
 from oracles import build_corpus_loop
 from crashcast.errors import (
     BadCode,
@@ -31,6 +32,7 @@ from crashcast.ingest import (
     parse_timestamp,
     record_to_line,
 )
+from crashcast.synthgen import GeneratorConfig, generate_records
 
 UTC = timezone.utc
 
@@ -342,6 +344,35 @@ def test_build_corpus_equals_a_record_by_record_loop(shuffle_seed):
     # a cause wins over the catalog; a blank cause falls back to it
     kinds = [e.kind for e in corpus.events if e.system_id == "S7"]
     assert kinds == ["irql not", catalog["0xA"]]
+
+
+@pytest.mark.parametrize("order", ["shuffled", "grouped by system"])
+def test_build_corpus_past_999_systems_equals_a_record_by_record_loop(order):
+    config = GeneratorConfig(n_systems=1001, days=2)
+    records = filter_critical(generate_records(config, seed=1234))
+    # a copy of every fifth record with other params: whichever comes first in input order is kept
+    copies = [record._replace(params=("0xD",)) for record in records[::5]]
+    records += copies
+    if order == "shuffled":
+        random.Random(5).shuffle(records)
+    else:  # in system index order, host-1000 last, where system_id order puts it after host-100
+        records.sort(key=lambda record: int(record.system_id.removeprefix("host-")))
+    catalog = default_catalog()
+    corpus = build_corpus(records, catalog=catalog)
+    events, duplicates, dropped = build_corpus_loop(records, catalog)
+    assert [*corpus.events] == events
+    assert (corpus.duplicates, corpus.dropped_before_floor) == (duplicates, dropped)
+    assert (duplicates, dropped) == (len(copies), 0)
+
+
+def test_build_corpus_builds_no_key_tuple_per_event():
+    # one system's events are sorted at a time: a key tuple per event for the whole corpus
+    # passes 56 bytes an event at its peak
+    config = GeneratorConfig(seed=1234, n_systems=40, days=540)
+    records = filter_critical(generate_records(config))
+    corpus, transient = transient_peak(build_corpus, records, default_catalog())
+    assert len(corpus.events) == len(records)
+    assert transient < 24 * len(records), f"{transient / len(records):.1f} bytes an event"
 
 
 class TestCatalog:

@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from conftest import transient_peak
 from oracles import records_by_random_api
 from crashcast.config import RunConfig, parse_run_config, resolved_dict
 from crashcast.errors import ConfigError
@@ -266,3 +267,21 @@ _DRAW_CONFIGS = {
 def test_records_equal_those_the_random_api_draws(name, seed):
     config = GeneratorConfig(**{"n_systems": 3, "days": 45, **_DRAW_CONFIGS[name]})
     assert generate_records(config, seed=seed) == records_by_random_api(config, seed)
+
+
+def test_records_past_999_systems_equal_those_the_random_api_draws():
+    # "host-1000" sorts between "host-100" and "host-101", not after "host-999"; at 10 crashes
+    # a day, host-1000 shares an instant with a system of a lower index and a higher id
+    config = GeneratorConfig(n_systems=1001, days=2, per_system_rate=10.0)
+    records = generate_records(config, seed=1234)
+    assert records == records_by_random_api(config, 1234)
+    shared = {r.timestamp for r in records if r.system_id == "host-1000"}
+    assert any(r.timestamp in shared and r.system_id > "host-1000" for r in records)
+
+
+def test_generate_records_builds_no_key_tuple_per_record():
+    # the whole-corpus sort keys on the datetime each record holds: a key tuple per record
+    # passes 80 bytes a record at its peak
+    config = GeneratorConfig(seed=1234, n_systems=40, days=540)
+    records, transient = transient_peak(generate_records, config)
+    assert transient < 32 * len(records), f"{transient / len(records):.1f} bytes a record"
