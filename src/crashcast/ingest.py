@@ -17,7 +17,7 @@ from importlib import resources
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import BadCode, BadTimestamp, EmptyCorpus, MalformedRecord
 
@@ -84,7 +84,7 @@ class CrashEvent(NamedTuple):
 class CrashCorpus:
     """Deduplicated crash events plus bookkeeping about what was folded away."""
 
-    events: tuple[CrashEvent, ...]
+    events: list[CrashEvent]
     duplicates: int = 0
     dropped_before_floor: int = 0
 
@@ -223,7 +223,7 @@ def parse_lines(lines: Iterable[str]) -> list[RawLogRecord]:
     return records
 
 
-def filter_critical(records: Sequence[RawLogRecord]) -> list[RawLogRecord]:
+def filter_critical(records: Iterable[RawLogRecord]) -> list[RawLogRecord]:
     """Keep exactly the event-41 records, in input order."""
     return [r for r in records if r.event_id == CRITICAL_EVENT_ID]
 
@@ -269,7 +269,7 @@ def _derive_kind(record: RawLogRecord, catalog: dict[str, str]) -> str:
 
 
 def build_corpus(
-    records: Sequence[RawLogRecord],
+    records: Iterable[RawLogRecord],
     catalog: dict[str, str] | None = None,
     epoch_floor: datetime = DEFAULT_EPOCH_FLOOR,
 ) -> CrashCorpus:
@@ -314,7 +314,7 @@ def build_corpus(
         events.sort(key=key)
         kept.extend(next(group) for _, group in groupby(events, key))
     return CrashCorpus(
-        events=tuple(kept),
+        events=kept,
         duplicates=built - len(kept),
         dropped_before_floor=dropped,
     )

@@ -442,6 +442,13 @@ def _pair_key(pair: LabeledPair) -> tuple[str, int]:
     return pair.system_id, pair.index
 
 
+def _drained(items: list[T]) -> Iterator[T]:
+    """items in order, each removed as it is yielded: the list holds none of what was taken."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 # --- synth ---------------------------------------------------------------------
 
 def synth_stage(config: RunConfig, writers: Writers | None = None) -> list[RawLogRecord]:
@@ -457,18 +464,20 @@ def synth_stage(config: RunConfig, writers: Writers | None = None) -> list[RawLo
 
 def ingest_stage(
     config: RunConfig,
-    records: Sequence[RawLogRecord] | None = None,
+    records: list[RawLogRecord] | None = None,
     writers: Writers | None = None,
 ) -> CrashCorpus:
-    """The corpus of records, those synth_stage wrote to the logs file; None parses that file."""
+    """The corpus of records, which it empties; None parses the logs file synth_stage wrote."""
     path = path_of(config, LOGS_FILE)
     digest = None
     if records is None:
         digest = hashlib.sha256()
         records = parse_lines(_read_lines(path, digest))
-    critical = filter_critical(records)
+    record_count = len(records)
+    critical = filter_critical(_drained(records))
+    critical_count = len(critical)
     catalog = _named_file("paths.catalog", config.paths.catalog, load_catalog, default_catalog)
-    corpus = build_corpus(critical, catalog=catalog)
+    corpus = build_corpus(_drained(critical), catalog=catalog)
 
     lines = (encode_line(EVENT_FIELDS, e) for e in corpus.events)
     _write_forked(path_of(config, EVENTS_FILE), lines, writers)
@@ -478,8 +487,8 @@ def ingest_stage(
         path_of(config, INGEST_FILE),
         {
             "source_digest": digest.hexdigest() if digest is not None else _file_digest(path),
-            "records": len(records),
-            "critical": len(critical),
+            "records": record_count,
+            "critical": critical_count,
             "events": len(corpus.events),
             "duplicates": corpus.duplicates,
             "dropped_before_floor": corpus.dropped_before_floor,
@@ -492,7 +501,7 @@ def load_events(path: Path) -> CrashCorpus:
     events = [CrashEvent(*record.values()) for record in _read_records(path, EVENT_FIELDS)]
     if not events:
         raise DataError(f"{path.name} holds no events")
-    return CrashCorpus(events=tuple(events))
+    return CrashCorpus(events=events)
 
 
 # --- sequence ------------------------------------------------------------------
@@ -500,10 +509,11 @@ def load_events(path: Path) -> CrashCorpus:
 def sequence_stage(
     config: RunConfig, corpus: CrashCorpus | None = None, writers: Writers | None = None
 ) -> list[EventSequence]:
-    """Sequences and windows of the corpus; None reads the corpus from events.jsonl."""
+    """Sequences and windows of the corpus, whose events it empties; None reads events.jsonl."""
     if corpus is None:
         corpus = load_events(path_of(config, EVENTS_FILE))
-    sequences = build_sequences(corpus)
+    # build_sequences reads the events once, so each is freed as its SeqEvent is made
+    sequences = build_sequences(dataclasses.replace(corpus, events=_drained(corpus.events)))
     width = config.window_days
     # partitioned here, encoded in the writer
     partitions = [(seq, partition_windows(seq, width)) for seq in sequences]

@@ -37,6 +37,10 @@ _SECONDS_BITS = _SECONDS_PER_DAY.bit_length()
 _KNUTH_MAX_RATE = 500  # Knuth's method needs exp(-rate) a normal float, so rate under ~708
 _SYSTEM_ID = "host-{:03d}".format  # of a system index
 
+# a run's size: synth draws once per system-day and holds about 265 B per record it makes
+MAX_SYSTEM_DAYS = 10_000_000  # n_systems * days
+MAX_RECORDS = 10_000_000  # expected records, about 2.7 GB
+
 
 def default_cause_catalog() -> tuple[tuple[str, str, float], ...]:
     """The shipped code catalog with one dominant cause and the rest uniform."""
@@ -70,6 +74,15 @@ class GeneratorConfig:
             raise ConfigError("per_system_rate must be positive")
         if self.noise_fraction < 0:
             raise ConfigError("noise_fraction must not be negative")
+        system_days = self.n_systems * self.days
+        if system_days > MAX_SYSTEM_DAYS:
+            raise ConfigError(
+                f"n_systems * days must be at most {MAX_SYSTEM_DAYS}, got {system_days}"
+            )
+        expected = self.per_system_rate * system_days * (1 + self.noise_fraction)
+        if not expected <= MAX_RECORDS:  # NaN too
+            raise ConfigError("per_system_rate * n_systems * days * (1 + noise_fraction)"
+                              f" must be at most {MAX_RECORDS} records, got {expected:.10g}")
         # ingest takes the records as generated, so each must equal what its log line parses
         # to (a UTC instant, a code the log's bugcheck pattern accepts); and the manifest
         # holds start_date as a date, so it must be midnight to rebuild the same records

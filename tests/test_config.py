@@ -14,6 +14,7 @@ from crashcast.config import (
 )
 from crashcast.errors import ConfigError
 from crashcast.predictor import MAX_IN_FLIGHT
+from crashcast.synthgen import MAX_RECORDS, MAX_SYSTEM_DAYS
 
 FULL_DOCUMENT = {
     "seed": 42,
@@ -244,3 +245,46 @@ def test_max_in_flight_may_be_the_bound(tmp_path):
     path.write_text(json.dumps({"backend": {"max_in_flight": 64, "backoff_base": 0.0}}))
     backend = load_run_config(path).backend
     assert (backend.max_in_flight, backend.backoff_base) == (64, 0.0)
+
+
+# synth draws once per system-day and holds every record it makes, so a size past a bound is
+# refused at load, before anything is generated: 10 x 1,000,000 system-days is at
+# MAX_SYSTEM_DAYS and 11 x 909,091 one past it; 10,000 crashes a day for 1,000 days, or 5,000
+# and as many noise records, are at MAX_RECORDS, and each case past it expects one more record
+@pytest.mark.parametrize(
+    "generator",
+    [
+        {"n_systems": 10, "days": 1_000_000, "per_system_rate": 0.5},
+        {"n_systems": 1, "days": 1000, "per_system_rate": 10_000.0, "noise_fraction": 0.0},
+        {"n_systems": 1, "days": 1000, "per_system_rate": 5_000.0, "noise_fraction": 1.0},
+    ],
+)
+def test_a_generator_at_the_size_bounds_loads(tmp_path, generator):
+    assert (MAX_SYSTEM_DAYS, MAX_RECORDS) == (10_000_000, 10_000_000)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"generator": generator}))
+    loaded = load_run_config(path).generator
+    assert [getattr(loaded, key) for key in generator] == [*generator.values()]
+
+
+@pytest.mark.parametrize(
+    "generator, message",
+    [
+        ({"n_systems": 11, "days": 909_091, "per_system_rate": 0.5},
+         "n_systems * days must be at most 10000000, got 10000001"),
+        ({"n_systems": 1, "days": 1000, "per_system_rate": 10_000.001, "noise_fraction": 0.0},
+         "per_system_rate * n_systems * days * (1 + noise_fraction) must be at most 10000000"
+         " records, got 10000001"),
+        ({"n_systems": 1, "days": 1000, "per_system_rate": 5_000.0, "noise_fraction": 1.0000002},
+         "per_system_rate * n_systems * days * (1 + noise_fraction) must be at most 10000000"
+         " records, got 10000001"),
+    ],
+)
+def test_a_generator_past_a_size_bound_is_exit_two_naming_the_keys(tmp_path, generator, message):
+    path = tmp_path / "run.json"
+    document = {"paths": {"out_dir": str(tmp_path / "out")}, "generator": generator}
+    path.write_text(json.dumps(document))
+    result = CliRunner().invoke(main, ["--config", str(path), "run"], catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "out").exists()
