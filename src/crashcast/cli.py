@@ -52,7 +52,10 @@ def _execute(fn):
     except BackendError as err:
         click.echo(f"backend error: {err}", err=True)
         sys.exit(EXIT_BACKEND)
-    except OSError as err:  # an output the config places where it cannot be written
+    except (OSError, RuntimeError) as err:
+        # an output the config places where it cannot be written, or whose writer failed
+        if not hasattr(err, "strerror"):  # a RuntimeError that is not a writer's
+            raise
         name = "an output" if err.filename is None else err.filename
         click.echo(f"config error: cannot write {name}: {err.strerror or err}", err=True)
         sys.exit(EXIT_CONFIG)

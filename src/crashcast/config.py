@@ -11,7 +11,6 @@ run against the shipped data files and the baseline backend.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import sys
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from pathlib import Path
 from types import UnionType
 from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
+from ._seed import sha256
 from .errors import ConfigError
 from .ingest import is_utf8_encodable
 from .predictor import BackendConfig
@@ -174,4 +174,4 @@ def resolved_dict(value: Any) -> Any:
 
 def config_digest(config: RunConfig) -> str:
     payload = json.dumps(resolved_dict(config), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()

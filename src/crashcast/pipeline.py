@@ -19,16 +19,20 @@ The three large files (logs.jsonl, events.jsonl, windows.jsonl) are each
 encoded and written by a child made with os.fork(), so this module needs
 POSIX, while this process goes on to the next stage. `run_all` waits for
 every child before its manifest; a stage called alone waits for its child
-before it returns. The child only encodes and writes: it logs, prints and
-imports nothing, and leaves with os._exit, its exit status its only
-report: 0, the errno of the OSError that stopped it, or 255.
+before it returns. The child only encodes, writes and hashes: it logs,
+prints and imports nothing. It sends the hex SHA-256 of the file it wrote
+through a pipe, so this process reads none of the three back, and leaves
+with os._exit, its exit status its report of failure: 0, the errno of the
+OSError that stopped it, or 255. ingest.json, which holds the logs'
+digest, is written once the logs' writer is reaped. Every digest comes
+from `_seed.sha256`, the interpreter's own, so a baseline run loads no
+OpenSSL.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
-import hashlib
 import json
 import operator
 import os
@@ -43,7 +47,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from ._seed import derive_seed
+from ._seed import derive_seed, sha256
 from .config import NormalizationFlags, RunConfig, config_digest, resolved_dict
 from .errors import (
     BackendError,
@@ -180,20 +184,33 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
     _write(path, (line + "\n" for line in lines))
 
 
+def _writer_error(path: Path, reason: str) -> RuntimeError:
+    """A writer's failure past an OSError, with filename and strerror as an OSError has them."""
+    error = RuntimeError(f"the writer of {path} {reason}")
+    error.filename, error.strerror = str(path), f"its writer {reason}"
+    return error
+
+
 class Writers:
     """Forked children, each writing one file with _write_lines while this process goes on.
 
-    Leaving the with block waits for every child, so the files the run got
-    to are whole. Left normally, it then raises the first child's failure;
-    left on an exception, it only removes a failed child's .partial file,
-    and the exception goes on. An interrupt while it waits kills the
-    children that are left. No child outlives the block. A stage given no
-    Writers makes its own, so it returns with its file whole. failure is the
-    error of the first writer that could not start or failed, raised or not.
+    Each child also hashes the file it wrote and sends the hex digest back
+    through a pipe opened before the fork; digests holds them by path, and
+    then() defers what needs one until its writer is reaped. Leaving the
+    with block waits for every child, so the files the run got to are
+    whole. Left normally, it then raises the first child's failure; left
+    on an exception, it only removes a failed child's .partial file, and
+    the exception goes on. An interrupt while it waits kills the children
+    that are left. No child, and no pipe, outlives the block. A stage given
+    no Writers makes its own, so it returns with its file whole. failure is
+    the error of the first writer that could not start or failed, raised or
+    not.
     """
 
     def __init__(self) -> None:
-        self._live: dict[Path, int] = {}  # path: pid of its writer
+        self._live: dict[Path, tuple[int, int]] = {}  # path: pid of its writer, its pipe's read end
+        self._then: dict[Path, Callable[[str], Any]] = {}  # path: called with its digest when reaped
+        self.digests: dict[Path, str] = {}  # path: hex sha256 of the file its writer wrote
         self.waits: dict[str, float] = {}  # file name: seconds wait() blocked on its writer
         self.failure: Exception | None = None
 
@@ -207,24 +224,41 @@ class Writers:
             self.stop()
 
     def start(self, path: Path, lines: Iterable[str]) -> None:
-        """Write lines to path from a forked child, which only encodes and writes."""
+        """Write lines to path from a forked child, which only encodes, writes and hashes."""
+        pipe: tuple[int, ...] = ()
         try:
+            pipe = os.pipe()
             pid = os.fork()
         except OSError as err:  # no writer to start is a failure to write path
+            for fd in pipe:
+                os.close(fd)
             failure = OSError(err.errno, err.strerror, str(path))
             self.failure = self.failure or failure
             raise failure from None
+        read_end, write_end = pipe
         if pid == 0:  # the child exits 0, with its OSError's errno (1-254), or with 255
             code = 255
             try:
                 os.nice(10)  # where it contends for a core, the next stage goes first
                 _write_lines(path, lines)
+                os.write(write_end, _file_digest(path).encode())  # 64 bytes: one atomic write
                 code = 0
             except OSError as err:
                 code = err.errno if err.errno in range(1, 255) else 255
             finally:
                 os._exit(code)
-        self._live[path] = pid
+        os.close(write_end)  # so the read end sees end of file once the child is gone
+        self._live[path] = pid, read_end
+
+    def then(self, path: Path, fn: Callable[[str], Any]) -> None:
+        """Call fn with path's digest once its writer is reaped whole; at once if none runs.
+
+        With no writer of path left, the digest is the one it sent, else the file's, read here.
+        """
+        if path in self._live:
+            self._then[path] = fn
+        else:
+            fn(self.digests.get(path) or _file_digest(path))
 
     def wait(self, *paths: Path, raising: bool = True) -> None:
         """Reap the writers of paths that still run, then raise the first failure if raising.
@@ -235,25 +269,42 @@ class Writers:
         for path in paths:
             if path not in self._live:
                 continue
+            pid, read_end = self._live[path]
             started = time.perf_counter()
-            code = os.waitstatus_to_exitcode(os.waitpid(self._live[path], 0)[1])
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             self.waits[path.name] = time.perf_counter() - started
             del self._live[path]
+            try:
+                sent = os.read(read_end, 65)  # whole: the child wrote it at once, then exited
+            finally:
+                os.close(read_end)
+            then = self._then.pop(path, None)
             if code:  # a signal's is negative
                 _partial_of(path).unlink(missing_ok=True)
                 failure = failure or (
                     OSError(code, os.strerror(code), str(path)) if 0 < code < 255
-                    else RuntimeError(f"the writer of {path} failed with status {code}")
+                    else _writer_error(path, f"failed with status {code}")
                 )
+            elif len(sent) != 64:
+                failure = failure or _writer_error(path, "exited 0 without a full digest")
+            else:
+                self.digests[path] = digest = sent.decode("ascii")
+                try:
+                    if then is not None:
+                        then(digest)
+                except Exception as err:  # what waited for the digest failed: ingest.json's write
+                    failure = failure or err
         self.failure = self.failure or failure
         if failure is not None and raising:
             raise failure
 
     def stop(self) -> None:
-        """Kill every writer that still runs, reap it and remove its .partial file."""
-        for path, pid in [*self._live.items()]:
+        """Kill every writer that still runs, reap it, close its pipe and remove its .partial file."""
+        self._then.clear()
+        for path, (pid, read_end) in [*self._live.items()]:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
+            os.close(read_end)
             del self._live[path]
             _partial_of(path).unlink(missing_ok=True)
 
@@ -429,7 +480,7 @@ def _file_digest(path: Path) -> str | None:
     """Hex sha256 of a file's bytes, read in 64 KiB chunks; None when there is no file."""
     if not path.is_file():
         return None
-    digest = hashlib.sha256()
+    digest = sha256()
     buffer = bytearray(1 << 16)  # one buffer for the whole file: no new bytes per chunk
     view = memoryview(buffer)
     with path.open("rb") as stream:
@@ -467,33 +518,36 @@ def ingest_stage(
     records: list[RawLogRecord] | None = None,
     writers: Writers | None = None,
 ) -> CrashCorpus:
-    """The corpus of records, which it empties; None parses the logs file synth_stage wrote."""
+    """The corpus of records, which it empties; None parses the logs file synth_stage wrote.
+
+    ingest.json holds the logs' digest: when one of writers still writes the logs, it is
+    written once that writer is reaped, so this stage does not wait for it.
+    """
     path = path_of(config, LOGS_FILE)
     digest = None
     if records is None:
-        digest = hashlib.sha256()
+        digest = sha256()
         records = parse_lines(_read_lines(path, digest))
-    record_count = len(records)
+    counts = {"records": len(records)}
     critical = filter_critical(_drained(records))
-    critical_count = len(critical)
+    counts["critical"] = len(critical)
     catalog = _named_file("paths.catalog", config.paths.catalog, load_catalog, default_catalog)
     corpus = build_corpus(_drained(critical), catalog=catalog)
+    counts.update(events=len(corpus.events), duplicates=corpus.duplicates,
+                  dropped_before_floor=corpus.dropped_before_floor)
 
     lines = (encode_line(EVENT_FIELDS, e) for e in corpus.events)
     _write_forked(path_of(config, EVENTS_FILE), lines, writers)
-    if writers is not None:
-        writers.wait(path)  # synth's writer, if it still runs: the digest needs the whole file
-    _write_json(
-        path_of(config, INGEST_FILE),
-        {
-            "source_digest": digest.hexdigest() if digest is not None else _file_digest(path),
-            "records": record_count,
-            "critical": critical_count,
-            "events": len(corpus.events),
-            "duplicates": corpus.duplicates,
-            "dropped_before_floor": corpus.dropped_before_floor,
-        },
-    )
+
+    def write_ingest(source_digest: str | None) -> None:
+        _write_json(path_of(config, INGEST_FILE), {"source_digest": source_digest, **counts})
+
+    if digest is not None:
+        write_ingest(digest.hexdigest())
+    elif writers is not None:  # synth's writer sends the logs' digest when it is reaped
+        writers.then(path, write_ingest)
+    else:
+        write_ingest(_file_digest(path))
     return corpus
 
 
@@ -921,8 +975,13 @@ def _write_manifest(
     counts: dict[str, Any],
     validation_systems: dict[str, int],
     backend_id: str | None,
+    digests: dict[Path, str],
 ) -> None:
-    outputs = {name: _file_digest(path) for name, path in _output_paths(config).items()}
+    """The manifest; a file's digest from digests, the writers' report, else read here."""
+    outputs = {
+        name: digests.get(path) or _file_digest(path)
+        for name, path in _output_paths(config).items()
+    }
     manifest = {
         "status": status,
         "error": None
@@ -995,10 +1054,12 @@ def run_all(config: RunConfig) -> dict[str, Any]:
         predictions_path = path_of(config, PREDICTIONS_FILE)
         lines = _read_lines(predictions_path) if predictions_path.is_file() else ()
         counts.setdefault("predictions", sum(1 for line in lines if line.strip()))
-        _write_manifest(config, "failed", err, counts, validation_systems, backend_id)
+        _write_manifest(
+            config, "failed", err, counts, validation_systems, backend_id, writers.digests
+        )
         _write_json(path_of(config, TIMINGS_FILE), timings_file)
         raise
 
-    _write_manifest(config, "ok", None, counts, validation_systems, backend_id)
+    _write_manifest(config, "ok", None, counts, validation_systems, backend_id, writers.digests)
     _write_json(path_of(config, TIMINGS_FILE), timings_file)
     return report

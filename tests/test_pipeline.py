@@ -1083,6 +1083,24 @@ class TestCli:
         logs = tmp_path / "out" / LOGS_FILE
         assert f"config error: cannot write {logs}: {os.strerror(code)}" in result.output
 
+    @pytest.mark.parametrize("status", [255, -signal.SIGKILL])
+    def test_a_writer_that_fails_past_an_os_error_is_exit_two_naming_its_file(
+        self, tmp_path, monkeypatch, status
+    ):
+        test_pid = os.getpid()
+
+        def killed(record):
+            assert os.getpid() != test_pid, "record_to_line ran outside the logs' writer"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(pipeline, "record_to_line", _not_a_record if status == 255 else killed)
+        result = self.invoke("--config", str(self.write_config(tmp_path)), "run")
+        assert result.exit_code == 2, result.output
+        logs = tmp_path / "out" / LOGS_FILE
+        expected = f"config error: cannot write {logs}: its writer failed with status {status}"
+        assert expected in result.output
+        assert json.loads((tmp_path / "out" / MANIFEST_FILE).read_text())["status"] == "failed"
+
     def test_rerun_never_touches_the_named_logs_file(self, tmp_path):
         out = tmp_path / "out"
         config_path = self.write_config(tmp_path)
@@ -1611,6 +1629,99 @@ class TestWriters:
         writers.stop()
         _assert_no_writer_left(tmp_path, writer_pids)
         assert not path.exists()
+
+    def test_run_all_hashes_no_forked_file_in_this_process(self, tmp_path, monkeypatch):
+        hashed = []  # only this process's calls: a writer's are made in its own memory
+        real_file_digest = pipeline._file_digest
+
+        def spy(path):
+            hashed.append(path.name)
+            return real_file_digest(path)
+
+        monkeypatch.setattr(pipeline, "_file_digest", spy)
+        out = tmp_path / "out"
+        run_all(small_config(out))
+        assert not {LOGS_FILE, EVENTS_FILE, WINDOWS_FILE} & {*hashed}
+        assert {SPLIT_FILE, PREDICTIONS_FILE, REPORT_FILE, TABLE_FILE} <= {*hashed}
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        for name in (LOGS_FILE, EVENTS_FILE, WINDOWS_FILE):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert manifest["outputs"][name.split(".")[0]] == digest, name
+
+    def test_each_writer_reports_the_sha256_of_its_file(self, tmp_path, writer_pids):
+        files = {
+            tmp_path / "empty.jsonl": [],
+            tmp_path / "one.jsonl": ['{"system_id": "höst-\U0001f4a5"}'],
+            tmp_path / "many.jsonl": [f'{{"index": {i}}}' for i in range(30_000)],
+        }
+        with pipeline.Writers() as writers:
+            for path, lines in files.items():
+                writers.start(path, lines)
+        for path in files:
+            assert writers.digests[path] == hashlib.sha256(path.read_bytes()).hexdigest()
+        _assert_no_writer_left(tmp_path, writer_pids)
+
+    @pytest.mark.parametrize("sent", ["", "0" * 63])
+    def test_a_writer_that_sends_no_full_digest_names_its_file(
+        self, tmp_path, monkeypatch, writer_pids, sent
+    ):
+        monkeypatch.setattr(pipeline, "_file_digest", lambda path: sent)
+        path = tmp_path / EVENTS_FILE
+        writers = pipeline.Writers()
+        writers.start(path, ["a line"])
+        with pytest.raises(RuntimeError) as raised:
+            writers.wait(path)
+        assert str(raised.value) == f"the writer of {path} exited 0 without a full digest"
+        assert writers.failure is raised.value
+        assert writers.digests == {}
+        _assert_no_writer_left(tmp_path, writer_pids)
+
+    @pytest.mark.parametrize("ending", ["ok", "failed writer", "stopped"])
+    def test_no_pipe_outlives_the_writers(self, tmp_path, monkeypatch, ending):
+        open_before = sorted(os.listdir("/proc/self/fd"))
+        if ending == "ok":
+            run_all(small_config(tmp_path / "out"))
+        elif ending == "failed writer":
+            monkeypatch.setattr(pipeline, "record_to_line", _not_a_record)
+            with pytest.raises(RuntimeError):
+                run_all(small_config(tmp_path / "out"))
+        else:
+            writers = pipeline.Writers()
+            writers.start(tmp_path / EVENTS_FILE, iter(lambda: time.sleep(0.01) or "a line", None))
+            writers.start(tmp_path / WINDOWS_FILE, ["a line"])
+            writers.stop()
+        assert sorted(os.listdir("/proc/self/fd")) == open_before
+
+    def test_ingest_returns_while_the_logs_writer_runs(self, tmp_path, monkeypatch, writer_pids):
+        run_all(small_config(tmp_path / "reference"))
+        writer_pids.clear()
+        out, release = tmp_path / "out", tmp_path / "release"
+        config = small_config(out)
+        real_record_to_line = pipeline.record_to_line
+        deadline = time.monotonic() + 10  # the logs' writer waits no longer than this in all
+
+        def held_until_released(record):  # in the logs' writer: each line waits for release
+            while not release.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return real_record_to_line(record)
+
+        monkeypatch.setattr(pipeline, "record_to_line", held_until_released)
+        with pipeline.Writers() as writers:
+            ingest_stage(config, synth_stage(config, writers), writers)
+            assert os.waitpid(writer_pids[0], os.WNOHANG) == (0, 0)  # the logs' writer runs
+            assert not (out / INGEST_FILE).exists()
+            release.touch()
+        _assert_no_writer_left(out, writer_pids)
+        expected = (tmp_path / "reference" / INGEST_FILE).read_bytes()
+        assert (out / INGEST_FILE).read_bytes() == expected
+
+    def test_a_run_that_fails_at_split_writes_the_ingest_file_of_one_that_passes(self, tmp_path):
+        run_all(small_config(tmp_path / "passes"))
+        short = small_config(tmp_path / "fails", split={"train_pairs": 30, "validation_pairs": 10**5})
+        with pytest.raises(InsufficientData):
+            run_all(short)
+        expected = (tmp_path / "passes" / INGEST_FILE).read_bytes()
+        assert (tmp_path / "fails" / INGEST_FILE).read_bytes() == expected
 
 
 def test_run_all_drops_the_corpus_once_it_is_sequenced(tmp_path, monkeypatch):

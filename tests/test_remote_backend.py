@@ -217,6 +217,60 @@ def test_a_baseline_run_loads_no_http_stack(tmp_path):
     assert not http_stack & (loaded - modules_after("pass"))
 
 
+# a small baseline run in a fresh interpreter, its output directory the first argument,
+# then the JSON of `result`; `before` runs ahead of every import
+_SMALL_BASELINE_RUN = (
+    "import json, sys\n"
+    "{before}\n"
+    "from crashcast._seed import derive_seed, sha256\n"
+    "from crashcast.config import config_digest, parse_run_config\n"
+    "from crashcast.pipeline import run_all\n"
+    "config = parse_run_config({{'seed': 9, 'split': {{'train_pairs': 30, 'validation_pairs': 12}},"
+    " 'generator': {{'n_systems': 6, 'days': 240}}, 'paths': {{'out_dir': sys.argv[1]}}}})\n"
+    "run_all(config)\n"
+    "print(json.dumps({result}))\n"
+)
+
+
+def _run_python(code, out):
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(out)],
+        env={"PYTHONPATH": str(Path(crashcast.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(result.stdout)
+
+
+def test_a_baseline_run_loads_no_openssl(tmp_path):
+    """Every digest is the interpreter's own SHA-256: hashlib would map OpenSSL's libcrypto."""
+    openssl = {"_hashlib", "hashlib", "ssl"}
+    loaded = _run_python(_SMALL_BASELINE_RUN.format(before="", result="sorted(sys.modules)"), tmp_path)
+    bare = _run_python("import json, sys; print(json.dumps(sorted(sys.modules)))", tmp_path)
+    assert (tmp_path / "report.json").is_file()
+    assert "crashcast._seed" in loaded
+    assert not openssl & ({*loaded} - {*bare})
+
+
+def test_the_hashlib_fallback_gives_the_same_digests(tmp_path):
+    """Where the interpreter has no SHA-256 of its own, hashlib's gives every digest unchanged."""
+    result = (
+        "[sha256.__module__, derive_seed(9, 'shots', 'SYS-3', 7), config_digest(config),"
+        " json.load(open(sys.argv[1] + '/manifest.json'))['outputs'],"
+        " json.load(open(sys.argv[1] + '/ingest.json'))['source_digest']]"
+    )
+    no_builtin = "sys.modules['_sha2'] = sys.modules['_sha256'] = None"
+    out = tmp_path / "out"  # the same for both runs: the config digest holds it
+    builtin = _run_python(_SMALL_BASELINE_RUN.format(before="", result=result), out)
+    fallback = _run_python(_SMALL_BASELINE_RUN.format(before=no_builtin, result=result), out)
+    assert builtin[0] in {"_sha2", "_sha256"}
+    assert fallback[0] not in {"_sha2", "_sha256"}
+    assert fallback[1:] == builtin[1:]
+    assert None not in builtin[3].values()
+    assert builtin[4] == builtin[3]["logs"]
+
+
 class TestCounters:
     def test_counters_accumulate_across_threads(self, stub_server):
         backend = quiet_backend(config_for(stub_server.url("echo")))
