@@ -28,6 +28,8 @@ DEFAULT_EPOCH_FLOOR = datetime(2000, 1, 1, tzinfo=timezone.utc)
 
 MAX_PARAMS = 4
 
+NO_EVENTS = "zero crash events survived corpus construction"  # EmptyCorpus's message
+
 # Both patterns must match the whole value (fullmatch), in ASCII digits only.
 BUGCHECK_RE = re.compile(r"0x[0-9A-Fa-f]{1,8}")
 _TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:Z|\+00:00)")
@@ -302,7 +304,7 @@ def build_corpus(
         systems[system_id].append(new(CrashEvent, (system_id, timestamp, kind, code, params)))
 
     if not systems:
-        raise EmptyCorpus("zero crash events survived corpus construction")
+        raise EmptyCorpus(NO_EVENTS)
 
     # (system_id, time, bugcheck_code) order, one system's keys alive at a time; each sort is
     # stable, so the first of each run of equal keys is the first in input order

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -36,6 +36,9 @@ class RougeScore:
 ZERO_SCORE = RougeScore(0.0, 0.0, 0.0)
 
 
+# a run scores a few thousand items on a few dozen distinct (overlap, lengths): one
+# shared score for each keeps the scores an evaluation holds small
+@lru_cache(maxsize=4096)
 def _prf(overlap: float, candidate_len: int, reference_len: int) -> RougeScore:
     if candidate_len == 0 or reference_len == 0:
         return ZERO_SCORE

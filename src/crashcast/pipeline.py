@@ -6,8 +6,9 @@ paths.logs names them. Each stage writes its own files once. Run alone, a
 stage reads only the files the previous stage declared, so any stage can
 be rerun; inside `run_all` each stage takes the previous stage's
 in-memory result instead, and no file is parsed back, logs.jsonl
-included: synth hands its records to ingest, which parses a logs file
-only when `paths.logs` names one (synth then does not run). Each
+included: synth and ingest stream each system's records and corpus
+into sequence, and ingest parses a logs file only when `paths.logs`
+names one (synth then does not run). Each
 JSON-lines stage file past the logs (events.jsonl, windows.jsonl,
 predictions.jsonl) has one field table here, which both writes its lines
 and checks and decodes them when read. The full run also writes a
@@ -15,35 +16,45 @@ manifest that pins the resolved config, the seed, the backend, and the
 digests of every output; wall-clock timings go to a separate file so the
 manifest stays byte-identical across identical runs.
 
-The three large files (logs.jsonl, events.jsonl, windows.jsonl) are each
-encoded and written by a child made with os.fork(), so this module needs
-POSIX, while this process goes on to the next stage. `run_all` waits for
-every child before its manifest; a stage called alone waits for its child
-before it returns. The child only encodes, writes and hashes: it logs,
-prints and imports nothing. It sends the hex SHA-256 of the file it wrote
-through a pipe, so this process reads none of the three back, and leaves
-with os._exit, its exit status its report of failure: 0, the errno of the
-OSError that stopped it, or 255. ingest.json, which holds the logs'
-digest, is written once the logs' writer is reaped. Every digest comes
-from `_seed.sha256`, the interpreter's own, so a baseline run loads no
-OpenSSL.
+The three large files (logs.jsonl, events.jsonl, windows.jsonl) are
+written by children made with os.fork(), so this module needs POSIX,
+while this process goes on to the next stage. A stage called alone forks
+one writer, which only encodes, writes and hashes its file. `run_all`
+without paths.logs forks one data writer instead of synth's and
+ingest's: it draws the synthetic corpus itself, one system at a time,
+and deduplicates it, writing events.jsonl as it goes and logs.jsonl,
+merged into time order, at the end; this process draws each system
+again and sequences it. `run_all` waits for every child before its
+manifest; a stage called alone waits for its child before it returns. A
+child logs and prints nothing, and imports only hashlib, whose OpenSSL
+SHA-256 hashes the files it wrote about 6x as fast as the interpreter's.
+It sends their hex digests through a pipe, so this process reads none
+of the three back, and leaves with os._exit, its exit status its report
+of failure: 0, the errno of the OSError that stopped it, or 255.
+ingest.json, which holds the logs' digest, is written once the logs'
+writer is reaped. Every digest this process makes comes from
+`_seed.sha256`, the interpreter's own, so a baseline run's main process
+loads no OpenSSL.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import heapq
 import json
 import operator
 import os
 import random
+import sys
 import time
+from array import array
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from datetime import timedelta
 from itertools import chain, groupby, islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -53,11 +64,13 @@ from .errors import (
     BackendError,
     ConfigError,
     DataError,
+    EmptyCorpus,
     InsufficientData,
     HistoryTooShort,
     RecordError,
 )
 from .ingest import (
+    NO_EVENTS,
     CrashCorpus,
     CrashEvent,
     RawLogRecord,
@@ -73,7 +86,7 @@ from .ingest import (
     parse_timestamp,
     record_to_line,
 )
-from .metrics import CATEGORIES, aggregate, score_item
+from .metrics import CATEGORIES, RougeScore, aggregate, score_item
 from .postprocess import (
     NormalizationConfig,
     default_stopwords,
@@ -107,7 +120,7 @@ from .sequencer import (
     window_index_of,
 )
 # generate_corpus is not called here: bench/tracer.py wraps it by its name in this module
-from .synthgen import generate_corpus, generate_records
+from .synthgen import generate_corpus, generate_records, generate_systems
 
 LOGS_FILE = "logs.jsonl"
 EVENTS_FILE = "events.jsonl"
@@ -184,6 +197,9 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
     _write(path, (line + "\n" for line in lines))
 
 
+_NO_FILE = "-" * 64  # what a writer sends for a file it left out
+
+
 def _writer_error(path: Path, reason: str) -> RuntimeError:
     """A writer's failure past an OSError, with filename and strerror as an OSError has them."""
     error = RuntimeError(f"the writer of {path} {reason}")
@@ -192,26 +208,32 @@ def _writer_error(path: Path, reason: str) -> RuntimeError:
 
 
 class Writers:
-    """Forked children, each writing one file with _write_lines while this process goes on.
+    """Forked children, each writing its files while this process goes on.
 
-    Each child also hashes the file it wrote and sends the hex digest back
-    through a pipe opened before the fork; digests holds them by path, and
-    then() defers what needs one until its writer is reaped. Leaving the
-    with block waits for every child, so the files the run got to are
+    A stage's writer only encodes and writes one file; `run_all`'s data
+    writer also draws and deduplicates the corpus it writes (_write_data).
+    Each child also hashes the files it wrote and sends their hex digests
+    back through a pipe opened before the fork; digests holds them by path,
+    and then() defers what needs one until its writer is reaped. Leaving
+    the with block waits for every child, so the files the run got to are
     whole. Left normally, it then raises the first child's failure; left
-    on an exception, it only removes a failed child's .partial file, and
+    on an exception, it only removes a failed child's .partial files, and
     the exception goes on. An interrupt while it waits kills the children
     that are left. No child, and no pipe, outlives the block. A stage given
     no Writers makes its own, so it returns with its file whole. failure is
     the error of the first writer that could not start or failed, raised or
-    not.
+    not; it names the writer's first file. waits and usage hold, by file
+    name, the seconds wait() blocked on each file's writer and that
+    writer's CPU seconds and peak resident set (the files of one writer
+    share its figures).
     """
 
     def __init__(self) -> None:
-        self._live: dict[Path, tuple[int, int]] = {}  # path: pid of its writer, its pipe's read end
-        self._then: dict[Path, Callable[[str], Any]] = {}  # path: called with its digest when reaped
+        self._live: dict[tuple[Path, ...], tuple[int, int]] = {}  # a writer's paths: pid, pipe
+        self._then: dict[Path, Callable[[str | None], Any]] = {}  # path: fn(digest) when reaped
         self.digests: dict[Path, str] = {}  # path: hex sha256 of the file its writer wrote
         self.waits: dict[str, float] = {}  # file name: seconds wait() blocked on its writer
+        self.usage: dict[str, dict[str, float]] = {}  # file name: its writer's rusage figures
         self.failure: Exception | None = None
 
     def __enter__(self) -> Writers:
@@ -219,43 +241,60 @@ class Writers:
 
     def __exit__(self, kind, err, tb) -> None:
         try:
-            self.wait(*self._live, raising=kind is None)
+            self.wait(*chain.from_iterable(self._live), raising=kind is None)
         finally:
             self.stop()
 
     def start(self, path: Path, lines: Iterable[str]) -> None:
         """Write lines to path from a forked child, which only encodes, writes and hashes."""
+
+        def write() -> None:
+            os.nice(9)  # 19 in all: where it contends for a core, the data writer goes first
+            _write_lines(path, lines)
+
+        self.fork((path,), write)
+
+    def fork(self, paths: tuple[Path, ...], write: Callable[[], Any]) -> None:
+        """Call write() in a forked child, which then sends the digest of each of paths.
+
+        write() writes the files, each through its .partial sibling; one it leaves out is
+        sent as 64 "-" and gets no digest. The child exits 0, with the errno (1-254) of the
+        OSError that stopped it, or with 255.
+        """
         pipe: tuple[int, ...] = ()
         try:
             pipe = os.pipe()
             pid = os.fork()
-        except OSError as err:  # no writer to start is a failure to write path
+        except OSError as err:  # no writer to start is a failure to write its files
             for fd in pipe:
                 os.close(fd)
-            failure = OSError(err.errno, err.strerror, str(path))
+            failure = OSError(err.errno, err.strerror, str(paths[0]))
             self.failure = self.failure or failure
             raise failure from None
         read_end, write_end = pipe
-        if pid == 0:  # the child exits 0, with its OSError's errno (1-254), or with 255
+        if pid == 0:
             code = 255
             try:
                 os.nice(10)  # where it contends for a core, the next stage goes first
-                _write_lines(path, lines)
-                os.write(write_end, _file_digest(path).encode())  # 64 bytes: one atomic write
+                write()
+                import hashlib  # OpenSSL's SHA-256, for _file_digest: 3.5 MB, this writer's alone
+                digests = map(_file_digest, paths)
+                sent = "".join(_NO_FILE if digest is None else digest for digest in digests)
+                os.write(write_end, sent.encode())  # 64 bytes a file: one atomic write
                 code = 0
             except OSError as err:
                 code = err.errno if err.errno in range(1, 255) else 255
             finally:
                 os._exit(code)
         os.close(write_end)  # so the read end sees end of file once the child is gone
-        self._live[path] = pid, read_end
+        self._live[paths] = pid, read_end
 
-    def then(self, path: Path, fn: Callable[[str], Any]) -> None:
+    def then(self, path: Path, fn: Callable[[str | None], Any]) -> None:
         """Call fn with path's digest once its writer is reaped whole; at once if none runs.
 
         With no writer of path left, the digest is the one it sent, else the file's, read here.
         """
-        if path in self._live:
+        if any(path in paths for paths in self._live):
             self._then[path] = fn
         else:
             fn(self.digests.get(path) or _file_digest(path))
@@ -263,50 +302,56 @@ class Writers:
     def wait(self, *paths: Path, raising: bool = True) -> None:
         """Reap the writers of paths that still run, then raise the first failure if raising.
 
-        A failed writer's .partial file is removed: a killed child cannot remove it.
+        A failed writer's .partial files are removed: a killed child cannot remove them.
         """
         failure: Exception | None = None
-        for path in paths:
-            if path not in self._live:
-                continue
-            pid, read_end = self._live[path]
+        for key in [key for key in self._live if not set(key).isdisjoint(paths)]:
+            pid, read_end = self._live.pop(key)
             started = time.perf_counter()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            self.waits[path.name] = time.perf_counter() - started
-            del self._live[path]
+            status, usage = os.wait4(pid, 0)[1:]
+            waited = time.perf_counter() - started
+            figures = {"user_s": usage.ru_utime, "system_s": usage.ru_stime,
+                       "maxrss_kb": usage.ru_maxrss}
+            for path in key:
+                self.waits[path.name], self.usage[path.name] = waited, figures
             try:
-                sent = os.read(read_end, 65)  # whole: the child wrote it at once, then exited
+                sent = os.read(read_end, 64 * len(key) + 1)  # whole: written at once, then exit
             finally:
                 os.close(read_end)
-            then = self._then.pop(path, None)
+            code = os.waitstatus_to_exitcode(status)
+            thens = [self._then.pop(path, None) for path in key]
             if code:  # a signal's is negative
-                _partial_of(path).unlink(missing_ok=True)
+                for path in key:
+                    _partial_of(path).unlink(missing_ok=True)
                 failure = failure or (
-                    OSError(code, os.strerror(code), str(path)) if 0 < code < 255
-                    else _writer_error(path, f"failed with status {code}")
+                    OSError(code, os.strerror(code), str(key[0])) if 0 < code < 255
+                    else _writer_error(key[0], f"failed with status {code}")
                 )
-            elif len(sent) != 64:
-                failure = failure or _writer_error(path, "exited 0 without a full digest")
+            elif len(sent) != 64 * len(key):
+                failure = failure or _writer_error(key[0], "exited 0 without a full digest")
             else:
-                self.digests[path] = digest = sent.decode("ascii")
-                try:
-                    if then is not None:
-                        then(digest)
-                except Exception as err:  # what waited for the digest failed: ingest.json's write
-                    failure = failure or err
+                for index, (path, then) in enumerate(zip(key, thens)):
+                    if (digest := sent[64 * index:64 * (index + 1)].decode("ascii")) != _NO_FILE:
+                        self.digests[path] = digest
+                    try:
+                        if then is not None:
+                            then(self.digests.get(path))
+                    except Exception as err:  # what waited for the digest failed: ingest.json
+                        failure = failure or err
         self.failure = self.failure or failure
         if failure is not None and raising:
             raise failure
 
     def stop(self) -> None:
-        """Kill every writer that still runs, reap it, close its pipe and remove its .partial file."""
+        """Kill every writer that still runs, reap it, close its pipe, remove its .partial files."""
         self._then.clear()
-        for path, (pid, read_end) in [*self._live.items()]:
+        for paths, (pid, read_end) in [*self._live.items()]:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
             os.close(read_end)
-            del self._live[path]
-            _partial_of(path).unlink(missing_ok=True)
+            del self._live[paths]
+            for path in paths:
+                _partial_of(path).unlink(missing_ok=True)
 
 
 def _write_forked(path: Path, lines: Iterable[str], writers: Writers | None) -> None:
@@ -477,10 +522,15 @@ def _named_file(
 
 
 def _file_digest(path: Path) -> str | None:
-    """Hex sha256 of a file's bytes, read in 64 KiB chunks; None when there is no file."""
+    """Hex sha256 of a file's bytes, read in 64 KiB chunks; None when there is no file.
+
+    Where this process has loaded hashlib, as a forked writer does, OpenSSL's SHA-256 hashes
+    about 6x as fast as the interpreter's, which a baseline run's main process keeps to.
+    """
     if not path.is_file():
         return None
-    digest = sha256()
+    hashlib = sys.modules.get("hashlib")
+    digest = sha256() if hashlib is None else hashlib.sha256()
     buffer = bytearray(1 << 16)  # one buffer for the whole file: no new bytes per chunk
     view = memoryview(buffer)
     with path.open("rb") as stream:
@@ -511,6 +561,89 @@ def synth_stage(config: RunConfig, writers: Writers | None = None) -> list[RawLo
     return records
 
 
+# --- synth and ingest, one system at a time ---------------------------------------
+
+def _system_corpus(
+    records: list[RawLogRecord], catalog: dict[str, str]
+) -> tuple[CrashCorpus, int]:
+    """One system's corpus and how many of records are critical; records is emptied.
+
+    build_corpus refuses a corpus with no event; one system's may have none, and is then
+    a corpus of no events that drops every critical record.
+    """
+    critical = filter_critical(_drained(records))
+    count = len(critical)
+    try:
+        return build_corpus(_drained(critical), catalog=catalog), count
+    except EmptyCorpus:
+        return CrashCorpus([], 0, count), count
+
+
+def _lines_in(text: str) -> Iterator[str]:
+    """The lines of text, each ending in "\\n", sliced out one at a time."""
+    start = 0
+    while end := text.find("\n", start) + 1:
+        yield text[start:end]
+        start = end
+
+
+def _write_data(config: RunConfig, catalog: dict[str, str]) -> None:
+    """The data writer's work: events.jsonl as each system is drawn, then logs.jsonl.
+
+    It keeps each system's log lines as one str and their instants in seconds, then
+    merges the systems on the instant. heapq.merge is stable: ties keep system_id
+    order, then each system's own, which is generate_records' order. With no event
+    in any system it leaves no events.jsonl, as ingest_stage does.
+    """
+    systems: list[tuple[array, str]] = []  # each system's instants and its log lines
+
+    def event_lines() -> Iterator[str]:
+        events = 0
+        for records in generate_systems(config.generator, seed=config.seed):
+            if records:
+                instants = array("q", [int(record.timestamp.timestamp()) for record in records])
+                systems.append((instants, "\n".join(map(record_to_line, records)) + "\n"))
+            corpus = _system_corpus(records, catalog)[0]
+            events += len(corpus.events)
+            yield from (encode_line(EVENT_FIELDS, event) + "\n" for event in corpus.events)
+        if not events:
+            raise EmptyCorpus(NO_EVENTS)
+
+    with suppress(EmptyCorpus):
+        _write(path_of(config, EVENTS_FILE), event_lines())
+    streams = (zip(instants, _lines_in(text)) for instants, text in systems)
+    merged = heapq.merge(*streams, key=itemgetter(0))
+    _write(path_of(config, LOGS_FILE), map(itemgetter(1), merged))
+
+
+def _drawn_corpora(
+    config: RunConfig, catalog: dict[str, str], counts: dict[str, int], timings: dict[str, float]
+) -> Iterator[CrashCorpus]:
+    """Each system's corpus, drawn again here, in system_id order; EmptyCorpus if none has events.
+
+    It adds each system's records, critical records, events, duplicates and dropped records
+    to counts, and its seconds to timings' synth and ingest.
+    """
+    systems = generate_systems(config.generator, seed=config.seed)
+    while True:
+        started = time.perf_counter()
+        records = next(systems, None)
+        drawn = time.perf_counter()
+        timings["synth"] += drawn - started
+        if records is None:
+            break
+        counts["records"] += len(records)
+        corpus, critical = _system_corpus(records, catalog)
+        counts["critical"] += critical
+        counts["events"] += len(corpus.events)
+        counts["duplicates"] += corpus.duplicates
+        counts["dropped_before_floor"] += corpus.dropped_before_floor
+        timings["ingest"] += time.perf_counter() - drawn
+        yield corpus
+    if not counts["events"]:
+        raise EmptyCorpus(NO_EVENTS)
+
+
 # --- ingest --------------------------------------------------------------------
 
 def ingest_stage(
@@ -539,9 +672,7 @@ def ingest_stage(
     lines = (encode_line(EVENT_FIELDS, e) for e in corpus.events)
     _write_forked(path_of(config, EVENTS_FILE), lines, writers)
 
-    def write_ingest(source_digest: str | None) -> None:
-        _write_json(path_of(config, INGEST_FILE), {"source_digest": source_digest, **counts})
-
+    write_ingest = _ingest_writer(config, counts)
     if digest is not None:
         write_ingest(digest.hexdigest())
     elif writers is not None:  # synth's writer sends the logs' digest when it is reaped
@@ -549,6 +680,15 @@ def ingest_stage(
     else:
         write_ingest(_file_digest(path))
     return corpus
+
+
+def _ingest_writer(config: RunConfig, counts: dict[str, int]) -> Callable[[str | None], None]:
+    """What writes ingest.json, holding counts, once it is given the logs' digest."""
+
+    def write_ingest(source_digest: str | None) -> None:
+        _write_json(path_of(config, INGEST_FILE), {"source_digest": source_digest, **counts})
+
+    return write_ingest
 
 
 def load_events(path: Path) -> CrashCorpus:
@@ -561,13 +701,22 @@ def load_events(path: Path) -> CrashCorpus:
 # --- sequence ------------------------------------------------------------------
 
 def sequence_stage(
-    config: RunConfig, corpus: CrashCorpus | None = None, writers: Writers | None = None
+    config: RunConfig,
+    corpus: CrashCorpus | Iterable[CrashCorpus] | None = None,
+    writers: Writers | None = None,
 ) -> list[EventSequence]:
-    """Sequences and windows of the corpus, whose events it empties; None reads events.jsonl."""
+    """Sequences and windows of the corpus, whose events it empties; None reads events.jsonl.
+
+    corpus may also be one corpus per system, in system_id order, each sequenced as it comes.
+    """
     if corpus is None:
         corpus = load_events(path_of(config, EVENTS_FILE))
     # build_sequences reads the events once, so each is freed as its SeqEvent is made
-    sequences = build_sequences(dataclasses.replace(corpus, events=_drained(corpus.events)))
+    sequences = [
+        sequence
+        for part in ([corpus] if isinstance(corpus, CrashCorpus) else corpus)
+        for sequence in build_sequences(dataclasses.replace(part, events=_drained(part.events)))
+    ]
     width = config.window_days
     # partitioned here, encoded in the writer
     partitions = [(seq, partition_windows(seq, width)) for seq in sequences]
@@ -655,10 +804,9 @@ def split_pairs(
         raise InsufficientData(needed - len(pairs))
 
     rng = random.Random(derive_seed(seed, "split"))
-    shuffled = list(pairs)
-    rng.shuffle(shuffled)
+    rng.shuffle(pairs)  # enumerate_pairs' list is this call's own
 
-    validation = shuffled[:val_n]
+    validation = pairs[:val_n]
     min_val_index: dict[str, int] = {}
     for pair in validation:
         current = min_val_index.get(pair.system_id)
@@ -667,7 +815,7 @@ def split_pairs(
 
     candidates = [
         pair
-        for pair in shuffled[val_n:]
+        for pair in islice(pairs, val_n, None)
         if pair.index < min_val_index.get(pair.system_id, pair.index + 1)
     ]
     if len(candidates) < train_n:
@@ -779,13 +927,6 @@ def _bundle_for(
     )
 
 
-def _answered_here(answer: Callable[[T], Any], pair: T) -> Future:
-    """answer(pair) called in this thread, its result in a finished Future; an error propagates."""
-    future: Future = Future()
-    future.set_result(answer(pair))
-    return future
-
-
 def predict_stage(
     config: RunConfig,
     pairs: tuple[Sequence[LabeledPair], Sequence[LabeledPair]] | None = None,
@@ -833,17 +974,22 @@ def predict_stage(
 
     pending = iter(validation)
     try:
-        # one pair at a time is answered in this thread: no worker to hand it to and wait on
-        with ThreadPoolExecutor(max_workers=width) if width > 1 else nullcontext() as pool:
-            submit = _answered_here if pool is None else pool.submit
-            in_flight = {submit(answer, pair): pair for pair in islice(pending, width)}
-            while in_flight:
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    pair = in_flight.pop(future)
-                    rows[(pair.system_id, pair.index)] = row_of(pair, future.result())
-                for pair in islice(pending, len(done)):
-                    in_flight[submit(answer, pair)] = pair
+        if width == 1:  # answered in this thread: no worker to hand a pair to and wait on
+            for pair in pending:
+                rows[(pair.system_id, pair.index)] = row_of(pair, answer(pair))
+        else:
+            # imported here: a run with one pair in flight loads no thread pool
+            from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
+            with ThreadPoolExecutor(max_workers=width) as pool:
+                in_flight = {pool.submit(answer, pair): pair for pair in islice(pending, width)}
+                while in_flight:
+                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        pair = in_flight.pop(future)
+                        rows[(pair.system_id, pair.index)] = row_of(pair, future.result())
+                    for pair in islice(pending, len(done)):
+                        in_flight[pool.submit(answer, pair)] = pair
     finally:
         ordered = [rows[key] for key in sorted(rows)]
         _write_lines(
@@ -906,7 +1052,11 @@ def report_chunks(report: dict[str, Any]) -> Iterator[str]:
 def evaluate_stage(
     config: RunConfig, rows: Sequence[dict[str, Any]] | None = None
 ) -> dict[str, Any]:
-    """Score the prediction rows; None reads them from predictions.jsonl."""
+    """Score the prediction rows; None reads them from predictions.jsonl.
+
+    The report holds one score dict per distinct score, which every item and category
+    with that score shares: a caller that changes one changes them all.
+    """
     normalization = _normalization_of(config.normalization, config.paths.stopwords)
     if rows is None:
         rows = load_predictions(config)
@@ -922,8 +1072,14 @@ def evaluate_stage(
     backend_id = rows[-1]["backend_id"]
     by_pair = sorted(scored, key=lambda item: (item[0]["system_id"], item[0]["index"]))
 
-    def score_dict(score) -> dict[str, float]:
-        return {"precision": score.precision, "recall": score.recall, "f1": score.f1}
+    dicts: dict[RougeScore, dict[str, float]] = {}
+
+    def score_dict(score: RougeScore) -> dict[str, float]:
+        if (shared := dicts.get(score)) is None:
+            shared = dicts[score] = {
+                "precision": score.precision, "recall": score.recall, "f1": score.f1
+            }
+        return shared
 
     report = {
         "backend_id": backend_id,
@@ -1001,7 +1157,12 @@ def _write_manifest(
 
 @collector_paused()
 def run_all(config: RunConfig) -> dict[str, Any]:
-    """Every stage in order, GC paused; manifest and timings written on failure or interrupt too."""
+    """Every stage in order, GC paused; manifest and timings written on failure or interrupt too.
+
+    Without paths.logs, one forked data writer draws the corpus and writes logs.jsonl
+    and events.jsonl, while this process draws it again, one system at a time, and
+    sequences each system as it comes: no list of every record or event is made here.
+    """
     Path(config.paths.out_dir).mkdir(parents=True, exist_ok=True)
     # an earlier run's files would otherwise pass for this run's, and its
     # manifest for this run's if this run is stopped before writing its own
@@ -1013,28 +1174,41 @@ def run_all(config: RunConfig) -> dict[str, Any]:
     # the large stage files are written by forked children, all waited for or stopped here
     writers = Writers()
     # each wait is already inside its stage's seconds, so the waits are kept apart
-    timings_file = {"seconds": timings, "writer_waits": writers.waits}
+    timings_file = {
+        "seconds": timings, "writer_waits": writers.waits, "writer_usage": writers.usage
+    }
     counts: dict[str, Any] = {}
     validation_systems: dict[str, int] = {}
     backend_id: str | None = None
 
     def timed(name, fn):
-        started = time.perf_counter()
+        started, recorded = time.perf_counter(), sum(timings.values())
         try:
             return fn()
         finally:
-            timings[name] = time.perf_counter() - started
+            # less what stages nested in this one recorded: synth and ingest, streamed in sequence
+            timings[name] = time.perf_counter() - started - (sum(timings.values()) - recorded)
 
     try:
         with writers:
-            records = (
-                None if config.paths.logs else timed("synth", lambda: synth_stage(config, writers))
-            )
-            corpus = timed("ingest", lambda: ingest_stage(config, records, writers))
-            records = None  # the corpus holds what later stages need
-            counts["events"] = len(corpus.events)
+            if config.paths.logs:
+                corpus = timed("ingest", lambda: ingest_stage(config, None, writers))
+            else:  # the data writer writes logs and events; here each system is drawn again
+                catalog = _named_file(
+                    "paths.catalog", config.paths.catalog, load_catalog, default_catalog
+                )
+                data = path_of(config, LOGS_FILE), path_of(config, EVENTS_FILE)
+                timed("synth", lambda: writers.fork(data, lambda: _write_data(config, catalog)))
+                timings["ingest"] = 0.0
+                ingested = dict.fromkeys(
+                    ("records", "critical", "events", "duplicates", "dropped_before_floor"), 0
+                )
+                corpus = _drawn_corpora(config, catalog, ingested, timings)
             sequences = timed("sequence", lambda: sequence_stage(config, corpus, writers))
             corpus = None  # the sequences hold what later stages need
+            if not config.paths.logs:  # the data writer sends the logs' digest when it is reaped
+                writers.then(data[0], _ingest_writer(config, ingested))
+            counts["events"] = sum(len(seq.events) for seq in sequences)
             counts["systems"] = len(sequences)
             counts["pairs"] = sum(max(len(seq.events) - 1, 0) for seq in sequences)
             train, validation = timed("split", lambda: split_stage(config, sequences))
@@ -1046,18 +1220,20 @@ def run_all(config: RunConfig) -> dict[str, Any]:
             backend_id = predictions[0]["backend_id"] if predictions else None
             report = timed("evaluate", lambda: evaluate_stage(config, predictions))
     except BaseException as err:
-        # a stage's error, an interrupt or a failed writer gets a failed manifest; a bug, none
+        # a stage's error, a failed write, an interrupt or a failed writer gets a failed
+        # manifest; a bug, none
         if err is not writers.failure and not isinstance(
-            err, (ConfigError, DataError, BackendError, KeyboardInterrupt)
+            err, (ConfigError, DataError, BackendError, OSError, KeyboardInterrupt)
         ):
             raise
         predictions_path = path_of(config, PREDICTIONS_FILE)
         lines = _read_lines(predictions_path) if predictions_path.is_file() else ()
         counts.setdefault("predictions", sum(1 for line in lines if line.strip()))
-        _write_manifest(
-            config, "failed", err, counts, validation_systems, backend_id, writers.digests
-        )
-        _write_json(path_of(config, TIMINGS_FILE), timings_file)
+        with suppress(OSError):  # if the manifest cannot be written either, err is raised
+            _write_manifest(
+                config, "failed", err, counts, validation_systems, backend_id, writers.digests
+            )
+            _write_json(path_of(config, TIMINGS_FILE), timings_file)
         raise
 
     _write_manifest(config, "ok", None, counts, validation_systems, backend_id, writers.digests)

@@ -21,6 +21,7 @@ from datetime import datetime, timedelta, timezone
 from functools import reduce
 from itertools import accumulate
 from operator import add, itemgetter
+from typing import Iterator
 
 from ._seed import derive_seed
 from .errors import ConfigError
@@ -190,8 +191,14 @@ def _system_records(
     return records
 
 
-def generate_records(config: GeneratorConfig, seed: int | None = None) -> list[RawLogRecord]:
-    """All systems' records merged in a deterministic global order."""
+def generate_systems(
+    config: GeneratorConfig, seed: int | None = None
+) -> Iterator[list[RawLogRecord]]:
+    """Each system's records, systems in system_id order, each list sorted as generate_records
+    keeps it: on (timestamp, event_id, bugcheck_code, params).
+
+    "host-1000" comes before "host-999": the order is the ids', not the indices'.
+    """
     effective_seed = config.seed if config.seed is not None else seed
     if effective_seed is None:
         raise ConfigError("generator needs a seed, none given")
@@ -201,14 +208,22 @@ def generate_records(config: GeneratorConfig, seed: int | None = None) -> list[R
     cum_weights = list(accumulate(weight for _, _, weight in catalog))
     weekday = config.start_date.weekday()
     days = [(day * _SECONDS_PER_DAY, (weekday + day) % 7) for day in range(config.days)]
-    records: list[RawLogRecord] = []
-    # (timestamp, system_id, event_id, bugcheck_code, params) order, no key tuple per record:
-    # each system sorted on all but system_id (None never meets a str: noise has no code,
-    # event 41 one), joined in system_id order ("host-1000" before "host-999"), then a
-    # stable sort on the datetime each record holds
+    # None never meets a str in the sort: noise has no code, event 41 one
     for index in sorted(range(config.n_systems), key=_SYSTEM_ID):
         system = _system_records(config, effective_seed, index, days, labels, cum_weights)
         system.sort(key=itemgetter(1, 2, 3, 4))
+        yield system
+
+
+def generate_records(config: GeneratorConfig, seed: int | None = None) -> list[RawLogRecord]:
+    """All systems' records merged in a deterministic global order.
+
+    That order is (timestamp, system_id, event_id, bugcheck_code, params), with no key tuple
+    per record: generate_systems' lists joined, then a stable sort on the datetime each
+    record holds.
+    """
+    records: list[RawLogRecord] = []
+    for system in generate_systems(config, seed):
         records.extend(system)
     records.sort(key=itemgetter(1))
     return records

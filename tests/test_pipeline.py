@@ -15,11 +15,12 @@ import time
 import tracemalloc
 import weakref
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sequence_of
@@ -34,9 +35,16 @@ from crashcast.errors import (
     ScriptExhausted,
     TransportError,
 )
-from crashcast.ingest import format_timestamp, record_to_line
+from crashcast.ingest import (
+    build_corpus,
+    default_catalog,
+    filter_critical,
+    format_timestamp,
+    record_to_line,
+)
 from crashcast.predictor import PredictionRaw, baseline_answer
 from crashcast.sequencer import enumerate_pairs
+from crashcast.synthgen import GeneratorConfig, generate_records
 from crashcast.pipeline import (
     EVENTS_FILE,
     INGEST_FILE,
@@ -204,6 +212,24 @@ CORRUPT_STAGE_FILES = {
 
 # every file run_by_reference writes: the manifest's outputs and ingest.json
 REFERENCE_FILES = [name for files in pipeline.STAGES.values() for name in files]
+
+
+# the files run_all writes in this process, not in a forked writer
+MAIN_PROCESS_FILES = [INGEST_FILE, SPLIT_FILE, PREDICTIONS_FILE, REPORT_FILE, TABLE_FILE]
+
+
+def _failing_write(*names):
+    """pipeline._write, but the disk fills partway through writing any file called one of names."""
+    real_write = pipeline._write
+
+    def chunks_then_no_space(chunks):
+        yield from islice(chunks, 1)
+        _refused(errno.ENOSPC)
+
+    def write(path, chunks):
+        real_write(path, chunks_then_no_space(chunks) if path.name in names else chunks)
+
+    return write
 
 
 @st.composite
@@ -1101,6 +1127,22 @@ class TestCli:
         assert expected in result.output
         assert json.loads((tmp_path / "out" / MANIFEST_FILE).read_text())["status"] == "failed"
 
+    @pytest.mark.parametrize("name", MAIN_PROCESS_FILES)
+    def test_a_failed_write_in_this_process_is_exit_two_with_a_failed_manifest(
+        self, tmp_path, monkeypatch, name
+    ):
+        monkeypatch.setattr(pipeline, "_write", _failing_write(name))
+        result = self.invoke("--config", str(self.write_config(tmp_path)), "run")
+        out = tmp_path / "out"
+        assert result.exit_code == 2, result.output
+        assert f"config error: cannot write {out / name}: No space left on device" in result.output
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["kind"] == "OSError"
+        assert (out / TIMINGS_FILE).is_file()
+        assert not (out / name).exists()
+        assert not [*out.glob(".*.partial")]
+
     def test_rerun_never_touches_the_named_logs_file(self, tmp_path):
         out = tmp_path / "out"
         config_path = self.write_config(tmp_path)
@@ -1420,6 +1462,7 @@ def _no_space(*args):
 
 def _not_a_record(*args):
     raise ValueError("not a record")
+
 
 
 @pytest.fixture
@@ -1796,17 +1839,296 @@ def test_file_digest_is_the_sha256_of_the_bytes(tmp_path, size):
     assert pipeline._file_digest(tmp_path / "missing") is None
 
 
-def test_baseline_predict_answers_in_this_thread(tmp_path, monkeypatch):
-    config = small_config(tmp_path / "out")
-    synth_stage(config)
-    pairs = split_stage(config, sequence_stage(config, ingest_stage(config)))
+SRC = Path(pipeline.__file__).parents[1]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("predict started a worker pool for one pair in flight")
+# a run_all in a fresh interpreter: the run's output digests and the modules it loaded
+_FRESH_RUN = """
+import json, sys
+from crashcast.config import parse_run_config
+from crashcast.pipeline import run_all
+config = parse_run_config(json.loads(sys.argv[1]))
+report = run_all(config)
+modules = sorted(sys.modules)
+import hashlib
+out = config.paths.out_dir
+digests = {name: hashlib.sha256(open(out + "/" + name, "rb").read()).hexdigest()
+           for name in json.loads(sys.argv[2])} if len(sys.argv) > 2 else {}
+print(json.dumps({"modules": modules, "items": report["item_count"], **digests}))
+"""
 
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", refuse)
-    rows = predict_stage(config, pairs)
-    assert len(rows) == config.split.validation_pairs
+
+def _fresh_run(python, document, *names):
+    """_FRESH_RUN's result, run by python with -S and deprecation warnings as errors."""
+    result = subprocess.run(
+        [python, "-S", "-W", "error::DeprecationWarning", "-c", _FRESH_RUN,
+         json.dumps(document), json.dumps(names)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+# what a baseline run must not load: OpenSSL (hashlib's) and a thread pool
+UNLOADED = {"_hashlib", "hashlib", "ssl", "concurrent.futures"}
+
+
+def test_baseline_predict_answers_in_this_thread(tmp_path):
+    document = {**SMALL_RUN, "paths": {"out_dir": str(tmp_path / "out")}}
+    run = _fresh_run(sys.executable, document)
+    assert "concurrent.futures" not in run["modules"], "a baseline run loaded a thread pool"
+    assert run["items"] == SMALL_RUN["split"]["validation_pairs"]
+
+
+def _python(version):
+    """An interpreter of version: the first in CRASHCAST_PYTHONS, else the newest of pyenv's."""
+    for python in filter(None, os.environ.get("CRASHCAST_PYTHONS", "").split(os.pathsep)):
+        try:
+            asked = subprocess.run(
+                [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+                capture_output=True, text=True,
+            )
+        except OSError:  # not there, or not a program
+            continue
+        if asked.returncode == 0 and asked.stdout.strip() == version:
+            return python
+    pyenv = sorted(Path.home().glob(f".pyenv/versions/{version}.*/bin/python{version}"),
+                   key=lambda path: int(path.parts[-3].split(".")[2]))
+    return str(pyenv[-1]) if pyenv else None
+
+
+# the logs are merged with heapq.merge: the pinned bytes must hold on every supported Python
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_the_default_run_writes_its_pinned_outputs_on_every_python(tmp_path, version):
+    python = _python(version)
+    if python is None:
+        pytest.skip(f"no Python {version}: name one in CRASHCAST_PYTHONS or under ~/.pyenv")
+    overrides, pins = OUTPUT_PINS["default"]
+    run = _fresh_run(python, {**overrides, "paths": {"out_dir": str(tmp_path)}}, *pins)
+    assert {name: run[name] for name in pins} == pins
+    assert not UNLOADED & {*run["modules"]}
+
+
+# --- run_all's streamed route: one data writer; this process draws and sequences each system --
+
+@st.composite
+def _generator_configs(draw):
+    """Small corpora; at the high rate, records of one system and of several share instants."""
+    rate = draw(st.sampled_from([0.5, 20.0, 3000.0]))
+    return GeneratorConfig(
+        seed=draw(st.integers(0, 2**32)),
+        n_systems=draw(st.integers(1, 3 if rate > 100 else 12)),
+        days=1 if rate > 100 else draw(st.integers(1, 30)),
+        per_system_rate=rate,
+        noise_fraction=draw(st.sampled_from([0.0, 0.2, 0.5])),
+        bursty=draw(st.booleans()),
+    )
+
+
+# "host-1000" sorts between "host-100" and "host-101", and about 3,000 records in one day
+# share dozens of instants across systems, one of them host-1000's with host-867's
+HOST_1000 = GeneratorConfig(seed=3, n_systems=1001, days=1, per_system_rate=3.0)
+
+
+@given(_generator_configs())
+@example(HOST_1000)
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_the_data_writer_writes_what_the_stage_route_writes(generator):
+    records = generate_records(generator)
+    with tempfile.TemporaryDirectory() as root:
+        config = dataclasses.replace(parse_run_config({"paths": {"out_dir": root}}),
+                                     generator=generator)
+        pipeline._write_data(config, default_catalog())
+        out = Path(root)
+        assert (out / LOGS_FILE).read_text() == "".join(record_to_line(r) + "\n" for r in records)
+        try:
+            events = build_corpus(filter_critical(records)).events
+        except EmptyCorpus:
+            assert sorted(path.name for path in out.iterdir()) == [LOGS_FILE]
+            return
+        expected = "".join(pipeline.encode_line(pipeline.EVENT_FIELDS, e) + "\n" for e in events)
+        assert (out / EVENTS_FILE).read_text() == expected
+
+
+def test_the_data_writers_example_shares_instants_across_systems():
+    systems_at = {}
+    for record in generate_records(HOST_1000):
+        systems_at.setdefault(record.timestamp, set()).add(record.system_id)
+    assert sum(len(systems) > 1 for systems in systems_at.values()) > 10
+    # a tie that system_id order and system index order break differently
+    assert {"host-1000", "host-867"} in systems_at.values()
+
+
+# what these runs left before run_all streamed (synth, then ingest on the whole corpus):
+# (overrides, the files, the manifest past its config, ingest.json or None)
+FAILED_RUNS = {
+    EmptyCorpus: (
+        {"generator": {"n_systems": 6, "days": 10, "start_date": "1999-12-01"}},
+        [LOGS_FILE, MANIFEST_FILE, TIMINGS_FILE],
+        {
+            "backend_id": None,
+            "error": {"kind": "EmptyCorpus",
+                      "message": "zero crash events survived corpus construction"},
+            "item_counts": {"predictions": 0},
+            "outputs": {
+                "events": None,
+                "logs": "e7e7011bfc3473fcb228de0a048042b585d3f7fc59139697093cd7223209d8f7",
+                "predictions": None, "report": None, "split": None, "table": None,
+                "windows": None,
+            },
+            "seed": 9, "status": "failed", "timings_file": "timings.json",
+            "validation_systems": {},
+        },
+        None,
+    ),
+    InsufficientData: (
+        {"split": {"train_pairs": 30, "validation_pairs": 100000}},
+        [EVENTS_FILE, INGEST_FILE, LOGS_FILE, MANIFEST_FILE, TIMINGS_FILE, WINDOWS_FILE],
+        {
+            "backend_id": None,
+            "error": {"kind": "InsufficientData",
+                      "message": "short by 99314 eligible (history, label) pairs"},
+            "item_counts": {"events": 722, "pairs": 716, "predictions": 0, "systems": 6},
+            "outputs": {
+                "events": "d7da86bae42edff9a3aba95b9bb78aa2b45235337e43a90e6de83d9b5641c556",
+                "logs": "413e84405910f453c64b899717ca8b1d98d5776d6f03c8200523ff5f71296132",
+                "predictions": None, "report": None, "split": None, "table": None,
+                "windows": "e38c8c56316563cc13c14ea92c9bbd4339728607cd916b0433eb975b42779d5a",
+            },
+            "seed": 9, "status": "failed", "timings_file": "timings.json",
+            "validation_systems": {},
+        },
+        {
+            "critical": 722, "dropped_before_floor": 0, "duplicates": 0, "events": 722,
+            "records": 866,
+            "source_digest": "413e84405910f453c64b899717ca8b1d98d5776d6f03c8200523ff5f71296132",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("error", FAILED_RUNS, ids=lambda error: error.__name__)
+def test_a_failed_run_leaves_what_it_left_before_run_all_streamed(tmp_path, error):
+    overrides, files, manifest, ingest = FAILED_RUNS[error]
+    out = tmp_path / "out"
+    with pytest.raises(error):
+        run_all(small_config(out, **overrides))
+    assert sorted(path.name for path in out.iterdir()) == files
+    written = json.loads((out / MANIFEST_FILE).read_text())
+    assert {key: value for key, value in written.items()
+            if key not in ("config", "config_digest")} == manifest
+    assert (json.loads((out / INGEST_FILE).read_text()) if ingest else None) == ingest
+
+
+# a function this process calls in each stage of a synth run
+STAGE_CALLS = {
+    "synth": "generate_systems",
+    "ingest": "build_corpus",
+    "sequence": "build_sequences",
+    "split": "enumerate_pairs",
+    "predict": "baseline_answer",
+    "evaluate": "score_item",
+}
+
+
+def _run_cli(tmp_path):
+    """crashcast run on the small config, and whether it left any file descriptor open."""
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({**SMALL_RUN, "paths": {"out_dir": str(tmp_path / "out")}}))
+    open_before = sorted(os.listdir("/proc/self/fd"))
+    result = CliRunner().invoke(main, ["--config", str(config_path), "run"])
+    return result, sorted(os.listdir("/proc/self/fd")) == open_before
+
+
+@pytest.mark.parametrize("stage", STAGE_CALLS)
+def test_an_interrupt_in_any_stage_leaves_no_writer_pipe_or_partial_file(
+    tmp_path, monkeypatch, writer_pids, stage
+):
+    test_pid = os.getpid()
+    real = getattr(pipeline, STAGE_CALLS[stage])
+
+    def interrupted(*args, **kwargs):  # in this process only: a writer calls the real one
+        if os.getpid() == test_pid:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, STAGE_CALLS[stage], interrupted)
+    result, no_fd_left = _run_cli(tmp_path)
+    assert result.exit_code == 130, result.output
+    assert no_fd_left
+    _assert_no_writer_left(tmp_path / "out", writer_pids)
+    manifest = json.loads((tmp_path / "out" / MANIFEST_FILE).read_text())
+    assert manifest["error"]["kind"] == "KeyboardInterrupt"
+
+
+def test_a_killed_data_writer_leaves_no_writer_pipe_or_partial_file(
+    tmp_path, monkeypatch, writer_pids
+):
+    test_pid, real_encode_line, encoded = os.getpid(), pipeline.encode_line, []
+
+    def killed_partway(table, values):  # in the data writer, with events.jsonl half written
+        if os.getpid() != test_pid and table is pipeline.EVENT_FIELDS:
+            encoded.append(values)
+            if len(encoded) == 100:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real_encode_line(table, values)
+
+    monkeypatch.setattr(pipeline, "encode_line", killed_partway)
+    result, no_fd_left = _run_cli(tmp_path)
+    assert result.exit_code == 2, result.output
+    logs = tmp_path / "out" / LOGS_FILE
+    assert f"cannot write {logs}: its writer failed with status {-signal.SIGKILL}" in result.output
+    assert no_fd_left
+    _assert_no_writer_left(tmp_path / "out", writer_pids)
+    assert not logs.exists() and not (tmp_path / "out" / EVENTS_FILE).exists()
+
+
+def test_run_all_holds_less_up_to_split_than_the_records_alone(tmp_path, monkeypatch):
+    config = small_config(tmp_path / "out", generator={"n_systems": 40, "days": 540})
+    peaks, real_split_stage = [], pipeline.split_stage
+
+    def measured(config, sequences):
+        peaks.append(tracemalloc.get_traced_memory()[1] - in_use)
+        return real_split_stage(config, sequences)
+
+    monkeypatch.setattr(pipeline, "split_stage", measured)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = generate_records(config.generator, seed=config.seed)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        del records
+        tracemalloc.reset_peak()
+        in_use = tracemalloc.get_traced_memory()[0]
+        run_all(config)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < kept, f"{peaks[0] / kept:.2f}x what the records hold"
+
+
+def test_run_all_reports_each_writers_cpu_and_peak_memory(tmp_path):
+    out = tmp_path / "out"
+    run_all(small_config(out))
+    timings = json.loads((out / TIMINGS_FILE).read_text())
+    usage = timings["writer_usage"]
+    assert sorted(usage) == sorted([LOGS_FILE, EVENTS_FILE, WINDOWS_FILE])
+    for figures in usage.values():
+        assert sorted(figures) == ["maxrss_kb", "system_s", "user_s"]
+        assert figures["maxrss_kb"] > 0 and figures["user_s"] + figures["system_s"] > 0
+        assert min(figures.values()) >= 0
+    # one data writer wrote the logs and the events
+    assert usage[LOGS_FILE] == usage[EVENTS_FILE] != usage[WINDOWS_FILE]
+
+
+def test_a_manifest_that_cannot_be_written_leaves_the_first_error_to_propagate(
+    tmp_path, monkeypatch
+):
+    out = tmp_path / "out"
+    monkeypatch.setattr(pipeline, "_write", _failing_write(SPLIT_FILE, MANIFEST_FILE))
+    with pytest.raises(OSError) as raised:
+        run_all(small_config(out))
+    assert raised.value.filename == str(out / SPLIT_FILE)
+    assert not (out / MANIFEST_FILE).exists()
+    assert not [*out.glob(".*.partial")]
 
 
 BENCH = Path(__file__).parents[1] / "bench"
