@@ -49,10 +49,11 @@ import random
 import sys
 import time
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager, nullcontext, suppress
 from datetime import timedelta
-from itertools import chain, groupby, islice
+from itertools import accumulate, chain, groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -115,7 +116,7 @@ from .sequencer import (
     SeqEvent,
     build_sequences,
     day_floor,
-    enumerate_pairs,
+    enumerate_pairs,  # not called here: bench/tracer.py wraps it by its name in this module
     partition_windows,
     window_index_of,
 )
@@ -796,31 +797,40 @@ def split_pairs(
     Validation pairs are drawn first; a training pair from the same system
     is then only eligible if its history ends strictly before every
     validation target of that system, so no history covers a held-out
-    answer.
+    answer. Only the pairs kept are built: the draw shuffles flat pair
+    positions, position p standing for enumerate_pairs(sequences)[p], and
+    random.shuffle's draws depend only on the length, so the same pairs
+    come out as from a shuffle of that list.
     """
-    pairs = enumerate_pairs(sequences)
-    needed = train_n + val_n
-    if len(pairs) < needed:
-        raise InsufficientData(needed - len(pairs))
+    # starts[s]: the position of sequence s's first pair, index 2; the last entry is the total
+    starts = [0, *accumulate(max(len(seq.events) - 1, 0) for seq in sequences)]
+    total, needed = starts[-1], train_n + val_n
+    if total < needed:
+        raise InsufficientData(needed - total)
 
-    rng = random.Random(derive_seed(seed, "split"))
-    rng.shuffle(pairs)  # enumerate_pairs' list is this call's own
+    positions = array("q", range(total))
+    random.Random(derive_seed(seed, "split")).shuffle(positions)
 
-    validation = pairs[:val_n]
+    def pair_at(position: int) -> tuple[EventSequence, int]:
+        s = bisect_right(starts, position) - 1
+        return sequences[s], position - starts[s] + 2
+
+    validation = [LabeledPair(*pair_at(p)) for p in islice(positions, val_n)]
     min_val_index: dict[str, int] = {}
     for pair in validation:
         current = min_val_index.get(pair.system_id)
         if current is None or pair.index < current:
             min_val_index[pair.system_id] = pair.index
 
-    candidates = [
-        pair
-        for pair in islice(pairs, val_n, None)
-        if pair.index < min_val_index.get(pair.system_id, pair.index + 1)
-    ]
-    if len(candidates) < train_n:
-        raise InsufficientData(train_n - len(candidates))
-    train = candidates[:train_n]
+    train: list[LabeledPair] = []
+    for position in islice(positions, val_n, None):
+        if len(train) == train_n:
+            break
+        seq, index = pair_at(position)
+        if index < min_val_index.get(seq.system_id, index + 1):
+            train.append(LabeledPair(seq, index))
+    if len(train) < train_n:
+        raise InsufficientData(train_n - len(train))
     return train, validation
 
 
@@ -1018,11 +1028,8 @@ _REPORT_ROW = (
 )
 
 
-def _report_rows(rows: Sequence[dict[str, Any]]) -> Iterator[str]:
+def _report_rows(rows: Iterable[dict[str, Any]]) -> Iterator[str]:
     """report.json's "items" list as _INDENTED writes it at depth 1, one chunk per row."""
-    if not rows:
-        yield "[]"
-        return
     text = encode_basestring_ascii
     separator = "["
     for row in rows:
@@ -1033,11 +1040,15 @@ def _report_rows(rows: Sequence[dict[str, Any]]) -> Iterator[str]:
             text(row["status"]), text(row["system_id"]), row["window_index"],
         )
         separator = ","
-    yield "\n  ]"
+    yield "[]" if separator == "[" else "\n  ]"
 
 
 def report_chunks(report: dict[str, Any]) -> Iterator[str]:
-    """report.json's text, as _write_json writes report, in chunks: the item rows by template."""
+    """report.json's text, as _write_json writes report, in chunks: the item rows by template.
+
+    report["items"] may be any iterable of item dicts, a generator included: each row is
+    encoded as it comes.
+    """
     separator = "{"
     for key in sorted(report):
         yield f"{separator}\n  {encode_basestring_ascii(key)}: "
@@ -1052,10 +1063,10 @@ def report_chunks(report: dict[str, Any]) -> Iterator[str]:
 def evaluate_stage(
     config: RunConfig, rows: Sequence[dict[str, Any]] | None = None
 ) -> dict[str, Any]:
-    """Score the prediction rows; None reads them from predictions.jsonl.
+    """Score the prediction rows and write the report; None reads them from predictions.jsonl.
 
-    The report holds one score dict per distinct score, which every item and category
-    with that score shares: a caller that changes one changes them all.
+    Returns the report's summary, every key of report.json but "items": each item row is
+    made as report.json is written and let go once encoded.
     """
     normalization = _normalization_of(config.normalization, config.paths.stopwords)
     if rows is None:
@@ -1070,8 +1081,9 @@ def evaluate_stage(
         scored.append((row, merged.extraction_status, scores))
     means = aggregate([scores for _, _, scores in scored])
     backend_id = rows[-1]["backend_id"]
-    by_pair = sorted(scored, key=lambda item: (item[0]["system_id"], item[0]["index"]))
+    scored.sort(key=lambda item: (item[0]["system_id"], item[0]["index"]))
 
+    # one dict per distinct score, which every item and category with that score shares
     dicts: dict[RougeScore, dict[str, float]] = {}
 
     def score_dict(score: RougeScore) -> dict[str, float]:
@@ -1081,7 +1093,7 @@ def evaluate_stage(
             }
         return shared
 
-    report = {
+    summary = {
         "backend_id": backend_id,
         "normalization": dataclasses.asdict(config.normalization),
         "item_count": len(rows),
@@ -1089,21 +1101,21 @@ def evaluate_stage(
             category: {"rouge1": score_dict(r1), "rougeL": score_dict(rl)}
             for category, (r1, rl) in means.items()
         },
-        "items": [
-            {
-                "system_id": row["system_id"],
-                "index": row["index"],
-                "window_index": row["window_index"],
-                "status": status,
-                "category": category,
-                "rouge1": score_dict(scores[category][0]),
-                "rougeL": score_dict(scores[category][1]),
-            }
-            for row, status, scores in by_pair
-            for category in CATEGORIES
-        ],
     }
-    _write(path_of(config, REPORT_FILE), report_chunks(report))
+    items = (
+        {
+            "system_id": row["system_id"],
+            "index": row["index"],
+            "window_index": row["window_index"],
+            "status": status,
+            "category": category,
+            "rouge1": score_dict(scores[category][0]),
+            "rougeL": score_dict(scores[category][1]),
+        }
+        for row, status, scores in scored
+        for category in CATEGORIES
+    )
+    _write(path_of(config, REPORT_FILE), report_chunks({**summary, "items": items}))
 
     table_lines = ["backend_id,category,metric,precision,recall,f1"] + [
         f"{backend_id},{category},{metric},{s.precision:.6f},{s.recall:.6f},{s.f1:.6f}"
@@ -1111,7 +1123,7 @@ def evaluate_stage(
         for metric, s in zip(("rouge1", "rougeL"), pair)
     ]
     _write_lines(path_of(config, TABLE_FILE), table_lines)
-    return report
+    return summary
 
 
 # --- the full run ----------------------------------------------------------------
@@ -1158,6 +1170,8 @@ def _write_manifest(
 @collector_paused()
 def run_all(config: RunConfig) -> dict[str, Any]:
     """Every stage in order, GC paused; manifest and timings written on failure or interrupt too.
+
+    Returns evaluate_stage's summary of the report: every key of report.json but "items".
 
     Without paths.logs, one forked data writer draws the corpus and writes logs.jsonl
     and events.jsonl, while this process draws it again, one system at a time, and

@@ -46,6 +46,10 @@ SYSTEM_MESSAGE = "Answer with a single sentence in the format shown by the examp
 MAX_BACKOFF_S = 30.0
 # the most remote calls in flight at once, each on a thread of its own
 MAX_IN_FLIGHT = 64
+# the most retries of one remote call, whose sleeps then add up to at most 10 x MAX_BACKOFF_S
+MAX_RETRY_LIMIT = 10
+# the longest wait for one request's answer, in seconds
+MAX_TIMEOUT_S = 600.0
 
 
 @dataclass(frozen=True)
@@ -65,10 +69,10 @@ class BackendConfig:
             raise ConfigError(f"unknown backend kind {self.kind!r}")
         if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT:
             raise ConfigError(f"max_in_flight must be from 1 to {MAX_IN_FLIGHT}")
-        if self.timeout <= 0:
-            raise ConfigError("timeout must be positive")
-        if self.retry_limit < 0:
-            raise ConfigError("retry_limit must not be negative")
+        if not 0 < self.timeout <= MAX_TIMEOUT_S:
+            raise ConfigError(f"timeout must be above 0 and at most {MAX_TIMEOUT_S:g} seconds")
+        if not 0 <= self.retry_limit <= MAX_RETRY_LIMIT:
+            raise ConfigError(f"retry_limit must be from 0 to {MAX_RETRY_LIMIT}")
         if self.backoff_base < 0:  # time.sleep refuses a negative length
             raise ConfigError("backoff_base must not be negative")
         if self.max_output_tokens < 1:

@@ -2,9 +2,9 @@
 
 Deliberately naive: the unigram overlap marks reference tokens off one by
 one, and the LCS enumerates subsequences outright. Slow but obviously
-correct, which is the point. The synth, build_corpus and baseline oracles
-are the plain loops their fast versions must match draw for draw and
-record for record, and run_by_reference strings them into a whole
+correct, which is the point. The synth, build_corpus, split and baseline
+oracles are the plain loops their fast versions must match draw for draw
+and record for record, and run_by_reference strings them into a whole
 baseline run written with json.dumps.
 """
 
@@ -44,7 +44,7 @@ from crashcast.postprocess import (
 )
 from crashcast.predictor import MIN_SPAN_DAYS
 from crashcast.prompt import render_answer_sentence
-from crashcast.sequencer import SeqEvent
+from crashcast.sequencer import EventSequence, LabeledPair, SeqEvent, enumerate_pairs
 from crashcast.synthgen import GeneratorConfig
 
 
@@ -188,6 +188,25 @@ def baseline_rates_loop(history: Sequence[SeqEvent]) -> tuple[dict[str, float], 
     for rate in rates.values():
         total += rate
     return rates, total
+
+
+def split_by_reference(
+    sequences: Sequence[EventSequence], train_n: int, val_n: int, seed: int
+) -> tuple[list[LabeledPair], list[LabeledPair]]:
+    """split_pairs as a shuffle of every pair: validation first, then each pair left whose
+    history ends before every validation target of its system, the first train_n of them."""
+    pairs = enumerate_pairs(sequences)
+    if len(pairs) < train_n + val_n:
+        raise InsufficientData(train_n + val_n - len(pairs))
+    random.Random(derive_seed(seed, "split")).shuffle(pairs)
+    validation = pairs[:val_n]
+    train = [
+        pair for pair in pairs[val_n:]
+        if all(pair.index < held.index for held in validation if held.system_id == pair.system_id)
+    ]
+    if len(train) < train_n:
+        raise InsufficientData(train_n - len(train))
+    return train[:train_n], validation
 
 
 # --- a whole run: plain loops, json.dumps, no forks and no templates ---------------------

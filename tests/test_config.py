@@ -13,7 +13,7 @@ from crashcast.config import (
     resolved_dict,
 )
 from crashcast.errors import ConfigError
-from crashcast.predictor import MAX_IN_FLIGHT
+from crashcast.predictor import MAX_IN_FLIGHT, MAX_RETRY_LIMIT, MAX_TIMEOUT_S
 from crashcast.synthgen import MAX_RECORDS, MAX_SYSTEM_DAYS
 
 FULL_DOCUMENT = {
@@ -219,7 +219,8 @@ def test_synth_horizon_outside_four_digit_years_is_exit_two(tmp_path, start_date
 
 
 # refused at load, before any request: time.sleep raises on a negative backoff, a server
-# cannot answer in fewer than one token, and each call in flight holds a thread of its own
+# cannot answer in fewer than one token, each call in flight holds a thread of its own, and
+# each retry or second of timeout is one more a failing endpoint keeps a call waiting
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -227,6 +228,10 @@ def test_synth_horizon_outside_four_digit_years_is_exit_two(tmp_path, start_date
         ("max_output_tokens", 0, "max_output_tokens must be at least 1"),
         ("max_output_tokens", -64, "max_output_tokens must be at least 1"),
         ("max_in_flight", 65, "max_in_flight must be from 1 to 64"),
+        ("retry_limit", 11, "retry_limit must be from 0 to 10"),
+        ("retry_limit", 1_000_000, "retry_limit must be from 0 to 10"),
+        ("timeout", 600.5, "timeout must be above 0 and at most 600 seconds"),
+        ("timeout", 1e9, "timeout must be above 0 and at most 600 seconds"),
     ],
 )
 def test_a_backend_value_out_of_bounds_is_exit_two_naming_the_key(tmp_path, key, value, message):
@@ -245,6 +250,14 @@ def test_max_in_flight_may_be_the_bound(tmp_path):
     path.write_text(json.dumps({"backend": {"max_in_flight": 64, "backoff_base": 0.0}}))
     backend = load_run_config(path).backend
     assert (backend.max_in_flight, backend.backoff_base) == (64, 0.0)
+
+
+def test_retry_limit_and_timeout_may_be_their_bounds(tmp_path):
+    assert (MAX_RETRY_LIMIT, MAX_TIMEOUT_S) == (10, 600.0)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"backend": {"retry_limit": 10, "timeout": 600}}))
+    backend = load_run_config(path).backend
+    assert (backend.retry_limit, backend.timeout) == (10, 600)
 
 
 # synth draws once per system-day and holds every record it makes, so a size past a bound is

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sequence_of
-from oracles import run_by_reference
+from oracles import run_by_reference, split_by_reference
 from crashcast import pipeline
 from crashcast.cli import main
 from crashcast.config import RunConfig, parse_run_config
@@ -399,6 +399,31 @@ class TestSplitPairs:
             assert pair.index == 2
 
 
+# split_pairs builds only the pairs it keeps from a shuffle of flat pair positions: it must
+# keep what a shuffle of every pair keeps, and fall short by as many
+@given(
+    lengths=st.lists(st.integers(min_value=0, max_value=12), max_size=8),
+    train_n=st.integers(min_value=0, max_value=30),
+    val_n=st.integers(min_value=0, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(lengths=[0, 1, 3], train_n=1, val_n=1, seed=0)  # two systems with no pair
+@settings(max_examples=300)
+def test_split_pairs_keeps_what_a_shuffle_of_every_pair_keeps(lengths, train_n, val_n, seed):
+    sequences = [
+        sequence_of(f"s{i:02d}", [(day, "ab"[day % 2]) for day in range(n)])
+        for i, n in enumerate(lengths)
+    ]
+    try:
+        expected = split_by_reference(sequences, train_n, val_n, seed)
+    except InsufficientData as err:
+        with pytest.raises(InsufficientData) as raised:
+            split_pairs(sequences, train_n, val_n, seed)
+        assert raised.value.shortfall == err.shortfall
+    else:
+        assert split_pairs(sequences, train_n, val_n, seed) == expected
+
+
 class TestStages:
     def test_run_all_writes_every_artifact(self, tmp_path):
         config = small_config(tmp_path / "out")
@@ -702,8 +727,9 @@ class TestStages:
 
     def test_report_items_cover_every_category(self, tmp_path):
         config = small_config(tmp_path / "out")
-        report = run_all(config)
-        items = report["items"]
+        summary = run_all(config)
+        assert "items" not in summary  # the rows are written, not returned
+        items = json.loads((tmp_path / "out" / REPORT_FILE).read_text())["items"]
         assert len(items) == 12 * 3
         by_category = {}
         for item in items:
@@ -1423,6 +1449,20 @@ def test_report_chunks_of_an_empty_report_and_no_items():
     assert "".join(pipeline.report_chunks({"items": []})) == '{\n  "items": []\n}\n'
 
 
+def test_report_chunks_encode_items_a_generator_yields():
+    rows = [
+        {"system_id": "s", "index": i, "window_index": 0, "status": "none", "category": "time",
+         "rouge1": {"precision": 0.0, "recall": 0.0, "f1": 0.0},
+         "rougeL": {"precision": 1.0, "recall": 0.5, "f1": 2 / 3}}
+        for i in (2, 3)
+    ]
+    report = {"item_count": 2, "items": rows}
+    expected = json.JSONEncoder(sort_keys=True, indent=2).encode(report) + "\n"
+    assert "".join(pipeline.report_chunks({**report, "items": iter(rows)})) == expected
+    empty = "".join(pipeline.report_chunks({"items": (row for row in ())}))
+    assert empty == '{\n  "items": []\n}\n'
+
+
 def test_readme_report_files_section_is_a_default_runs_keys(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Report files\n", 1)[1].split("\n## ", 1)[0]
@@ -1831,6 +1871,40 @@ def test_sequence_frees_each_event_as_it_goes(tmp_path):
     assert rise < 16 * count, f"{rise / count:.1f} bytes an event"
 
 
+# the stages past sequence hold only what they keep: split a shuffled position (8 bytes) per
+# pair, where building every pair holds a LabeledPair and a list slot, about 57 bytes each;
+# evaluate the scores of each row, where holding its three item dicts costs about 1.2 KB
+def test_split_builds_only_the_pairs_it_keeps(tmp_path):
+    config = small_config(tmp_path / "out", generator={"n_systems": 40, "days": 540})
+    sequences = sequence_stage(config, ingest_stage(config, synth_stage(config)))
+    count = sum(max(len(seq.events) - 1, 0) for seq in sequences)
+    split = config.split
+    tracemalloc.start()
+    try:
+        _, rise = _peak_rise(
+            split_pairs, sequences, split.train_pairs, split.validation_pairs, config.seed
+        )
+    finally:
+        tracemalloc.stop()
+    assert rise < 16 * count, f"{rise / count:.1f} bytes a pair"
+
+
+def test_evaluate_writes_its_item_rows_without_holding_them(tmp_path):
+    config = small_config(
+        tmp_path / "out",
+        generator={"n_systems": 40, "days": 540},
+        split={"train_pairs": 30, "validation_pairs": 2000},
+    )
+    sequences = sequence_stage(config, ingest_stage(config, synth_stage(config)))
+    rows = predict_stage(config, split_stage(config, sequences))
+    tracemalloc.start()
+    try:
+        _, rise = _peak_rise(evaluate_stage, config, rows)
+    finally:
+        tracemalloc.stop()
+    assert rise < 600 * len(rows), f"{rise / len(rows):.0f} bytes a row"
+
+
 @pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 200_001])
 def test_file_digest_is_the_sha256_of_the_bytes(tmp_path, size):
     path = tmp_path / "file"
@@ -2024,7 +2098,7 @@ STAGE_CALLS = {
     "synth": "generate_systems",
     "ingest": "build_corpus",
     "sequence": "build_sequences",
-    "split": "enumerate_pairs",
+    "split": "split_pairs",
     "predict": "baseline_answer",
     "evaluate": "score_item",
 }

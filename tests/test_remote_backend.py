@@ -15,6 +15,7 @@ from crashcast.errors import (
 )
 from crashcast.predictor import (
     MAX_BACKOFF_S,
+    MAX_RETRY_LIMIT,
     SYSTEM_MESSAGE,
     BackendConfig,
     RemoteBackend,
@@ -107,14 +108,16 @@ class TestRetries:
     def test_no_backoff_sleep_passes_the_cap(self, base):
         waits = []
         backend = RemoteBackend(
-            config_for("http://127.0.0.1:9/v1/chat", retry_limit=40, backoff_base=base),
+            config_for(
+                "http://127.0.0.1:9/v1/chat", retry_limit=MAX_RETRY_LIMIT, backoff_base=base
+            ),
             sleep=waits.append,
         )
         with pytest.raises(TransportError):
             backend.complete("p")
-        assert len(waits) == 40
+        assert len(waits) == MAX_RETRY_LIMIT
         assert max(waits) == waits[-1] == MAX_BACKOFF_S
-        doubled = [base * 2 ** attempt for attempt in range(40)]
+        doubled = [base * 2 ** attempt for attempt in range(MAX_RETRY_LIMIT)]
         assert waits == [min(wait, MAX_BACKOFF_S) for wait in doubled]
         if base < MAX_BACKOFF_S:  # the sleeps below the cap are as they were
             assert waits[:6] == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
