@@ -1871,9 +1871,9 @@ def test_sequence_frees_each_event_as_it_goes(tmp_path):
     assert rise < 16 * count, f"{rise / count:.1f} bytes an event"
 
 
-# the stages past sequence hold only what they keep: split a shuffled position (8 bytes) per
-# pair, where building every pair holds a LabeledPair and a list slot, about 57 bytes each;
-# evaluate the scores of each row, where holding its three item dicts costs about 1.2 KB
+# the stages past sequence hold only what they keep: split one shuffled position (8 bytes) a
+# pair, where a split that built every pair would hold a LabeledPair and a list slot, about
+# 65 bytes each; evaluate each row's scores, where holding its three item dicts is 1.2 KB a row
 def test_split_builds_only_the_pairs_it_keeps(tmp_path):
     config = small_config(tmp_path / "out", generator={"n_systems": 40, "days": 540})
     sequences = sequence_stage(config, ingest_stage(config, synth_stage(config)))
