@@ -71,6 +71,7 @@ from .errors import (
     RecordError,
 )
 from .ingest import (
+    _TWO_DIGITS,
     NO_EVENTS,
     CrashCorpus,
     CrashEvent,
@@ -111,13 +112,15 @@ from .prompt import (
     shots_from_pairs,
 )
 from .sequencer import (
+    DAY,
     EventSequence,
     LabeledPair,
-    SeqEvent,
     build_sequences,
     day_floor,
     enumerate_pairs,  # not called here: bench/tracer.py wraps it by its name in this module
+    instant_of,
     partition_windows,
+    seconds_of,
     window_index_of,
 )
 # generate_corpus is not called here: bench/tracer.py wraps it by its name in this module
@@ -223,10 +226,10 @@ class Writers:
     that are left. No child, and no pipe, outlives the block. A stage given
     no Writers makes its own, so it returns with its file whole. failure is
     the error of the first writer that could not start or failed, raised or
-    not; it names the writer's first file. waits and usage hold, by file
-    name, the seconds wait() blocked on each file's writer and that
-    writer's CPU seconds and peak resident set (the files of one writer
-    share its figures).
+    not; it names the file an OSError names, else the writer's first file.
+    waits and usage hold, by file name, the seconds wait() blocked on each
+    file's writer and that writer's CPU seconds and peak resident set (the
+    files of one writer share its figures).
     """
 
     def __init__(self) -> None:
@@ -260,7 +263,7 @@ class Writers:
 
         write() writes the files, each through its .partial sibling; one it leaves out is
         sent as 64 "-" and gets no digest. The child exits 0, with the errno (1-254) of the
-        OSError that stopped it, or with 255.
+        OSError that stopped it, having sent the index in paths of the file it names, or with 255.
         """
         pipe: tuple[int, ...] = ()
         try:
@@ -285,6 +288,8 @@ class Writers:
                 code = 0
             except OSError as err:
                 code = err.errno if err.errno in range(1, 255) else 255
+                if err.filename in (names := [*map(str, paths)]):  # one byte: the failed file
+                    os.write(write_end, bytes([names.index(err.filename)]))
             finally:
                 os._exit(code)
         os.close(write_end)  # so the read end sees end of file once the child is gone
@@ -324,8 +329,9 @@ class Writers:
             if code:  # a signal's is negative
                 for path in key:
                     _partial_of(path).unlink(missing_ok=True)
+                failed = key[sent[0]] if len(sent) == 1 else key[0]
                 failure = failure or (
-                    OSError(code, os.strerror(code), str(key[0])) if 0 < code < 255
+                    OSError(code, os.strerror(code), str(failed)) if 0 < code < 255
                     else _writer_error(key[0], f"failed with status {code}")
                 )
             elif len(sent) != 64 * len(key):
@@ -409,7 +415,11 @@ class FieldType(NamedTuple):
 
 
 def _timestamp_text(ts: Any) -> str:
-    return '"' + format_timestamp(ts) + '"'  # ASCII digits and punctuation: nothing to escape
+    """A datetime, or UTC epoch seconds as sequences hold them: ASCII, nothing to escape."""
+    if type(ts) is not int:
+        return '"' + format_timestamp(ts) + '"'
+    clock = _TWO_DIGITS[ts // 3600 % 24], _TWO_DIGITS[ts // 60 % 60], _TWO_DIGITS[ts % 60]
+    return '"%sT%s:%s:%sZ"' % (render_date(ts), *clock)  # each day's date text made once
 
 
 def _list_text(text: Callable[[Any], str]) -> Callable[[Any], str]:
@@ -712,14 +722,14 @@ def sequence_stage(
     """
     if corpus is None:
         corpus = load_events(path_of(config, EVENTS_FILE))
-    # build_sequences reads the events once, so each is freed as its SeqEvent is made
+    # build_sequences reads the events once, so each is freed once its times entry is made
     sequences = [
         sequence
         for part in ([corpus] if isinstance(corpus, CrashCorpus) else corpus)
         for sequence in build_sequences(dataclasses.replace(part, events=_drained(part.events)))
     ]
     width = config.window_days
-    # partitioned here, encoded in the writer
+    # partitioned here into index ranges, encoded in the writer
     partitions = [(seq, partition_windows(seq, width)) for seq in sequences]
     _write_forked(
         path_of(config, WINDOWS_FILE),
@@ -730,17 +740,16 @@ def sequence_stage(
 
 
 def windows_to_lines(
-    seq: EventSequence, windows: Sequence[Sequence[SeqEvent]], width_days: int
+    seq: EventSequence, windows: Sequence[tuple[int, int]], width_days: int
 ) -> list[str]:
     """The windows.jsonl lines of seq's partition into windows width_days wide."""
     if not windows:
         return []
-    origin = day_floor(seq.events[0].time)
-    width = timedelta(days=width_days)
+    origin, width = day_floor(seq.times[0]), width_days * DAY
     return [
         encode_line(WINDOW_FIELDS, (seq.system_id, index, origin + index * width, width_days,
-                                    [e.time for e in events], [e.kind for e in events]))
-        for index, events in enumerate(windows)
+                                    seq.times[start:end], seq.kinds[start:end]))
+        for index, (start, end) in enumerate(windows)
     ]
 
 
@@ -754,20 +763,19 @@ def rebuild_sequences(records: Iterable[dict[str, Any]]) -> list[EventSequence]:
     sequences = []
     for system_id, group in groupby(ordered, key=lambda r: r["system_id"]):
         windows = [*group]
-        events = tuple(
-            SeqEvent(time, kind)
-            for window in windows
-            for time, kind in zip(window["times"], window["causes"], strict=True)
-        )
-        if not events:
+        if any(len(window["times"]) != len(window["causes"]) for window in windows):
+            raise ValueError(f"{system_id} has a window whose times and causes are not parallel")
+        times = array("q", map(seconds_of, chain.from_iterable(w["times"] for w in windows)))
+        if not times:
             raise ValueError(f"{system_id} has windows but no events")
-        origin = day_floor(events[0].time)
+        origin = instant_of(day_floor(times[0]))
         for index, window in enumerate(windows):
             offset = index * timedelta(days=window["width_days"])
             if window["window_index"] != index or window["window_start"] - origin != offset:
                 raise ValueError(f"{system_id} window {window['window_index']} is not"
                                  f" window {index}, {offset.days} days after {origin}")
-        sequences.append(EventSequence(system_id, events))
+        kinds = chain.from_iterable(w["causes"] for w in windows)
+        sequences.append(EventSequence(system_id, times, tuple(kinds)))
     return sequences
 
 
@@ -803,7 +811,7 @@ def split_pairs(
     come out as from a shuffle of that list.
     """
     # starts[s]: the position of sequence s's first pair, index 2; the last entry is the total
-    starts = [0, *accumulate(max(len(seq.events) - 1, 0) for seq in sequences)]
+    starts = [0, *accumulate(max(len(seq) - 1, 0) for seq in sequences)]
     total, needed = starts[-1], train_n + val_n
     if total < needed:
         raise InsufficientData(needed - total)
@@ -976,10 +984,10 @@ def predict_stage(
     rows: dict[tuple[str, int], dict[str, Any]] = {}
 
     def row_of(pair: LabeledPair, raw: PredictionRaw) -> dict[str, Any]:
-        target, origin = pair.target, day_floor(pair.sequence.events[0].time)
-        window = window_index_of(target.time, origin, config.window_days)
+        target, times = pair.index - 1, pair.sequence.times
+        window = window_index_of(times[target], day_floor(times[0]), config.window_days)
         values = (raw.backend_id, raw.cause_answer, pair.index, pair.system_id,
-                  target.kind, render_date(target.time), raw.time_answer, window)
+                  pair.sequence.kinds[target], render_date(times[target]), raw.time_answer, window)
         return dict(zip(PREDICTION_FIELDS, values))  # values in the table's sorted key order
 
     pending = iter(validation)
@@ -1222,9 +1230,9 @@ def run_all(config: RunConfig) -> dict[str, Any]:
             corpus = None  # the sequences hold what later stages need
             if not config.paths.logs:  # the data writer sends the logs' digest when it is reaped
                 writers.then(data[0], _ingest_writer(config, ingested))
-            counts["events"] = sum(len(seq.events) for seq in sequences)
+            counts["events"] = sum(map(len, sequences))
             counts["systems"] = len(sequences)
-            counts["pairs"] = sum(max(len(seq.events) - 1, 0) for seq in sequences)
+            counts["pairs"] = sum(max(len(seq) - 1, 0) for seq in sequences)
             train, validation = timed("split", lambda: split_stage(config, sequences))
             counts["train"] = len(train)
             counts["validation"] = len(validation)

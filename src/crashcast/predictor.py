@@ -17,8 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import reduce
-from operator import add, itemgetter
-from typing import Callable, Iterable, Protocol, Sequence
+from operator import add
+from typing import Callable, Iterable, Protocol
 from urllib.parse import urlsplit
 
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .ingest import is_utf8_encodable
 from .prompt import render_answer_sentence, render_date
-from .sequencer import SeqEvent
+from .sequencer import DAY, EventSequence, instant_of, seconds_of
 
 BACKEND_KINDS = ("remote-llm", "baseline", "scripted")
 
@@ -126,20 +126,20 @@ class BaselineModel:
             raise ValueError("total_rate does not match the sum of rates")
 
 
-def fit_baseline(history: Sequence[SeqEvent]) -> BaselineModel:
+def fit_baseline(history: EventSequence) -> BaselineModel:
     """Per-cause maximum-likelihood rates: count over observed span in days."""
     if len(history) < 2:
         raise HistoryTooShort(f"need at least 2 events to fit a span, got {len(history)}")
-    span_days = (history[-1].time - history[0].time) / timedelta(days=1)
-    span_days = max(span_days, MIN_SPAN_DAYS)
+    # whole seconds over a day's: the float that timedelta / timedelta(days=1) gives
+    span_days = max((history.times[-1] - history.times[0]) / DAY, MIN_SPAN_DAYS)
     # a Counter keeps first-seen order, so total_rate adds the rates in the same order
-    counts = Counter(map(itemgetter(1), history))  # SeqEvent.kind
+    counts = Counter(history.kinds)
     rates = {kind: count / span_days for kind, count in counts.items()}
     return BaselineModel(
         rates=rates,
         # left to right: sum() compensates from Python 3.12, which moves the answers' last digit
         total_rate=reduce(add, rates.values(), 0.0),
-        t_last=history[-1].time,
+        t_last=instant_of(history.times[-1]),
         observation_span=span_days,
     )
 
@@ -158,7 +158,7 @@ def mbr_next_type(model: BaselineModel) -> str:
     return min(model.rates, key=lambda kind: (-model.rates[kind], kind))
 
 
-def baseline_answer(history: Sequence[SeqEvent]) -> PredictionRaw:
+def baseline_answer(history: EventSequence) -> PredictionRaw:
     """Render the MBR (time, type) through the canonical sentence template.
 
     Both stages get the full sentence, so extraction treats baseline output
@@ -166,7 +166,7 @@ def baseline_answer(history: Sequence[SeqEvent]) -> PredictionRaw:
     """
     model = fit_baseline(history)
     sentence = render_answer_sentence(
-        render_date(mbr_next_time(model)), mbr_next_type(model)
+        render_date(seconds_of(mbr_next_time(model))), mbr_next_type(model)
     )
     return PredictionRaw(time_answer=sentence, cause_answer=sentence, backend_id="baseline")
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from importlib import resources
 from typing import Sequence
 
 from .errors import DataError, InsufficientShots, TemplateError
-from .sequencer import LabeledPair, SeqEvent
+from .sequencer import DAY, EventSequence, LabeledPair, instant_of
 
 TIME_QUESTION = "When will the next crash happen on system {system_id}?"
 CAUSE_QUESTION = "What will be the predicted crash cause?"
@@ -30,16 +31,21 @@ def render_answer_sentence(date_text: str, cause_text: str) -> str:
     return ANSWER_SENTENCE.format(date=date_text, cause=cause_text)
 
 
-def render_date(ts) -> str:
-    """Dates go into prompts at day granularity, ISO calendar form."""
-    return ts.date().isoformat()
+def render_date(seconds: int) -> str:
+    """Dates go into prompts at day granularity, ISO calendar form: UTC epoch seconds' day."""
+    return _iso_date(seconds // DAY)
 
 
-def render_history(events: Sequence[SeqEvent], cap: int | None = None) -> str:
+@lru_cache(maxsize=1 << 12)  # a day's text is made once, not once per event of that day
+def _iso_date(day: int) -> str:
+    return instant_of(day * DAY).date().isoformat()
+
+
+def render_history(history: EventSequence, cap: int | None = None) -> str:
     """One line per event, most recent `cap` events when capped."""
     if cap is not None and cap >= 0:
-        events = events[-cap:] if cap else ()
-    return "\n".join(f"- {render_date(e.time)}: {e.kind}" for e in events)
+        history = history[-cap:] if cap else history[:0]
+    return "\n".join(f"- {render_date(t)}: {k}" for t, k in zip(history.times, history.kinds))
 
 
 @dataclass(frozen=True)
@@ -114,11 +120,12 @@ def default_template() -> PromptTemplate:
 
 
 def shot_from_pair(pair: LabeledPair, history_cap: int | None = None) -> Shot:
+    target = pair.index - 1
     return Shot(
         system_id=pair.system_id,
         history_rendering=render_history(pair.history, history_cap),
-        target_time=render_date(pair.target.time),
-        target_cause=pair.target.kind,
+        target_time=render_date(pair.sequence.times[target]),
+        target_cause=pair.sequence.kinds[target],
     )
 
 
@@ -140,7 +147,7 @@ class PromptBundle:
 
     system_id: str
     shots: tuple[Shot, ...]
-    query_history: tuple[SeqEvent, ...]
+    query_history: EventSequence
     time_question: str
     cause_question: str
     rendered_time_prompt: str
@@ -151,7 +158,7 @@ class PromptBundle:
 def build_bundle(
     template: PromptTemplate,
     system_id: str,
-    query_history: Sequence[SeqEvent],
+    query_history: EventSequence,
     shots: Sequence[Shot],
     history_cap: int | None = None,
 ) -> PromptBundle:
@@ -184,7 +191,7 @@ def build_bundle(
     return PromptBundle(
         system_id=system_id,
         shots=tuple(shots),
-        query_history=tuple(query_history),
+        query_history=query_history,
         time_question=time_question,
         cause_question=CAUSE_QUESTION,
         rendered_time_prompt="\n\n".join(blocks),

@@ -1,24 +1,39 @@
 """Per-system chronological event sequences, their pairs and their windows.
 
-A corpus becomes one strictly increasing (time, kind) sequence per system.
-Identical instants are resolved deterministically: the colliding group is
-ordered by kind, then each later event is pushed forward one second.
-A pair is a reference to one event of a sequence and the history before
-it. Sequences partition losslessly into abutting windows of whole days,
-aligned to midnight UTC of each system's first crash; how a window is
-written to windows.jsonl and read back is pipeline's contract.
+A corpus becomes one strictly increasing sequence per system: two columns,
+UTC epoch seconds in an array and the shared kind strings, no object per
+event. Identical instants are resolved deterministically: the colliding group
+is ordered by kind, then each later event is pushed forward one second. A pair
+is one event of a sequence and the history before it. Sequences partition
+losslessly into abutting whole-day windows from midnight UTC of each system's
+first crash, each an index range; windows.jsonl's format is pipeline's contract.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
+from operator import itemgetter, lt
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, IndexOutOfRange
 from .ingest import CrashCorpus
 
-TIE_STEP = timedelta(seconds=1)
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+DAY = 86400  # seconds
+_SECOND = timedelta(seconds=1)
+
+
+def seconds_of(ts: datetime) -> int:
+    """A UTC instant as whole seconds since the epoch, floored."""
+    return (ts - EPOCH) // _SECOND
+
+
+def instant_of(seconds: int) -> datetime:
+    """The UTC datetime of seconds since the epoch: exact, so seconds_of inverts it."""
+    return EPOCH + timedelta(0, seconds)
 
 
 class SeqEvent(NamedTuple):
@@ -28,15 +43,34 @@ class SeqEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class EventSequence:
-    """All crashes of one system, times strictly increasing."""
+    """All crashes of one system: times, UTC epoch seconds strictly increasing, and kinds."""
 
     system_id: str
-    events: tuple[SeqEvent, ...]
+    times: array
+    kinds: tuple[str, ...]
 
     def __post_init__(self):
-        for earlier, later in zip(self.events, self.events[1:]):
-            if later.time <= earlier.time:
-                raise ValueError(f"times not strictly increasing for {self.system_id}")
+        if len(self.times) != len(self.kinds):
+            raise ValueError(f"times and kinds not parallel for {self.system_id}")
+        if not all(map(lt, self.times, self.times[1:])):
+            raise ValueError(f"times not strictly increasing for {self.system_id}")
+
+    @classmethod
+    def of(cls, system_id: str, events: Iterable[SeqEvent]) -> EventSequence:
+        times, kinds = [*zip(*events)] or [(), ()]
+        return cls(system_id, array("q", map(seconds_of, times)), kinds)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, key):
+        """The event at an index, its time a datetime (so iterating builds each event); or a
+        step-1 slice's events, unchecked: part of an increasing sequence increases."""
+        if not isinstance(key, slice):
+            return SeqEvent(instant_of(self.times[key]), self.kinds[key])
+        part = object.__new__(EventSequence)
+        part.__dict__.update(system_id=self.system_id, times=self.times[key], kinds=self.kinds[key])
+        return part
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,9 +81,9 @@ class LabeledPair:
     index: int
 
     def __post_init__(self):
-        if not (type(self.index) is int and 1 <= self.index <= len(self.sequence.events)):
+        if not (type(self.index) is int and 1 <= self.index <= len(self.sequence)):
             raise IndexOutOfRange(
-                f"index {self.index!r} outside 1..{len(self.sequence.events)}"
+                f"index {self.index!r} outside 1..{len(self.sequence)}"
                 f" for {self.sequence.system_id}"
             )
 
@@ -58,12 +92,8 @@ class LabeledPair:
         return self.sequence.system_id
 
     @property
-    def history(self) -> tuple[SeqEvent, ...]:
-        return self.sequence.events[: self.index - 1]
-
-    @property
-    def target(self) -> SeqEvent:
-        return self.sequence.events[self.index - 1]
+    def history(self) -> EventSequence:
+        return self.sequence[: self.index - 1]
 
 
 def build_sequences(corpus: CrashCorpus) -> list[EventSequence]:
@@ -73,20 +103,17 @@ def build_sequences(corpus: CrashCorpus) -> list[EventSequence]:
     the collided group lexicographically by kind and displacing each
     subsequent event forward by one second.
     """
-    by_system: dict[str, list[SeqEvent]] = {}
-    new = tuple.__new__
+    by_system: dict[str, list[tuple[int, str]]] = {}
     for system_id, time, kind, _, _ in corpus.events:
-        by_system.setdefault(system_id, []).append(new(SeqEvent, (time, kind)))
+        by_system.setdefault(system_id, []).append((seconds_of(time), kind))
 
     sequences = []
     for system_id in sorted(by_system):
-        events = sorted(by_system[system_id])  # a SeqEvent sorts by (time, kind)
-        shifted: list[SeqEvent] = []
-        for event in events:
-            if shifted and event.time <= shifted[-1].time:
-                event = SeqEvent(shifted[-1].time + TIE_STEP, event.kind)
-            shifted.append(event)
-        sequences.append(EventSequence(system_id=system_id, events=tuple(shifted)))
+        events = sorted(by_system.pop(system_id))  # by (time, kind)
+        times = array("q")
+        for time, _ in events:
+            times.append(time if not times or time > times[-1] else times[-1] + 1)
+        sequences.append(EventSequence(system_id, times, tuple(map(itemgetter(1), events))))
     return sequences
 
 
@@ -96,19 +123,19 @@ def enumerate_pairs(sequences: Iterable[EventSequence]) -> list[LabeledPair]:
     Deterministic order: sequences as given (sorted by system upstream),
     indices ascending.
     """
-    return [LabeledPair(seq, i) for seq in sequences for i in range(2, len(seq.events) + 1)]
+    return [LabeledPair(seq, i) for seq in sequences for i in range(2, len(seq) + 1)]
 
 
-def day_floor(ts: datetime) -> datetime:
-    return ts.replace(hour=0, minute=0, second=0, microsecond=0)
+def day_floor(seconds: int) -> int:  # midnight UTC of the instant's day
+    return seconds - seconds % DAY
 
 
-def window_index_of(ts: datetime, origin: datetime, width_days: int) -> int:
-    return (ts - origin) // timedelta(days=width_days)
+def window_index_of(seconds: int, origin: int, width_days: int) -> int:
+    return (seconds - origin) // (width_days * DAY)
 
 
-def partition_windows(seq: EventSequence, width_days: int) -> list[list[SeqEvent]]:
-    """A sequence's events in abutting windows of whole days, one list per window.
+def partition_windows(seq: EventSequence, width_days: int) -> list[tuple[int, int]]:
+    """A sequence's abutting windows of whole days, each its events' (start, end) index range.
 
     The list index is the window index. Window 0 starts at midnight UTC of
     the first event's day; empty windows between occupied ones are emitted
@@ -116,11 +143,9 @@ def partition_windows(seq: EventSequence, width_days: int) -> list[list[SeqEvent
     """
     if width_days < 1:
         raise ConfigError(f"window width must be at least 1 day, got {width_days}")
-    if not seq.events:
+    if not seq.times:
         return []
-    origin = day_floor(seq.events[0].time)
-    width = timedelta(days=width_days)
-    windows: list[list[SeqEvent]] = [[] for _ in range((seq.events[-1].time - origin) // width + 1)]
-    for event in seq.events:
-        windows[(event.time - origin) // width].append(event)
-    return windows
+    origin, width = day_floor(seq.times[0]), width_days * DAY
+    count = window_index_of(seq.times[-1], origin, width_days) + 1
+    ends = [bisect_left(seq.times, origin + index * width) for index in range(1, count + 1)]
+    return [*zip([0, *ends], ends)]

@@ -16,8 +16,7 @@ def at_day(day: float, base: datetime = BASE) -> datetime:
 
 def sequence_of(system_id: str, day_kinds) -> EventSequence:
     """Build a sequence from (day offset, kind) pairs at the shared base date."""
-    events = tuple(SeqEvent(at_day(day), kind) for day, kind in day_kinds)
-    return EventSequence(system_id=system_id, events=events)
+    return EventSequence.of(system_id, (SeqEvent(at_day(day), kind) for day, kind in day_kinds))
 
 
 def transient_peak(fn, *args):

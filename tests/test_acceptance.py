@@ -360,7 +360,7 @@ class TestAcceptance:
             for _ in range(rng.randrange(1, 60)):
                 t += timedelta(seconds=rng.randrange(1, 200000))
                 events.append(SeqEvent(t, rng.choice(kinds)))
-            seq = EventSequence(f"w{case}", tuple(events))
+            seq = EventSequence.of(f"w{case}", events)
             width = rng.randrange(1, 12)
             windows = partition_windows(seq, width)
             records = [
@@ -372,8 +372,8 @@ class TestAcceptance:
             assert indices == list(range(len(windows)))
 
             (rebuilt,) = rebuild_sequences(records)
-            assert [e.time for e in rebuilt.events] == [e.time for e in seq.events]
-            assert [e.kind for e in rebuilt.events] == [e.kind for e in seq.events]
+            assert [e.time for e in rebuilt] == [e.time for e in seq]
+            assert [e.kind for e in rebuilt] == [e.kind for e in seq]
             checked += 1
         assert checked == 500
         announce(

@@ -218,12 +218,13 @@ REFERENCE_FILES = [name for files in pipeline.STAGES.values() for name in files]
 MAIN_PROCESS_FILES = [INGEST_FILE, SPLIT_FILE, PREDICTIONS_FILE, REPORT_FILE, TABLE_FILE]
 
 
-def _failing_write(*names):
-    """pipeline._write, but the disk fills partway through writing any file called one of names."""
+def _failing_write(*names, after=1):
+    """pipeline._write, but the disk fills after `after` chunks (None: all) of any file called
+    one of names."""
     real_write = pipeline._write
 
     def chunks_then_no_space(chunks):
-        yield from islice(chunks, 1)
+        yield from islice(chunks, after)
         _refused(errno.ENOSPC)
 
     def write(path, chunks):
@@ -395,7 +396,7 @@ class TestSplitPairs:
         _, val = split_pairs(sequences, 80, 30, seed=2)
         for pair in val:
             assert len(pair.history) == 1
-            assert pair.target.time > pair.history[-1].time
+            assert pair.sequence[pair.index - 1].time > pair.history[-1].time
             assert pair.index == 2
 
 
@@ -650,7 +651,7 @@ class TestStages:
         config = small_config(tmp_path / "out", paths={"logs": str(logs)})
         run_all(config)
         sequences = load_sequences(config)
-        assert [len(seq.events) for seq in sequences if seq.system_id == "host-lonely"] == [1]
+        assert [len(seq) for seq in sequences if seq.system_id == "host-lonely"] == [1]
         manifest = json.loads((tmp_path / "out" / MANIFEST_FILE).read_text())
         assert manifest["item_counts"]["pairs"] == len(enumerate_pairs(sequences))
 
@@ -883,7 +884,7 @@ class TestSequenceRoundTrip:
         built = sequence_stage(config)
         loaded = load_sequences(config)
         assert [s.system_id for s in loaded] == [s.system_id for s in built]
-        assert [tuple(s.events) for s in loaded] == [tuple(s.events) for s in built]
+        assert [tuple(s) for s in loaded] == [tuple(s) for s in built]
 
 
 class TestCli:
@@ -1117,11 +1118,30 @@ class TestCli:
         assert f"config error: cannot write {out}: Not a directory" in result.output
 
     def test_a_writer_that_fails_is_exit_two_naming_its_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pipeline, "record_to_line", _no_space)
+        monkeypatch.setattr(pipeline, "_write", _failing_write(LOGS_FILE))
         result = self.invoke("--config", str(self.write_config(tmp_path)), "run")
         assert result.exit_code == 2, result.output
         logs = tmp_path / "out" / LOGS_FILE
         assert f"config error: cannot write {logs}: No space left on device" in result.output
+
+    # the data writer writes events.jsonl first, then logs.jsonl: a failure names its own file
+    def test_a_data_writer_that_fails_at_the_end_of_the_events_names_them(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline, "_write", _failing_write(EVENTS_FILE, after=None))
+        result = self.invoke("--config", str(self.write_config(tmp_path)), "run")
+        out = tmp_path / "out"
+        events = out / EVENTS_FILE
+        assert result.exit_code == 2, result.output
+        assert f"config error: cannot write {events}: No space left on device" in result.output
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {
+            "kind": "OSError",
+            "message": f"[Errno {errno.ENOSPC}] No space left on device: '{events}'",
+        }
+        assert not events.exists()
+        assert not [*out.glob(".*.partial")]
 
     @pytest.mark.parametrize(
         "code, stage", [(errno.EAGAIN, "run"), (errno.ENOMEM, "synth")]
@@ -1342,7 +1362,7 @@ def _check_events(result):
 def _check_sequences(result):
     for seq in result:
         assert isinstance(seq.system_id, str)
-        assert all(isinstance(t, datetime) and isinstance(k, str) for t, k in seq.events)
+        assert all(isinstance(t, datetime) and isinstance(k, str) for t, k in seq)
 
 
 def _check_split(result):
@@ -1614,7 +1634,7 @@ class TestWriters:
         self, tmp_path, monkeypatch, writer_pids
     ):
         out = tmp_path / "out"
-        monkeypatch.setattr(pipeline, "record_to_line", _no_space)
+        monkeypatch.setattr(pipeline, "_write", _failing_write(LOGS_FILE))
         with pytest.raises(OSError) as raised:
             run_all(small_config(out))
         assert raised.value.errno == errno.ENOSPC
@@ -1833,7 +1853,7 @@ def test_ingest_and_sequence_consume_the_lists_they_are_handed(tmp_path):
     events = [*corpus.events]
     sequences = sequence_stage(config, corpus)
     assert corpus.events == []
-    assert sum(len(seq.events) for seq in sequences) == len(events)
+    assert sum(len(seq) for seq in sequences) == len(events)
 
 
 def _peak_rise(fn, *args):
@@ -1877,7 +1897,7 @@ def test_sequence_frees_each_event_as_it_goes(tmp_path):
 def test_split_builds_only_the_pairs_it_keeps(tmp_path):
     config = small_config(tmp_path / "out", generator={"n_systems": 40, "days": 540})
     sequences = sequence_stage(config, ingest_stage(config, synth_stage(config)))
-    count = sum(max(len(seq.events) - 1, 0) for seq in sequences)
+    count = sum(max(len(seq) - 1, 0) for seq in sequences)
     split = config.split
     tracemalloc.start()
     try:
@@ -1887,6 +1907,23 @@ def test_split_builds_only_the_pairs_it_keeps(tmp_path):
     finally:
         tracemalloc.stop()
     assert rise < 16 * count, f"{rise / count:.1f} bytes a pair"
+
+
+# a sequence holds an event as two columns' entries: 8 bytes of UTC seconds and an 8-byte slot
+# of a shared kind string (23 bytes an event here, with each column's spare room), where a
+# SeqEvent and its slot trace 73 bytes, and its datetime, made before tracing starts, 48 more
+def test_sequences_hold_under_32_bytes_an_event(tmp_path):
+    config = small_config(tmp_path / "out", generator={"n_systems": 40, "days": 540})
+    corpus = ingest_stage(config, synth_stage(config))
+    count = len(corpus.events)
+    tracemalloc.start()
+    try:
+        sequences = sequence_stage(config, corpus)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, sequences)) == count
+    assert held < 32 * count, f"{held / count:.1f} bytes an event"
 
 
 def test_evaluate_writes_its_item_rows_without_holding_them(tmp_path):

@@ -25,11 +25,11 @@ from crashcast.predictor import (
     mbr_next_time,
     mbr_next_type,
 )
-from crashcast.sequencer import SeqEvent
+from crashcast.sequencer import EventSequence, SeqEvent
 
 
 def events_of(day_kinds):
-    return [SeqEvent(at_day(d), k) for d, k in day_kinds]
+    return EventSequence.of("s", [SeqEvent(at_day(d), k) for d, k in day_kinds])
 
 
 class TestFitBaseline:
@@ -51,10 +51,10 @@ class TestFitBaseline:
         assert model.total_rate == pytest.approx(1.0)
 
     def test_short_span_is_floored_to_one_day(self):
-        history = [
+        history = EventSequence.of("s", [
             SeqEvent(at_day(0), "a"),
             SeqEvent(at_day(0) + timedelta(hours=6), "a"),
-        ]
+        ])
         model = fit_baseline(history)
         assert model.observation_span == pytest.approx(1.0)
         assert model.total_rate == pytest.approx(2.0)
@@ -150,9 +150,9 @@ class TestPointPredictions:
         if days[-1] - days[0] < scale:
             return
         base = events_of([(d, "ab"[d % 2]) for d in days])
-        compressed = [
+        compressed = EventSequence.of("s", [
             SeqEvent(at_day(0) + (e.time - at_day(0)) / scale, e.kind) for e in base
-        ]
+        ])
         slow = fit_baseline(base)
         fast = fit_baseline(compressed)
         if fast.observation_span <= 1.0:
@@ -177,7 +177,7 @@ class TestDominantTypeRecovery:
                 t += timedelta(days=rng.expovariate(1.0))
                 kind = "dominant" if rng.random() < 0.8 else "rare"
                 history.append(SeqEvent(t, kind))
-            if mbr_next_type(fit_baseline(history)) == "dominant":
+            if mbr_next_type(fit_baseline(EventSequence.of("s", history))) == "dominant":
                 hits += 1
         assert hits >= 48
 
@@ -193,7 +193,7 @@ class TestBaselineAnswer:
             ]
         ]
         assert history[-1].time == datetime(2021, 3, 8, tzinfo=timezone.utc)
-        raw = baseline_answer(history)
+        raw = baseline_answer(EventSequence.of("s", history))
         expected = "The next crash will happen on 2021-03-09 caused by a."
         assert raw.time_answer == expected
         assert raw.cause_answer == expected

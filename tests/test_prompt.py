@@ -38,7 +38,7 @@ def bundle(template):
     sequences = pool_sequences()
     shots = shots_from_pairs(enumerate_pairs(sequences[:2]), k=3, seed=11)
     query = sequence_of("A1", [(0, "driver power state failure"), (2, "page fault")])
-    return build_bundle(template, "A1", query.events, shots)
+    return build_bundle(template, "A1", query, shots)
 
 
 class TestShots:
@@ -64,9 +64,10 @@ class TestShots:
     def test_shot_target_is_the_true_next_event(self):
         pairs = enumerate_pairs(pool_sequences(n_systems=1, length=4))
         (shot,) = shots_from_pairs(pairs, 1, seed=3)
-        match = [p for p in pairs if p.target.kind == shot.target_cause]
+        match = [p for p in pairs if p.sequence[p.index - 1].kind == shot.target_cause]
         assert match
-        assert shot.target_time == match[0].target.time.date().isoformat()
+        target = match[0].sequence[match[0].index - 1]
+        assert shot.target_time == target.time.date().isoformat()
 
     def test_shot_history_is_nonempty(self):
         pairs = enumerate_pairs(pool_sequences(n_systems=1, length=5))
@@ -76,26 +77,26 @@ class TestShots:
 
 class TestRenderHistory:
     def test_one_line_per_event(self):
-        events = sequence_of("A", [(0, "a"), (1, "b")]).events
+        events = sequence_of("A", [(0, "a"), (1, "b")])
         text = render_history(events)
         assert text.splitlines() == ["- 2021-03-01: a", "- 2021-03-02: b"]
 
     def test_cap_keeps_the_most_recent(self):
-        events = sequence_of("A", [(d, f"k{d}") for d in range(12)]).events
+        events = sequence_of("A", [(d, f"k{d}") for d in range(12)])
         lines = render_history(events, cap=10).splitlines()
         assert len(lines) == 10
         assert lines[0] == "- 2021-03-03: k2"
         assert lines[-1] == "- 2021-03-12: k11"
 
     def test_uncapped_renders_everything(self):
-        events = sequence_of("A", [(d, "x") for d in range(12)]).events
+        events = sequence_of("A", [(d, "x") for d in range(12)])
         assert len(render_history(events).splitlines()) == 12
 
 
 class TestTimePrompt:
     def test_ends_with_the_verbatim_question(self, template):
         query = sequence_of("A1", [(0, "driver power state failure")])
-        bundle = build_bundle(template, "A1", query.events, shots=[])
+        bundle = build_bundle(template, "A1", query, shots=[])
         assert bundle.rendered_time_prompt.endswith(
             "When will the next crash happen on system A1?"
         )
@@ -119,7 +120,7 @@ class TestTimePrompt:
 
     def test_query_history_cap_applies(self, template):
         query = sequence_of("A1", [(d, f"k{d}") for d in range(12)])
-        bundle = build_bundle(template, "A1", query.events, shots=[], history_cap=10)
+        bundle = build_bundle(template, "A1", query, shots=[], history_cap=10)
         assert "k1\n" not in bundle.rendered_time_prompt
         assert "- 2021-03-03: k2" in bundle.rendered_time_prompt
 
@@ -155,7 +156,7 @@ class TestCausePrompt:
             enumerate_pairs([sequence_of(slot, [(d, slot) for d in range(4)])]), k=3, seed=11
         )
         query = sequence_of(slot, [(0, slot), (2, "page fault")])
-        bundle = build_bundle(template, slot, query.events, shots)
+        bundle = build_bundle(template, slot, query, shots)
         answer = "The next crash will happen on 2021-03-08."
         prompt = render_cause_prompt(answer, bundle)
         assert prompt.count(answer) == 1

@@ -4,24 +4,34 @@ import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import at_day, sequence_of
 from crashcast.errors import ConfigError, IndexOutOfRange
-from crashcast.ingest import CrashCorpus, CrashEvent
+from crashcast.ingest import CrashCorpus, CrashEvent, format_timestamp
 from crashcast.pipeline import (
     WINDOW_FIELDS,
+    _timestamp_text,
     decode_record,
     encode_line,
     rebuild_sequences,
     windows_to_lines,
 )
+from crashcast.predictor import MIN_SPAN_DAYS, fit_baseline
+from crashcast.prompt import render_date
 from crashcast.sequencer import (
+    DAY,
     EventSequence,
     LabeledPair,
     SeqEvent,
     build_sequences,
+    day_floor,
     enumerate_pairs,
+    instant_of,
     partition_windows,
+    seconds_of,
+    window_index_of,
 )
 
 UTC = timezone.utc
@@ -43,21 +53,21 @@ class TestBuildSequences:
         )
         sequences = build_sequences(corpus)
         assert [s.system_id for s in sequences] == ["A", "B"]
-        assert [e.time for e in sequences[0].events] == [at_day(1), at_day(2)]
-        assert len(sequences[1].events) == 1
+        assert [e.time for e in sequences[0]] == [at_day(1), at_day(2)]
+        assert len(sequences[1]) == 1
 
     def test_single_system_keeps_every_event(self):
         corpus = corpus_of(*[("A", at_day(d), "x") for d in range(40)])
         (seq,) = build_sequences(corpus)
-        assert len(seq.events) == 40
+        assert len(seq) == 40
 
     def test_identical_instants_shift_by_one_second_in_kind_order(self):
         instant = at_day(0)
         corpus = corpus_of(("A", instant, "y"), ("A", instant, "x"))
         (seq,) = build_sequences(corpus)
-        assert [e.kind for e in seq.events] == ["x", "y"]
-        assert seq.events[0].time == instant
-        assert seq.events[1].time == instant + timedelta(seconds=1)
+        assert [e.kind for e in seq] == ["x", "y"]
+        assert seq[0].time == instant
+        assert seq[1].time == instant + timedelta(seconds=1)
 
     def test_displacement_cascades_through_runs(self):
         instant = at_day(0)
@@ -66,7 +76,7 @@ class TestBuildSequences:
             ("A", instant, "a"), ("A", instant, "b"), ("A", one_second, "c")
         )
         (seq,) = build_sequences(corpus)
-        assert [e.time for e in seq.events] == [
+        assert [e.time for e in seq] == [
             instant,
             one_second,
             one_second + timedelta(seconds=1),
@@ -74,7 +84,7 @@ class TestBuildSequences:
 
     def test_strictly_increasing_enforced_by_the_type(self):
         with pytest.raises(ValueError):
-            EventSequence("A", (SeqEvent(at_day(1), "x"), SeqEvent(at_day(1), "y")))
+            EventSequence.of("A", (SeqEvent(at_day(1), "x"), SeqEvent(at_day(1), "y")))
 
 
 class TestTakeHistory:
@@ -82,14 +92,14 @@ class TestTakeHistory:
         seq = sequence_of("A", [(0, "a"), (1, "b"), (2, "c")])
         pair = LabeledPair(seq, 3)
         assert [e.kind for e in pair.history] == ["a", "b"]
-        assert pair.target.kind == "c"
+        assert seq[pair.index - 1].kind == "c"
         assert pair.index == 3
 
     def test_first_index_gives_empty_history(self):
         seq = sequence_of("A", [(0, "a"), (1, "b"), (2, "c")])
         pair = LabeledPair(seq, 1)
-        assert pair.history == ()
-        assert pair.target.kind == "a"
+        assert tuple(pair.history) == ()
+        assert seq[pair.index - 1].kind == "a"
 
     @pytest.mark.parametrize("index", [0, 4, -1])
     def test_out_of_range_indices(self, index):
@@ -101,7 +111,7 @@ class TestTakeHistory:
         seq = sequence_of("A", [(d, f"k{d}") for d in range(6)])
         for i in range(1, 7):
             pair = LabeledPair(seq, i)
-            assert pair.history + (pair.target,) == seq.events[:i]
+            assert (*pair.history, seq[pair.index - 1]) == tuple(seq[:i])
 
     def test_enumerate_pairs_respects_min_history(self):
         seq = sequence_of("A", [(0, "a"), (1, "b"), (2, "c")])
@@ -134,7 +144,7 @@ class TestPartitionWindows:
     def test_weekly_example(self):
         seq = sequence_of("A", [(0, "a"), (3, "b"), (8, "c"), (15, "d")])
         windows = partition_windows(seq, 7)
-        assert [[e.kind for e in events] for events in windows] == [["a", "b"], ["c"], ["d"]]
+        assert [[e.kind for e in seq[a:b]] for a, b in windows] == [["a", "b"], ["c"], ["d"]]
         records = window_records(seq, 7)
         assert [w["window_index"] for w in records] == [0, 1, 2]
         assert list(records[0]["causes"]) == ["a", "b"]
@@ -152,7 +162,7 @@ class TestPartitionWindows:
         assert list(windows[1]["times"]) == []
 
     def test_window_zero_starts_at_midnight_of_first_crash(self):
-        seq = EventSequence(
+        seq = EventSequence.of(
             "A", (SeqEvent(datetime(2021, 3, 5, 17, 30, tzinfo=UTC), "a"),)
         )
         (window,) = window_records(seq, 7)
@@ -186,7 +196,7 @@ def random_sequence(rng: random.Random, system_id: str) -> EventSequence:
         if events and time <= events[-1].time:
             time = events[-1].time + timedelta(seconds=1)
         events.append(SeqEvent(time, rng.choice("abcde")))
-    return EventSequence(system_id=system_id, events=tuple(events))
+    return EventSequence.of(system_id, events)
 
 
 class TestLosslessPartition:
@@ -199,8 +209,8 @@ class TestLosslessPartition:
             assert [w["window_index"] for w in windows] == list(range(len(windows)))
             times = [t for w in windows for t in w["times"]]
             causes = [c for w in windows for c in w["causes"]]
-            assert times == [e.time for e in seq.events]
-            assert causes == [e.kind for e in seq.events]
+            assert times == [e.time for e in seq]
+            assert causes == [e.kind for e in seq]
 
     def test_serialized_windows_round_trip(self):
         rng = random.Random(7)
@@ -224,3 +234,30 @@ def test_build_sequences_is_deterministic():
     assert [windows_to_lines(s, partition_windows(s, 7), 7) for s in first] == [
         windows_to_lines(s, partition_windows(s, 7), 7) for s in second
     ]
+
+
+# whole-second UTC instants of years 1000 to 9999, as a sequence's times stand for them
+_WHOLE_SECONDS = st.datetimes(
+    min_value=datetime(1000, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59),
+    timezones=st.just(UTC),
+).map(lambda ts: ts.replace(microsecond=0))
+
+
+@given(first=_WHOLE_SECONDS, second=_WHOLE_SECONDS, width_days=st.integers(1, 400))
+def test_the_seconds_helpers_agree_with_the_datetime_code_they_replace(first, second, width_days):
+    first, last = sorted((first, second))
+    start, end = seconds_of(first), seconds_of(last)
+    assert instant_of(start) == first and instant_of(end) == last
+    assert format_timestamp(instant_of(end)) == format_timestamp(last)
+    assert _timestamp_text(end) == _timestamp_text(last)  # windows.jsonl's times, from seconds
+    assert render_date(end) == last.date().isoformat()
+    midnight = first.replace(hour=0, minute=0, second=0)
+    assert day_floor(start) == seconds_of(midnight)
+    index = window_index_of(end, day_floor(start), width_days)
+    assert index == (last - midnight) // timedelta(days=width_days)
+    # the same two integers of microseconds divided, so the same correctly rounded float
+    assert (end - start) / DAY == (last - first) / timedelta(days=1)
+    if start < end:
+        model = fit_baseline(EventSequence.of("s", [SeqEvent(first, "a"), SeqEvent(last, "b")]))
+        assert model.observation_span == max((last - first) / timedelta(days=1), MIN_SPAN_DAYS)
+        assert model.t_last == last
