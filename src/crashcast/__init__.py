@@ -25,9 +25,9 @@ from .predictor import (
 )
 from .postprocess import ExtractedPrediction, NormalizationConfig, extract_prediction, tokenize
 from .metrics import RougeScore, aggregate, rouge_1, rouge_l, score_item
-from .synthgen import GeneratorConfig, generate_corpus
+from .synthgen import GeneratorConfig
 from .config import RunConfig, load_run_config
-from .pipeline import run_all, split_pairs
+from .pipeline import generate_corpus, run_all, split_pairs
 
 __version__ = "0.1.0"
 

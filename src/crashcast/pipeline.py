@@ -2,39 +2,41 @@
 
 STAGES lists the six stages in run order and the files each writes, and
 path_of places every file: under paths.out_dir, except the logs when
-paths.logs names them. Each stage writes its own files once. Run alone, a
-stage reads only the files the previous stage declared, so any stage can
-be rerun; inside `run_all` each stage takes the previous stage's
-in-memory result instead, and no file is parsed back, logs.jsonl
-included: synth and ingest stream each system's records and corpus
-into sequence, and ingest parses a logs file only when `paths.logs`
-names one (synth then does not run). Each
-JSON-lines stage file past the logs (events.jsonl, windows.jsonl,
-predictions.jsonl) has one field table here, which both writes its lines
-and checks and decodes them when read. The full run also writes a
-manifest that pins the resolved config, the seed, the backend, and the
-digests of every output; wall-clock timings go to a separate file so the
-manifest stays byte-identical across identical runs.
+paths.logs names them. Each stage writes its own files once. Run alone,
+a stage reads only the files the previous stage declared, so any stage
+can be rerun; ingest always parses its logs file. Inside `run_all` each
+stage takes the previous stage's in-memory result instead, and no file
+is parsed back, logs.jsonl included: this process draws the records
+again and streams each system's corpus into sequence, unless
+`paths.logs` names a logs file, which ingest then parses (synth does not
+run). Each JSON-lines stage file past the logs (events.jsonl,
+windows.jsonl, predictions.jsonl) has one field table here, which both
+writes its lines and checks and decodes them when read. The full run
+also writes a manifest that pins the resolved config, the seed, the
+backend, and the digests of every output; wall-clock timings go to a
+separate file so the manifest stays byte-identical across identical
+runs.
 
 The three large files (logs.jsonl, events.jsonl, windows.jsonl) are
 written by children made with os.fork(), so this module needs POSIX,
 while this process goes on to the next stage. A stage called alone forks
-one writer, which only encodes, writes and hashes its file. `run_all`
-without paths.logs forks one data writer instead of synth's and
-ingest's: it draws the synthetic corpus itself, one system at a time,
-and deduplicates it, writing events.jsonl as it goes and logs.jsonl,
-merged into time order, at the end; this process draws each system
-again and sequences it. `run_all` waits for every child before its
-manifest; a stage called alone waits for its child before it returns. A
-child logs and prints nothing, and imports only hashlib, whose OpenSSL
-SHA-256 hashes the files it wrote about 6x as fast as the interpreter's.
-It sends their hex digests through a pipe, so this process reads none
-of the three back, and leaves with os._exit, its exit status its report
-of failure: 0, the errno of the OSError that stopped it, or 255.
-ingest.json, which holds the logs' digest, is written once the logs'
-writer is reaped. Every digest this process makes comes from
-`_seed.sha256`, the interpreter's own, so a baseline run's main process
-loads no OpenSSL.
+one writer, which only encodes, writes and hashes its file; synth's also
+draws the records it writes. `run_all` without paths.logs forks one data
+writer instead of synth's and ingest's: it draws the synthetic corpus
+itself, one system at a time, and deduplicates it, writing events.jsonl
+as it goes and logs.jsonl at the end. Both synth routes, and
+generate_corpus, merge the logs into time order through _log_lines. This
+process draws each system again and sequences it. `run_all` waits for
+every child before its manifest; a stage called alone waits for its
+child before it returns. A child logs and prints nothing, and imports
+only hashlib, whose OpenSSL SHA-256 hashes the files it wrote about 6x
+as fast as the interpreter's. It sends their hex digests through a pipe,
+so this process reads none of the three back, and leaves with os._exit,
+its exit status its report of failure: 0, the errno of the OSError that
+stopped it, or 255. ingest.json, which holds the logs' digest, is
+written once the logs' writer is reaped. Every digest this process makes
+comes from `_seed.sha256`, the interpreter's own, so a baseline run's
+main process loads no OpenSSL.
 """
 
 from __future__ import annotations
@@ -123,8 +125,7 @@ from .sequencer import (
     seconds_of,
     window_index_of,
 )
-# generate_corpus is not called here: bench/tracer.py wraps it by its name in this module
-from .synthgen import generate_corpus, generate_records, generate_systems
+from .synthgen import GeneratorConfig, generate_systems
 
 LOGS_FILE = "logs.jsonl"
 EVENTS_FILE = "events.jsonl"
@@ -214,11 +215,12 @@ def _writer_error(path: Path, reason: str) -> RuntimeError:
 class Writers:
     """Forked children, each writing its files while this process goes on.
 
-    A stage's writer only encodes and writes one file; `run_all`'s data
-    writer also draws and deduplicates the corpus it writes (_write_data).
-    Each child also hashes the files it wrote and sends their hex digests
-    back through a pipe opened before the fork; digests holds them by path,
-    and then() defers what needs one until its writer is reaped. Leaving
+    A stage's writer encodes and writes one file, synth's from the records
+    it draws; `run_all`'s data writer also deduplicates the corpus it writes
+    (_write_data). Each child also hashes the files it wrote and sends their
+    hex digests back through a pipe opened before the fork; digests holds
+    them by path, and then() hands one, once its writer is reaped, to what
+    was registered for it while the writer ran: ingest.json. Leaving
     the with block waits for every child, so the files the run got to are
     whole. Left normally, it then raises the first child's failure; left
     on an exception, it only removes a failed child's .partial files, and
@@ -249,12 +251,12 @@ class Writers:
         finally:
             self.stop()
 
-    def start(self, path: Path, lines: Iterable[str]) -> None:
-        """Write lines to path from a forked child, which only encodes, writes and hashes."""
+    def start(self, path: Path, chunks: Iterable[str]) -> None:
+        """Write the text chunks to path from a forked child, which makes them, then hashes."""
 
         def write() -> None:
             os.nice(9)  # 19 in all: where it contends for a core, the data writer goes first
-            _write_lines(path, lines)
+            _write(path, chunks)
 
         self.fork((path,), write)
 
@@ -296,14 +298,8 @@ class Writers:
         self._live[paths] = pid, read_end
 
     def then(self, path: Path, fn: Callable[[str | None], Any]) -> None:
-        """Call fn with path's digest once its writer is reaped whole; at once if none runs.
-
-        With no writer of path left, the digest is the one it sent, else the file's, read here.
-        """
-        if any(path in paths for paths in self._live):
-            self._then[path] = fn
-        else:
-            fn(self.digests.get(path) or _file_digest(path))
+        """Call fn with the digest that path's writer, still running, sends once reaped whole."""
+        self._then[path] = fn
 
     def wait(self, *paths: Path, raising: bool = True) -> None:
         """Reap the writers of paths that still run, then raise the first failure if raising.
@@ -361,10 +357,10 @@ class Writers:
                 _partial_of(path).unlink(missing_ok=True)
 
 
-def _write_forked(path: Path, lines: Iterable[str], writers: Writers | None) -> None:
-    """Write lines to path from a child: one of writers, or, given None, one waited for here."""
+def _write_forked(path: Path, chunks: Iterable[str], writers: Writers | None) -> None:
+    """Write chunks to path from a child: one of writers, or, given None, one waited for here."""
     with (nullcontext(writers) if writers is not None else Writers()) as writers:
-        writers.start(path, lines)
+        writers.start(path, chunks)
 
 
 def _write_json(path: Path, payload: Any) -> None:
@@ -554,6 +550,15 @@ def _pair_key(pair: LabeledPair) -> tuple[str, int]:
     return pair.system_id, pair.index
 
 
+def _refuse_repeats(name: str, what: str, keys: Iterable[Any]) -> None:
+    """A DataError naming the file called name if keys, one per item it holds, repeat one."""
+    seen: set[Any] = set()
+    for key in keys:
+        if key in seen:
+            raise DataError(f"{name} holds {what} {tuple(map(str, key))} twice")
+        seen.add(key)
+
+
 def _drained(items: list[T]) -> Iterator[T]:
     """items in order, each removed as it is yielded: the list holds none of what was taken."""
     items.reverse()
@@ -563,31 +568,11 @@ def _drained(items: list[T]) -> Iterator[T]:
 
 # --- synth ---------------------------------------------------------------------
 
-def synth_stage(config: RunConfig, writers: Writers | None = None) -> list[RawLogRecord]:
-    """The synthetic records, written to logs.jsonl; a paths.logs file is input, never written."""
-    if config.paths.logs:
-        raise ConfigError(f"synth never writes to paths.logs ({config.paths.logs}): unset it")
-    records = generate_records(config.generator, seed=config.seed)
-    _write_forked(path_of(config, LOGS_FILE), map(record_to_line, records), writers)
-    return records
-
-
-# --- synth and ingest, one system at a time ---------------------------------------
-
-def _system_corpus(
-    records: list[RawLogRecord], catalog: dict[str, str]
-) -> tuple[CrashCorpus, int]:
-    """One system's corpus and how many of records are critical; records is emptied.
-
-    build_corpus refuses a corpus with no event; one system's may have none, and is then
-    a corpus of no events that drops every critical record.
-    """
-    critical = filter_critical(_drained(records))
-    count = len(critical)
-    try:
-        return build_corpus(_drained(critical), catalog=catalog), count
-    except EmptyCorpus:
-        return CrashCorpus([], 0, count), count
+def _packed(records: list[RawLogRecord]) -> tuple[array, str]:
+    """One system's records as _log_lines merges them: their instants in UTC seconds, and
+    their log lines as one str, each line ending in "\\n"."""
+    instants = array("q", [int(record.timestamp.timestamp()) for record in records])
+    return instants, "\n".join(map(record_to_line, records)) + "\n"
 
 
 def _lines_in(text: str) -> Iterator[str]:
@@ -598,22 +583,60 @@ def _lines_in(text: str) -> Iterator[str]:
         start = end
 
 
+def _log_lines(systems: Iterable[tuple[array, str]]) -> Iterator[str]:
+    """The lines of logs.jsonl, each ending in "\\n", from the systems _packed made, in
+    system_id order: merged on the instant once the first line is asked for.
+
+    heapq.merge is stable: ties keep system_id order, then each system's own, so the lines
+    come in (timestamp, system_id, event_id, bugcheck_code, params) order.
+    """
+    streams = [zip(instants, _lines_in(text)) for instants, text in systems]
+    yield from map(itemgetter(1), heapq.merge(*streams, key=itemgetter(0)))
+
+
+def generate_corpus(config: GeneratorConfig, seed: int | None = None) -> list[str]:
+    """Raw log lines, one record per line, as synth_stage writes them to logs.jsonl."""
+    return [line[:-1] for line in _log_lines(map(_packed, generate_systems(config, seed)))]
+
+
+def synth_stage(config: RunConfig, writers: Writers | None = None) -> None:
+    """Write logs.jsonl from a forked writer that draws the records; paths.logs is never written."""
+    if config.paths.logs:
+        raise ConfigError(f"synth never writes to paths.logs ({config.paths.logs}): unset it")
+    systems = generate_systems(config.generator, seed=config.seed)  # drawn in the writer
+    _write_forked(path_of(config, LOGS_FILE), _log_lines(map(_packed, systems)), writers)
+
+
+# --- synth and ingest, one system at a time ---------------------------------------
+
+def _system_corpus(
+    records: list[RawLogRecord], catalog: dict[str, str]
+) -> tuple[CrashCorpus, int]:
+    """The corpus of records, often one system's, and how many are critical; records is emptied.
+
+    build_corpus refuses a corpus with no event; this returns a corpus of no events that
+    drops every critical record.
+    """
+    critical = filter_critical(_drained(records))
+    count = len(critical)
+    try:
+        return build_corpus(_drained(critical), catalog=catalog), count
+    except EmptyCorpus:
+        return CrashCorpus([], 0, count), count
+
+
 def _write_data(config: RunConfig, catalog: dict[str, str]) -> None:
     """The data writer's work: events.jsonl as each system is drawn, then logs.jsonl.
 
-    It keeps each system's log lines as one str and their instants in seconds, then
-    merges the systems on the instant. heapq.merge is stable: ties keep system_id
-    order, then each system's own, which is generate_records' order. With no event
-    in any system it leaves no events.jsonl, as ingest_stage does.
+    Each system is _packed before its records go to its corpus. With no event in any
+    system it leaves no events.jsonl, as ingest_stage does.
     """
     systems: list[tuple[array, str]] = []  # each system's instants and its log lines
 
     def event_lines() -> Iterator[str]:
         events = 0
         for records in generate_systems(config.generator, seed=config.seed):
-            if records:
-                instants = array("q", [int(record.timestamp.timestamp()) for record in records])
-                systems.append((instants, "\n".join(map(record_to_line, records)) + "\n"))
+            systems.append(_packed(records))
             corpus = _system_corpus(records, catalog)[0]
             events += len(corpus.events)
             yield from (encode_line(EVENT_FIELDS, event) + "\n" for event in corpus.events)
@@ -622,9 +645,7 @@ def _write_data(config: RunConfig, catalog: dict[str, str]) -> None:
 
     with suppress(EmptyCorpus):
         _write(path_of(config, EVENTS_FILE), event_lines())
-    streams = (zip(instants, _lines_in(text)) for instants, text in systems)
-    merged = heapq.merge(*streams, key=itemgetter(0))
-    _write(path_of(config, LOGS_FILE), map(itemgetter(1), merged))
+    _write(path_of(config, LOGS_FILE), _log_lines(systems))
 
 
 def _drawn_corpora(
@@ -657,39 +678,22 @@ def _drawn_corpora(
 
 # --- ingest --------------------------------------------------------------------
 
-def ingest_stage(
-    config: RunConfig,
-    records: list[RawLogRecord] | None = None,
-    writers: Writers | None = None,
-) -> CrashCorpus:
-    """The corpus of records, which it empties; None parses the logs file synth_stage wrote.
-
-    ingest.json holds the logs' digest: when one of writers still writes the logs, it is
-    written once that writer is reaped, so this stage does not wait for it.
-    """
-    path = path_of(config, LOGS_FILE)
-    digest = None
-    if records is None:
-        digest = sha256()
-        records = parse_lines(_read_lines(path, digest))
+def ingest_stage(config: RunConfig, writers: Writers | None = None) -> CrashCorpus:
+    """The corpus of the logs file synth_stage wrote, or paths.logs names; ingest.json holds
+    the digest of the bytes it parsed."""
+    digest = sha256()
+    records = parse_lines(_read_lines(path_of(config, LOGS_FILE), digest))
     counts = {"records": len(records)}
-    critical = filter_critical(_drained(records))
-    counts["critical"] = len(critical)
     catalog = _named_file("paths.catalog", config.paths.catalog, load_catalog, default_catalog)
-    corpus = build_corpus(_drained(critical), catalog=catalog)
+    corpus, counts["critical"] = _system_corpus(records, catalog)
+    if not corpus.events:
+        raise EmptyCorpus(NO_EVENTS)
     counts.update(events=len(corpus.events), duplicates=corpus.duplicates,
                   dropped_before_floor=corpus.dropped_before_floor)
 
-    lines = (encode_line(EVENT_FIELDS, e) for e in corpus.events)
+    lines = (encode_line(EVENT_FIELDS, e) + "\n" for e in corpus.events)
     _write_forked(path_of(config, EVENTS_FILE), lines, writers)
-
-    write_ingest = _ingest_writer(config, counts)
-    if digest is not None:
-        write_ingest(digest.hexdigest())
-    elif writers is not None:  # synth's writer sends the logs' digest when it is reaped
-        writers.then(path, write_ingest)
-    else:
-        write_ingest(_file_digest(path))
+    _ingest_writer(config, counts)(digest.hexdigest())
     return corpus
 
 
@@ -706,6 +710,8 @@ def load_events(path: Path) -> CrashCorpus:
     events = [CrashEvent(*record.values()) for record in _read_records(path, EVENT_FIELDS)]
     if not events:
         raise DataError(f"{path.name} holds no events")
+    # ingest keeps one event per (system_id, time, bugcheck_code)
+    _refuse_repeats(path.name, "the event", map(itemgetter(0, 1, 3), events))
     return CrashCorpus(events=events)
 
 
@@ -731,11 +737,10 @@ def sequence_stage(
     width = config.window_days
     # partitioned here into index ranges, encoded in the writer
     partitions = [(seq, partition_windows(seq, width)) for seq in sequences]
-    _write_forked(
-        path_of(config, WINDOWS_FILE),
-        (line for seq, windows in partitions for line in windows_to_lines(seq, windows, width)),
-        writers,
+    chunks = (
+        line + "\n" for seq, windows in partitions for line in windows_to_lines(seq, windows, width)
     )
+    _write_forked(path_of(config, WINDOWS_FILE), chunks, writers)
     return sequences
 
 
@@ -896,12 +901,12 @@ def load_split(
     split = _read_json(path_of(config, SPLIT_FILE))
     sequences_by_id = {seq.system_id: seq for seq in sequences}
     try:
-        return (
-            _restore_pairs(split["train"], sequences_by_id),
-            _restore_pairs(split["validation"], sequences_by_id),
-        )
+        train = _restore_pairs(split["train"], sequences_by_id)
+        validation = _restore_pairs(split["validation"], sequences_by_id)
     except (DataError, KeyError, TypeError, ValueError) as err:
         raise DataError(f"bad pair list in {SPLIT_FILE}: {err!r}") from None
+    _refuse_repeats(SPLIT_FILE, "the pair", map(_pair_key, chain(train, validation)))
+    return train, validation
 
 
 def _normalization_of(
@@ -1021,7 +1026,9 @@ def predict_stage(
 
 def load_predictions(config: RunConfig) -> list[dict[str, Any]]:
     """The rows of predictions.jsonl, each field checked against PREDICTION_FIELDS."""
-    return _read_records(path_of(config, PREDICTIONS_FILE), PREDICTION_FIELDS)
+    rows = _read_records(path_of(config, PREDICTIONS_FILE), PREDICTION_FIELDS)
+    _refuse_repeats(PREDICTIONS_FILE, "a row for", map(itemgetter("system_id", "index"), rows))
+    return rows
 
 
 # one report.json item row as _INDENTED writes it at depth 2, keys sorted; every score
@@ -1214,7 +1221,7 @@ def run_all(config: RunConfig) -> dict[str, Any]:
     try:
         with writers:
             if config.paths.logs:
-                corpus = timed("ingest", lambda: ingest_stage(config, None, writers))
+                corpus = timed("ingest", lambda: ingest_stage(config, writers))
             else:  # the data writer writes logs and events; here each system is drawn again
                 catalog = _named_file(
                     "paths.catalog", config.paths.catalog, load_catalog, default_catalog

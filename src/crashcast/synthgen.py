@@ -1,4 +1,4 @@
-"""Generate seeded synthetic crash corpora in the raw log line format.
+"""Generate seeded synthetic crash records, one list per system, for the raw log format.
 
 Each system is an independent homogeneous Poisson process over a horizon
 of whole days, with causes drawn from a weighted catalog. A bursty mode
@@ -25,7 +25,7 @@ from typing import Iterator
 
 from ._seed import derive_seed
 from .errors import ConfigError
-from .ingest import BUGCHECK_RE, RawLogRecord, default_catalog, record_to_line
+from .ingest import BUGCHECK_RE, RawLogRecord, default_catalog
 
 DEFAULT_START = datetime(2021, 1, 1, tzinfo=timezone.utc)
 DEFAULT_DOMINANT_CODE = "0x9F"
@@ -194,8 +194,8 @@ def _system_records(
 def generate_systems(
     config: GeneratorConfig, seed: int | None = None
 ) -> Iterator[list[RawLogRecord]]:
-    """Each system's records, systems in system_id order, each list sorted as generate_records
-    keeps it: on (timestamp, event_id, bugcheck_code, params).
+    """Each system's records, systems in system_id order, each list sorted on (timestamp,
+    event_id, bugcheck_code, params): the order a system's lines keep in logs.jsonl.
 
     "host-1000" comes before "host-999": the order is the ids', not the indices'.
     """
@@ -213,22 +213,3 @@ def generate_systems(
         system = _system_records(config, effective_seed, index, days, labels, cum_weights)
         system.sort(key=itemgetter(1, 2, 3, 4))
         yield system
-
-
-def generate_records(config: GeneratorConfig, seed: int | None = None) -> list[RawLogRecord]:
-    """All systems' records merged in a deterministic global order.
-
-    That order is (timestamp, system_id, event_id, bugcheck_code, params), with no key tuple
-    per record: generate_systems' lists joined, then a stable sort on the datetime each
-    record holds.
-    """
-    records: list[RawLogRecord] = []
-    for system in generate_systems(config, seed):
-        records.extend(system)
-    records.sort(key=itemgetter(1))
-    return records
-
-
-def generate_corpus(config: GeneratorConfig, seed: int | None = None) -> list[str]:
-    """Raw log lines, one record per line, ready for the ingest stage."""
-    return [record_to_line(record) for record in generate_records(config, seed)]

@@ -94,7 +94,7 @@ def _poisson_count(rng: random.Random, threshold: float, chunks: int) -> int:
 def system_records_by_random_api(
     config: GeneratorConfig, seed: int, system_index: int
 ) -> list[RawLogRecord]:
-    """One system's records drawn with choices, randrange and choice, as generate_records draws."""
+    """One system's records drawn with choices, randrange and choice, as generate_systems draws."""
     catalog = config.resolved_catalog()
     labels = [(code, label) for code, label, _ in catalog]
     cum_weights = list(accumulate(weight for _, _, weight in catalog))
@@ -133,7 +133,7 @@ def system_records_by_random_api(
 
 
 def records_by_random_api(config: GeneratorConfig, seed: int) -> list[RawLogRecord]:
-    """Every system's records, sorted as generate_records sorts them."""
+    """Every system's records, in the order logs.jsonl holds them."""
     records = [
         record
         for index in range(config.n_systems)

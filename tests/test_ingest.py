@@ -32,7 +32,8 @@ from crashcast.ingest import (
     parse_timestamp,
     record_to_line,
 )
-from crashcast.synthgen import GeneratorConfig, generate_records
+from crashcast.pipeline import generate_corpus
+from crashcast.synthgen import GeneratorConfig
 
 UTC = timezone.utc
 
@@ -349,7 +350,7 @@ def test_build_corpus_equals_a_record_by_record_loop(shuffle_seed):
 @pytest.mark.parametrize("order", ["shuffled", "grouped by system"])
 def test_build_corpus_past_999_systems_equals_a_record_by_record_loop(order):
     config = GeneratorConfig(n_systems=1001, days=2)
-    records = filter_critical(generate_records(config, seed=1234))
+    records = filter_critical(parse_lines(generate_corpus(config, seed=1234)))
     # a copy of every fifth record with other params: whichever comes first in input order is kept
     copies = [record._replace(params=("0xD",)) for record in records[::5]]
     records += copies
@@ -369,7 +370,7 @@ def test_build_corpus_builds_no_key_tuple_per_event():
     # one system's events are sorted at a time: a key tuple per event for the whole corpus
     # passes 56 bytes an event at its peak
     config = GeneratorConfig(seed=1234, n_systems=40, days=540)
-    records = filter_critical(generate_records(config))
+    records = filter_critical(parse_lines(generate_corpus(config)))
     corpus, transient = transient_peak(build_corpus, records, default_catalog())
     assert len(corpus.events) == len(records)
     assert transient < 24 * len(records), f"{transient / len(records):.1f} bytes an event"

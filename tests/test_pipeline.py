@@ -15,7 +15,7 @@ import time
 import tracemalloc
 import weakref
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sequence_of
-from oracles import run_by_reference, split_by_reference
+from oracles import records_by_random_api, run_by_reference, split_by_reference
 from crashcast import pipeline
 from crashcast.cli import main
 from crashcast.config import RunConfig, parse_run_config
@@ -40,11 +40,12 @@ from crashcast.ingest import (
     default_catalog,
     filter_critical,
     format_timestamp,
+    parse_lines,
     record_to_line,
 )
 from crashcast.predictor import PredictionRaw, baseline_answer
 from crashcast.sequencer import enumerate_pairs
-from crashcast.synthgen import GeneratorConfig, generate_records
+from crashcast.synthgen import GeneratorConfig, generate_systems
 from crashcast.pipeline import (
     EVENTS_FILE,
     INGEST_FILE,
@@ -57,6 +58,7 @@ from crashcast.pipeline import (
     TIMINGS_FILE,
     WINDOWS_FILE,
     evaluate_stage,
+    generate_corpus,
     ingest_stage,
     load_events,
     load_predictions,
@@ -111,6 +113,21 @@ def _corrupt_first_line(corrupt, where=lambda line: True):
         first = next(i for i, line in enumerate(lines) if where(line))
         lines[first] = corrupt(lines[first])
         return "\n".join(lines) + "\n"
+
+    return rewrite
+
+
+def _with_the_first_line_repeated(text):
+    return text + text.splitlines()[0] + "\n"
+
+
+def _with_a_pair_repeated(source, target):
+    """split.json's text with the first pair of its source list added to its target list."""
+
+    def rewrite(text):
+        split = json.loads(text)
+        split[target].append(split[source][0])
+        return json.dumps(split)
 
     return rewrite
 
@@ -208,6 +225,15 @@ CORRUPT_STAGE_FILES = {
     # a system's window indices must run 0..n-1 once each
     "duplicated-empty-window": (WINDOWS_FILE, _with_a_repeated_empty_window, "split",
                                 {"window_days": 1}),
+    # a stage file names each item once: ingest's dedup key, a split pair, a predicted pair
+    "repeated-event": (EVENTS_FILE, _with_the_first_line_repeated, "sequence"),
+    "repeated-validation-pair": (
+        SPLIT_FILE, _with_a_pair_repeated("validation", "validation"), "predict"
+    ),
+    "train-pair-in-validation": (
+        SPLIT_FILE, _with_a_pair_repeated("train", "validation"), "predict"
+    ),
+    "repeated-prediction": (PREDICTIONS_FILE, _with_the_first_line_repeated, "evaluate"),
 }
 
 # every file run_by_reference writes: the manifest's outputs and ingest.json
@@ -502,7 +528,7 @@ class TestStages:
             "load_predictions",
             "_read_records",
             "_read_json",
-            # synth hands its records to ingest: logs.jsonl is not parsed back either
+            # run draws the records again in this process: logs.jsonl is not parsed back either
             "parse_lines",
             "_read_lines",
         ):
@@ -1070,7 +1096,8 @@ class TestCli:
         for name in (SPLIT_FILE, PREDICTIONS_FILE, REPORT_FILE, TABLE_FILE):
             assert not (out / name).exists()
 
-    # run hands synth's records to ingest; the other routes parse the logs file they wrote
+    # run ingests the records it draws; the other routes parse the logs file they wrote, and
+    # the synth command writes the logs run's data writer writes
     @pytest.mark.parametrize("bursty", [False, True], ids=["flat", "bursty"])
     def test_synth_run_matches_a_run_on_its_logs_and_the_stage_commands(self, tmp_path, bursty):
         generator = {**SMALL_RUN["generator"], "bursty": bursty}
@@ -1086,6 +1113,7 @@ class TestCli:
             expected = (tmp_path / "synth" / name).read_bytes()
             assert (tmp_path / "named" / name).read_bytes() == expected, name
             assert (tmp_path / "out" / name).read_bytes() == expected, name
+        assert (tmp_path / "out" / LOGS_FILE).read_bytes() == logs.read_bytes()
 
     def test_synth_refuses_to_overwrite_the_named_logs_file(self, tmp_path):
         mine = tmp_path / "mine.jsonl"
@@ -1100,7 +1128,8 @@ class TestCli:
         assert mine.read_bytes() == before
         assert not (tmp_path / "out" / LOGS_FILE).exists()
 
-    # ingest takes synth's records unparsed, so a code the log pattern refuses is refused early
+    # run ingests the records it draws without parsing their log lines, so a code the log
+    # pattern refuses is refused early
     @pytest.mark.parametrize("code", ["0xZZ", "9F"])
     def test_catalog_code_past_the_log_pattern_is_exit_two(self, tmp_path, code):
         generator = {**SMALL_RUN["generator"], "cause_catalog": [[code, "bad code", 1.0]]}
@@ -1600,16 +1629,18 @@ class TestWriters:
 
         monkeypatch.setattr(pipeline, "partition_windows", recording)
         config = small_config(tmp_path / "out")
-        sequences = sequence_stage(config, ingest_stage(config, synth_stage(config)))
+        synth_stage(config)
+        sequences = sequence_stage(config, ingest_stage(config))
         assert calls == [(os.getpid(), seq.system_id) for seq in sequences]
 
     def test_each_stage_alone_returns_with_its_file_whole(self, tmp_path, writer_pids):
         out = tmp_path / "out"
         config = small_config(out)
-        records = synth_stage(config)
+        synth_stage(config)
         _assert_no_writer_left(out, writer_pids)
+        records = records_by_random_api(config.generator, config.seed)
         assert (out / LOGS_FILE).read_text() == "".join(record_to_line(r) + "\n" for r in records)
-        corpus = ingest_stage(config, records)
+        corpus = ingest_stage(config)
         _assert_no_writer_left(out, writer_pids)
         assert load_events(out / EVENTS_FILE).events == corpus.events
         sequences = sequence_stage(config, corpus)
@@ -1795,29 +1826,6 @@ class TestWriters:
             writers.stop()
         assert sorted(os.listdir("/proc/self/fd")) == open_before
 
-    def test_ingest_returns_while_the_logs_writer_runs(self, tmp_path, monkeypatch, writer_pids):
-        run_all(small_config(tmp_path / "reference"))
-        writer_pids.clear()
-        out, release = tmp_path / "out", tmp_path / "release"
-        config = small_config(out)
-        real_record_to_line = pipeline.record_to_line
-        deadline = time.monotonic() + 10  # the logs' writer waits no longer than this in all
-
-        def held_until_released(record):  # in the logs' writer: each line waits for release
-            while not release.exists() and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return real_record_to_line(record)
-
-        monkeypatch.setattr(pipeline, "record_to_line", held_until_released)
-        with pipeline.Writers() as writers:
-            ingest_stage(config, synth_stage(config, writers), writers)
-            assert os.waitpid(writer_pids[0], os.WNOHANG) == (0, 0)  # the logs' writer runs
-            assert not (out / INGEST_FILE).exists()
-            release.touch()
-        _assert_no_writer_left(out, writer_pids)
-        expected = (tmp_path / "reference" / INGEST_FILE).read_bytes()
-        assert (out / INGEST_FILE).read_bytes() == expected
-
     def test_a_run_that_fails_at_split_writes_the_ingest_file_of_one_that_passes(self, tmp_path):
         run_all(small_config(tmp_path / "passes"))
         short = small_config(tmp_path / "fails", split={"train_pairs": 30, "validation_pairs": 10**5})
@@ -1845,11 +1853,10 @@ def test_run_all_drops_the_corpus_once_it_is_sequenced(tmp_path, monkeypatch):
     assert alive_at_split == [False]
 
 
-def test_ingest_and_sequence_consume_the_lists_they_are_handed(tmp_path):
+def test_sequence_consumes_the_corpus_it_is_handed(tmp_path):
     config = small_config(tmp_path / "out")
-    records = synth_stage(config)
-    corpus = ingest_stage(config, records)
-    assert records == []
+    synth_stage(config)
+    corpus = ingest_stage(config)
     events = [*corpus.events]
     sequences = sequence_stage(config, corpus)
     assert corpus.events == []
@@ -1866,24 +1873,56 @@ def _peak_rise(fn, *args):
 
 # what a stage is handed is made under tracing, so the tracer sees it freed: each record
 # (event) gone once its event (SeqEvent) exists leaves the peak where it was; holding the
-# records (corpus) to the end, as a stage that copies does, rises about 95 (103) bytes each
-def test_ingest_frees_each_record_as_it_goes(tmp_path):
+# records (corpus) to the end, as a stage that copies does, rises about 95 (103) bytes each.
+# ingest parses its records itself, so the rise is taken from when they are parsed
+def test_ingest_frees_each_record_as_it_goes(tmp_path, monkeypatch):
     config = small_config(tmp_path / "out", generator={"n_systems": 40, "days": 540})
+    synth_stage(config)
+    counts, rises, real_system_corpus = [], [], pipeline._system_corpus
+
+    def measured(records, catalog):
+        counts.append(len(records))
+        corpus, rise = _peak_rise(real_system_corpus, records, catalog)
+        rises.append(rise)
+        return corpus
+
+    monkeypatch.setattr(pipeline, "_system_corpus", measured)
     tracemalloc.start()
     try:
-        records = synth_stage(config)
-        count = len(records)
-        _, rise = _peak_rise(ingest_stage, config, records)
+        ingest_stage(config)
     finally:
         tracemalloc.stop()
+    [count], [rise] = counts, rises
     assert rise < 16 * count, f"{rise / count:.1f} bytes a record"
+
+
+# synth's writer draws the records it writes: 200 systems x 540 days make 64,473 records,
+# which trace 15.2 MB as one list
+def test_synth_holds_no_record_in_the_calling_process(tmp_path, monkeypatch):
+    config = small_config(tmp_path / "out", generator={"n_systems": 200, "days": 540})
+    test_pid, real_packed = os.getpid(), pipeline._packed
+
+    def packed(records):  # the writer inherits the tracing, which would only slow it
+        if os.getpid() != test_pid and tracemalloc.is_tracing():
+            tracemalloc.stop()
+        return real_packed(records)
+
+    monkeypatch.setattr(pipeline, "_packed", packed)
+    tracemalloc.start()
+    try:
+        synth_stage(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_sequence_frees_each_event_as_it_goes(tmp_path):
     config = small_config(tmp_path / "out", generator={"n_systems": 40, "days": 540})
     tracemalloc.start()
     try:
-        corpus = ingest_stage(config, synth_stage(config))
+        synth_stage(config)
+        corpus = ingest_stage(config)
         count = len(corpus.events)
         _, rise = _peak_rise(sequence_stage, config, corpus)
     finally:
@@ -1896,7 +1935,8 @@ def test_sequence_frees_each_event_as_it_goes(tmp_path):
 # 65 bytes each; evaluate each row's scores, where holding its three item dicts is 1.2 KB a row
 def test_split_builds_only_the_pairs_it_keeps(tmp_path):
     config = small_config(tmp_path / "out", generator={"n_systems": 40, "days": 540})
-    sequences = sequence_stage(config, ingest_stage(config, synth_stage(config)))
+    synth_stage(config)
+    sequences = sequence_stage(config, ingest_stage(config))
     count = sum(max(len(seq) - 1, 0) for seq in sequences)
     split = config.split
     tracemalloc.start()
@@ -1914,7 +1954,8 @@ def test_split_builds_only_the_pairs_it_keeps(tmp_path):
 # SeqEvent and its slot trace 73 bytes, and its datetime, made before tracing starts, 48 more
 def test_sequences_hold_under_32_bytes_an_event(tmp_path):
     config = small_config(tmp_path / "out", generator={"n_systems": 40, "days": 540})
-    corpus = ingest_stage(config, synth_stage(config))
+    synth_stage(config)
+    corpus = ingest_stage(config)
     count = len(corpus.events)
     tracemalloc.start()
     try:
@@ -1932,7 +1973,8 @@ def test_evaluate_writes_its_item_rows_without_holding_them(tmp_path):
         generator={"n_systems": 40, "days": 540},
         split={"train_pairs": 30, "validation_pairs": 2000},
     )
-    sequences = sequence_stage(config, ingest_stage(config, synth_stage(config)))
+    synth_stage(config)
+    sequences = sequence_stage(config, ingest_stage(config))
     rows = predict_stage(config, split_stage(config, sequences))
     tracemalloc.start()
     try:
@@ -2044,7 +2086,7 @@ HOST_1000 = GeneratorConfig(seed=3, n_systems=1001, days=1, per_system_rate=3.0)
 @example(HOST_1000)
 @settings(max_examples=25, derandomize=True, deadline=None)
 def test_the_data_writer_writes_what_the_stage_route_writes(generator):
-    records = generate_records(generator)
+    records = records_by_random_api(generator, generator.seed)
     with tempfile.TemporaryDirectory() as root:
         config = dataclasses.replace(parse_run_config({"paths": {"out_dir": root}}),
                                      generator=generator)
@@ -2062,7 +2104,7 @@ def test_the_data_writer_writes_what_the_stage_route_writes(generator):
 
 def test_the_data_writers_example_shares_instants_across_systems():
     systems_at = {}
-    for record in generate_records(HOST_1000):
+    for record in parse_lines(generate_corpus(HOST_1000)):
         systems_at.setdefault(record.timestamp, set()).add(record.system_id)
     assert sum(len(systems) > 1 for systems in systems_at.values()) > 10
     # a tie that system_id order and system index order break differently
@@ -2205,7 +2247,7 @@ def test_run_all_holds_less_up_to_split_than_the_records_alone(tmp_path, monkeyp
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        records = generate_records(config.generator, seed=config.seed)
+        records = [*chain.from_iterable(generate_systems(config.generator, seed=config.seed))]
         kept = tracemalloc.get_traced_memory()[0] - before
         del records
         tracemalloc.reset_peak()

@@ -4,18 +4,16 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import transient_peak
 from oracles import records_by_random_api
 from crashcast.config import RunConfig, parse_run_config, resolved_dict
 from crashcast.errors import ConfigError
 from crashcast.ingest import build_corpus, filter_critical, parse_lines
+from crashcast.pipeline import generate_corpus
 from crashcast.synthgen import (
     DEFAULT_DOMINANT_CODE,
     DEFAULT_DOMINANT_WEIGHT,
     GeneratorConfig,
     default_cause_catalog,
-    generate_corpus,
-    generate_records,
 )
 
 
@@ -42,15 +40,15 @@ class TestDeterminism:
 
     def test_seed_argument_fills_a_missing_config_seed(self):
         config = GeneratorConfig(n_systems=1, days=30)
-        assert generate_records(config, seed=9) == generate_records(config, seed=9)
+        assert parse_lines(generate_corpus(config, seed=9)) == records_by_random_api(config, 9)
 
     def test_config_seed_wins_over_argument(self):
         config = GeneratorConfig(seed=5, n_systems=1, days=30)
-        assert generate_records(config, seed=9) == generate_records(config, seed=5)
+        assert parse_lines(generate_corpus(config, seed=9)) == records_by_random_api(config, 5)
 
     def test_no_seed_anywhere_is_refused(self):
         with pytest.raises(ConfigError):
-            generate_records(GeneratorConfig(n_systems=1, days=30))
+            generate_corpus(GeneratorConfig(n_systems=1, days=30))
 
 
 class TestShape:
@@ -116,7 +114,7 @@ class TestPoissonConcentration:
     # exp(-rate) is no longer a normal float past a rate of about 708
     def test_daily_mean_holds_past_where_one_knuth_draw_saturates(self):
         days = 30
-        count = len(generate_records(one_system(seed=3, days=days, rate=2000.0)))
+        count = len(generate_corpus(one_system(seed=3, days=days, rate=2000.0)))
         assert count / days == pytest.approx(2000.0, rel=0.02)
 
     def test_rate_scales_the_count(self):
@@ -218,7 +216,7 @@ def test_horizon_past_four_digit_years_is_a_config_error(start, days):
         GeneratorConfig(days=days, start_date=start)
 
 
-# configs whose records the pipeline hands to ingest without writing and parsing them
+# configs whose records run draws and ingests without writing and parsing them
 HANDOFF_CONFIGS = {
     "default": GeneratorConfig(),
     "bursty": GeneratorConfig(bursty=True),
@@ -237,7 +235,7 @@ HANDOFF_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(HANDOFF_CONFIGS))
 def test_records_equal_what_their_log_lines_parse_to(name):
     config = HANDOFF_CONFIGS[name]
-    records = generate_records(config, seed=3)
+    records = records_by_random_api(config, 3)
     parsed = parse_lines(generate_corpus(config, seed=3))
     assert parsed == records
     assert [*map(repr, parsed)] == [*map(repr, records)]  # the same tzinfo, too
@@ -266,22 +264,15 @@ _DRAW_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(_DRAW_CONFIGS))
 def test_records_equal_those_the_random_api_draws(name, seed):
     config = GeneratorConfig(**{"n_systems": 3, "days": 45, **_DRAW_CONFIGS[name]})
-    assert generate_records(config, seed=seed) == records_by_random_api(config, seed)
+    assert parse_lines(generate_corpus(config, seed=seed)) == records_by_random_api(config, seed)
 
 
 def test_records_past_999_systems_equal_those_the_random_api_draws():
     # "host-1000" sorts between "host-100" and "host-101", not after "host-999"; at 10 crashes
     # a day, host-1000 shares an instant with a system of a lower index and a higher id
     config = GeneratorConfig(n_systems=1001, days=2, per_system_rate=10.0)
-    records = generate_records(config, seed=1234)
+    records = parse_lines(generate_corpus(config, seed=1234))
     assert records == records_by_random_api(config, 1234)
     shared = {r.timestamp for r in records if r.system_id == "host-1000"}
     assert any(r.timestamp in shared and r.system_id > "host-1000" for r in records)
 
-
-def test_generate_records_builds_no_key_tuple_per_record():
-    # the whole-corpus sort keys on the datetime each record holds: a key tuple per record
-    # passes 80 bytes a record at its peak
-    config = GeneratorConfig(seed=1234, n_systems=40, days=540)
-    records, transient = transient_peak(generate_records, config)
-    assert transient < 32 * len(records), f"{transient / len(records):.1f} bytes a record"
