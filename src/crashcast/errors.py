@@ -90,6 +90,10 @@ class ProtocolError(BackendError):
 class RateLimited(BackendError):
     """Remote endpoint kept rejecting with a rate-limit status."""
 
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after  # the seconds its Retry-After asked for, if it gave them
+
 
 # split
 

@@ -49,12 +49,14 @@ import operator
 import os
 import random
 import sys
+import threading
 import time
 from array import array
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager, nullcontext, suppress
 from datetime import timedelta
+from functools import partial
 from itertools import accumulate, chain, groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -102,6 +104,7 @@ from .predictor import (
     Backend,
     PredictionRaw,
     baseline_answer,
+    close_connections,
     make_backend,
 )
 from .prompt import (
@@ -950,6 +953,73 @@ def _bundle_for(
     )
 
 
+def _answer_ahead(
+    width: int,
+    validation: Iterable[LabeledPair],
+    bundle_of: Callable[[LabeledPair], PromptBundle],
+    answer: Callable[[PromptBundle], PredictionRaw],
+    keep: Callable[[LabeledPair, PredictionRaw], None],
+) -> None:
+    """Answer each pair on width worker threads while this thread makes the next bundles.
+
+    Up to width bundles wait, in validation's order, so a worker starts its
+    next pair as soon as its last one is answered, and at most width pairs
+    are in flight. The first error in a worker, or an error or interrupt
+    here, stops every pair no worker has taken: the workers finish the
+    pairs they hold, close their connections and are joined before it
+    propagates.
+    """
+    made: deque[tuple[LabeledPair, PromptBundle]] = deque()
+    turn = threading.Condition()
+    stopped: list[BaseException] = []  # why the workers take no more pairs
+    all_made = False
+
+    def stop(err: BaseException) -> None:
+        with turn:
+            stopped.append(err)
+            turn.notify_all()
+
+    def work() -> None:
+        try:
+            while True:
+                with turn:
+                    turn.wait_for(lambda: made or all_made or stopped)
+                    if stopped or not made:
+                        return
+                    pair, bundle = made.popleft()
+                    turn.notify_all()
+                keep(pair, answer(bundle))
+        except BaseException as err:  # raised again in this thread, once every worker is joined
+            stop(err)
+        finally:
+            close_connections()
+
+    workers = [threading.Thread(target=work) for _ in range(width)]
+    for worker in workers:
+        worker.start()
+    try:
+        for pair in validation:
+            bundle = bundle_of(pair)
+            with turn:
+                turn.wait_for(lambda: len(made) < width or stopped)
+                if stopped:
+                    break
+                made.append((pair, bundle))
+                turn.notify_all()
+        with turn:
+            all_made = True
+            turn.notify_all()
+        for worker in workers:
+            worker.join()
+    except BaseException as err:
+        stop(err)
+        for worker in workers:
+            worker.join()
+        raise
+    if stopped:
+        raise stopped[0]
+
+
 def predict_stage(
     config: RunConfig,
     pairs: tuple[Sequence[LabeledPair], Sequence[LabeledPair]] | None = None,
@@ -959,8 +1029,10 @@ def predict_stage(
     pairs is (train, validation); None restores them from split.json and
     windows.jsonl. Both are taken in (system_id, index) order, so the
     shots drawn from train do not depend on where the pairs came from.
-    The first backend error stops submission; on any error or interrupt
-    the rows finished so far are flushed before it propagates.
+    With more than one pair in flight, worker threads answer while this
+    thread makes the prompts (see _answer_ahead). The first backend error
+    stops submission; on any error or interrupt the rows finished so far
+    are flushed before it propagates.
     """
     if pairs is None:
         pairs = load_split(config, load_sequences(config))
@@ -982,38 +1054,31 @@ def predict_stage(
         systems = {pair.system_id for pair in validation}
         pools = {s: [p for p in train if p.index > 1 and p.system_id != s] for s in systems}
 
+        def bundle_of(pair: LabeledPair) -> PromptBundle:
+            return _bundle_for(config, template, pair, pools[pair.system_id])
+
         def answer(pair: LabeledPair) -> PredictionRaw:
-            return _predict_one(backend, _bundle_for(config, template, pair, pools[pair.system_id]))
+            return _predict_one(backend, bundle_of(pair))
 
     width = config.backend.max_in_flight if config.backend.kind == "remote-llm" else 1
     rows: dict[tuple[str, int], dict[str, Any]] = {}
 
-    def row_of(pair: LabeledPair, raw: PredictionRaw) -> dict[str, Any]:
+    def keep(pair: LabeledPair, raw: PredictionRaw) -> None:
         target, times = pair.index - 1, pair.sequence.times
         window = window_index_of(times[target], day_floor(times[0]), config.window_days)
         values = (raw.backend_id, raw.cause_answer, pair.index, pair.system_id,
                   pair.sequence.kinds[target], render_date(times[target]), raw.time_answer, window)
-        return dict(zip(PREDICTION_FIELDS, values))  # values in the table's sorted key order
+        # values in the table's sorted key order
+        rows[(pair.system_id, pair.index)] = dict(zip(PREDICTION_FIELDS, values))
 
-    pending = iter(validation)
     try:
         if width == 1:  # answered in this thread: no worker to hand a pair to and wait on
-            for pair in pending:
-                rows[(pair.system_id, pair.index)] = row_of(pair, answer(pair))
+            for pair in validation:
+                keep(pair, answer(pair))
         else:
-            # imported here: a run with one pair in flight loads no thread pool
-            from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-            with ThreadPoolExecutor(max_workers=width) as pool:
-                in_flight = {pool.submit(answer, pair): pair for pair in islice(pending, width)}
-                while in_flight:
-                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        pair = in_flight.pop(future)
-                        rows[(pair.system_id, pair.index)] = row_of(pair, future.result())
-                    for pair in islice(pending, len(done)):
-                        in_flight[pool.submit(answer, pair)] = pair
+            _answer_ahead(width, validation, bundle_of, partial(_predict_one, backend), keep)
     finally:
+        close_connections()  # this thread's, kept by a remote backend with one pair in flight
         ordered = [rows[key] for key in sorted(rows)]
         _write_lines(
             path_of(config, PREDICTIONS_FILE),

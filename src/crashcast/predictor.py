@@ -77,7 +77,7 @@ class BackendConfig:
             raise ConfigError("backoff_base must not be negative")
         if self.max_output_tokens < 1:
             raise ConfigError("max_output_tokens must be at least 1")
-        # urlopen would also read file: and data: URLs as if they were answers
+        # the client speaks HTTP and HTTPS alone
         if self.kind == "remote-llm" and not _is_http_url(self.endpoint):
             raise ConfigError(
                 f"remote-llm backend requires an http:// or https:// endpoint, got {self.endpoint!r}"
@@ -193,14 +193,46 @@ class ScriptedBackend:
 
 # --- remote chat-completion backend -------------------------------------------
 
+# each thread's kept-alive connection and the (scheme, netloc, timeout) it was made for. It
+# lives here, not on the backend, because what make_backend returns may be wrapped so that
+# only complete() reaches it: a thread closes its connection through close_connections()
+_kept = threading.local()
+
+
+def close_connections() -> None:
+    """Close the calling thread's kept-alive connection, if it has one.
+
+    RemoteBackend keeps one connection per thread across calls; a thread
+    that called complete() calls this before it ends, as predict_stage's
+    workers do.
+    """
+    connection = getattr(_kept, "connection", None)
+    _kept.connection = _kept.origin = None
+    if connection is not None:
+        connection.close()
+
+
+def _retry_after(value: str | None) -> float | None:
+    """A Retry-After header in delta-seconds, capped at MAX_BACKOFF_S; None for anything else.
+
+    An HTTP-date is read as None too (RFC 9110 §10.2.3 allows either form).
+    """
+    text = (value or "").strip()
+    if not (text.isascii() and text.isdigit()):
+        return None
+    return min(float(text), MAX_BACKOFF_S)
+
+
 class RemoteBackend:
     """Chat-style completion client with retry on transient failures.
 
     Timeouts, connection drops, 5xx responses, and 429s are retried up to
     retry_limit times with exponential backoff, each sleep at most
-    MAX_BACKOFF_S; anything that indicates the request itself is wrong
-    (other 4xx, malformed body) is raised at once.
-    Safe to call from several threads.
+    MAX_BACKOFF_S; a 429's Retry-After in seconds replaces that retry's
+    sleep. Anything that indicates the request itself is wrong (other
+    non-2xx, malformed body) is raised at once.
+    Safe to call from several threads: each keeps its own HTTP/1.1
+    connection alive across calls (see close_connections).
     """
 
     def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep):
@@ -210,6 +242,9 @@ class RemoteBackend:
         self.backend_id = f"remote:{config.model_name or 'default'}"
         self._sleep = sleep
         self._lock = threading.Lock()
+        url = urlsplit(config.endpoint)
+        self._origin = (url.scheme, url.netloc, config.timeout)
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self.total_calls = 0
         self.total_retries = 0
 
@@ -219,8 +254,9 @@ class RemoteBackend:
         delay = min(self.config.backoff_base, MAX_BACKOFF_S)
         for attempt in range(attempts):
             if attempt:
-                self._sleep(delay)  # backoff_base * 2 ** (attempt - 1), doubled exactly, capped
-                delay = min(2 * delay, MAX_BACKOFF_S)
+                asked = getattr(last_error, "retry_after", None)  # a 429's Retry-After, capped
+                self._sleep(delay if asked is None else asked)  # else backoff_base * 2 ** (attempt - 1)
+                delay = min(2 * delay, MAX_BACKOFF_S)  # doubled exactly, capped
             try:
                 text = self._request_once(prompt)
             except (Timeout, TransportError, RateLimited) as err:
@@ -237,11 +273,6 @@ class RemoteBackend:
         raise last_error
 
     def _request_once(self, prompt: str) -> str:
-        # imported here, not at module level: they load ssl, email and socket, which only this needs
-        import http.client
-        import urllib.error
-        import urllib.request
-
         body = {
             "model": self.config.model_name or "default",
             "messages": [
@@ -251,29 +282,14 @@ class RemoteBackend:
             "temperature": 0,
             "max_tokens": self.config.max_output_tokens,
         }
-        request = urllib.request.Request(
-            self.config.endpoint,
-            data=json.dumps(body, allow_nan=False).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.config.timeout) as response:
-                raw = response.read()
-        except urllib.error.HTTPError as err:
-            err.close()
-            if err.code == 429:
-                raise RateLimited("server answered 429") from None
-            if err.code >= 500:
-                raise TransportError(f"server answered {err.code}") from None
-            raise ProtocolError(f"server rejected the request: {err.code}") from None
-        except (OSError, http.client.HTTPException) as err:
-            # urlopen wraps a failure to connect or send in URLError, the cause as its reason
-            cause = err.reason if isinstance(err, urllib.error.URLError) else err
-            if isinstance(cause, TimeoutError):
-                raise Timeout(f"no response within {self.config.timeout}s") from err
-            raise TransportError(str(err)) from err
-
+        status, retry_after, raw = self._exchange(json.dumps(body, allow_nan=False).encode("utf-8"))
+        if status == 429:
+            raise RateLimited("server answered 429", _retry_after(retry_after))
+        if status >= 500:
+            close_connections()
+            raise TransportError(f"server answered {status}")
+        if not 200 <= status < 300:
+            raise ProtocolError(f"server rejected the request: {status}")
         try:
             content = json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as err:
@@ -283,6 +299,51 @@ class RemoteBackend:
         if not is_utf8_encodable(content):
             raise ProtocolError("completion holds a lone surrogate")
         return content
+
+    def _exchange(self, payload: bytes, resend: bool = True) -> tuple[int, str | None, bytes]:
+        """POST payload on this thread's connection: the status, Retry-After and body.
+
+        A kept-alive connection that the server closed while it sat idle fails
+        at the send or answers nothing; the request then goes once more, on a
+        new connection, which is not a retry. Any failure closes the connection.
+        """
+        # imported here, not at module level: they load ssl, email and socket, which only this needs
+        import http.client
+        import socket
+
+        reused = answered = False
+        try:
+            connection = self._connection()
+            reused = connection.sock is not None
+            connection.request("POST", self._target, payload, {"Content-Type": "application/json"})
+            if hasattr(socket, "TCP_QUICKACK"):
+                # sending left delayed-ACK mode on: ACK the answer's first segment at once, or a
+                # server that writes its headers and body apart holds the body back (Nagle), ~40 ms
+                connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+            response = connection.getresponse()
+            answered = True
+            return response.status, response.getheader("Retry-After"), response.read()
+        except BaseException as err:
+            close_connections()
+            if resend and reused and not answered and isinstance(err, ConnectionError):
+                return self._exchange(payload, resend=False)
+            if isinstance(err, TimeoutError):
+                raise Timeout(f"no response within {self.config.timeout}s") from err
+            if isinstance(err, (OSError, http.client.HTTPException)):
+                raise TransportError(str(err)) from err
+            raise
+
+    def _connection(self):
+        """This thread's connection to the endpoint, made if it has none; it connects on first use."""
+        import http.client
+
+        if getattr(_kept, "origin", None) != self._origin:
+            close_connections()
+            scheme, netloc, timeout = self._origin
+            kind = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+            _kept.connection = kind(netloc, timeout=timeout)
+            _kept.origin = self._origin
+        return _kept.connection
 
 
 def make_backend(config: BackendConfig) -> Backend:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 
@@ -8,6 +9,16 @@ import pytest
 from crashcast.sequencer import EventSequence, SeqEvent
 
 BASE = datetime(2021, 3, 1, tzinfo=timezone.utc)
+
+
+def _stop_tracing() -> None:
+    if tracemalloc.is_tracing():
+        tracemalloc.stop()
+
+
+# a memory test measures the process it runs in: a stage writer it forks would only be slowed
+# by tracing every allocation it makes, which the test never reads
+os.register_at_fork(after_in_child=_stop_tracing)
 
 
 def at_day(day: float, base: datetime = BASE) -> datetime:
@@ -36,4 +47,17 @@ def stub_server():
 
     server = StubServer().start()
     yield server
+    server.stop()
+
+
+@pytest.fixture
+def keep_alive_stub():
+    """A stub that speaks HTTP/1.1; the test thread's kept-alive connection is closed after."""
+    from stubserver import StubServer
+
+    from crashcast.predictor import close_connections
+
+    server = StubServer(keep_alive=True).start()
+    yield server
+    close_connections()
     server.stop()

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import weakref
@@ -1898,16 +1899,8 @@ def test_ingest_frees_each_record_as_it_goes(tmp_path, monkeypatch):
 
 # synth's writer draws the records it writes: 200 systems x 540 days make 64,473 records,
 # which trace 15.2 MB as one list
-def test_synth_holds_no_record_in_the_calling_process(tmp_path, monkeypatch):
+def test_synth_holds_no_record_in_the_calling_process(tmp_path):
     config = small_config(tmp_path / "out", generator={"n_systems": 200, "days": 540})
-    test_pid, real_packed = os.getpid(), pipeline._packed
-
-    def packed(records):  # the writer inherits the tracing, which would only slow it
-        if os.getpid() != test_pid and tracemalloc.is_tracing():
-            tracemalloc.stop()
-        return real_packed(records)
-
-    monkeypatch.setattr(pipeline, "_packed", packed)
     tracemalloc.start()
     try:
         synth_stage(config)
@@ -2030,6 +2023,104 @@ def test_baseline_predict_answers_in_this_thread(tmp_path):
     run = _fresh_run(sys.executable, document)
     assert "concurrent.futures" not in run["modules"], "a baseline run loaded a thread pool"
     assert run["items"] == SMALL_RUN["split"]["validation_pairs"]
+
+
+def _answer_ahead_checked(width, count, answer, kept, bundle_of=lambda pair: pair):
+    """_answer_ahead over pairs 0..count-1, each answer appended to kept; it leaves no thread."""
+    threads_before = threading.active_count()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a lost update has a chance to show
+    try:
+        pipeline._answer_ahead(width, range(count), bundle_of, answer, lambda p, r: kept.append(r))
+    finally:
+        sys.setswitchinterval(previous)
+        assert threading.active_count() == threads_before
+
+
+def test_answer_ahead_answers_each_pair_once_with_at_most_width_in_flight():
+    lock, in_flight, most, kept = threading.Lock(), [0], [0], []
+
+    def answer(bundle):
+        with lock:
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+        time.sleep(0)
+        with lock:
+            in_flight[0] -= 1
+        return bundle
+
+    _answer_ahead_checked(8, 600, answer, kept, bundle_of=lambda pair: -pair)
+    assert sorted(kept, reverse=True) == [-pair for pair in range(600)]
+    assert most[0] <= 8
+
+
+@pytest.mark.parametrize("where", ["worker", "here"])
+def test_answer_ahead_takes_no_pair_past_the_first_error(where):
+    width, failing, kept = 4, 50, []
+
+    def bundle_of(pair):
+        if where == "here" and pair == failing:
+            raise KeyboardInterrupt
+        return pair
+
+    def answer(bundle):
+        if bundle == failing:
+            raise TransportError("down")
+        time.sleep(0.001)
+        return bundle
+
+    with pytest.raises(TransportError if where == "worker" else KeyboardInterrupt):
+        _answer_ahead_checked(width, 1000, answer, kept, bundle_of)
+    # pairs are taken in order, and a worker finishes the pair it holds
+    if where == "worker":  # the others hold at most width - 1 pairs past the failing one
+        assert set(range(failing)) <= set(kept)
+        assert failing not in kept and max(kept) < failing + width
+    else:  # up to width made pairs were waiting, pair 49 among them, and none of them is taken
+        assert sorted(kept) == list(range(len(kept)))
+        assert failing - width <= len(kept) < failing
+
+
+def _remote_config(out_dir, stub, max_in_flight):
+    stub.completion = "The next crash will happen on 2022-01-01 caused by disk failure."
+    backend = {"kind": "remote-llm", "endpoint": stub.url(), "max_in_flight": max_in_flight}
+    return small_config(out_dir, backend=backend)
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 3])
+def test_a_remote_run_leaves_no_connection_or_thread(tmp_path, keep_alive_stub, max_in_flight):
+    threads_before, fds_before = set(threading.enumerate()), sorted(os.listdir("/proc/self/fd"))
+    run_all(_remote_config(tmp_path / "out", keep_alive_stub, max_in_flight))
+    validation = SMALL_RUN["split"]["validation_pairs"]
+    assert keep_alive_stub.hits == 2 * validation
+    assert keep_alive_stub.connections <= max_in_flight  # one kept alive a worker
+    # the stub's thread for a connection ends once the client has closed it
+    deadline = time.monotonic() + 10
+    while set(threading.enumerate()) - threads_before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert set(threading.enumerate()) <= threads_before
+    assert sorted(os.listdir("/proc/self/fd")) == fds_before
+
+
+def test_a_remote_run_has_at_most_max_in_flight_requests_in_flight(tmp_path, keep_alive_stub):
+    keep_alive_stub.sleep_s = 0.01
+    run_all(_remote_config(tmp_path / "out", keep_alive_stub, 3))
+    assert 1 < keep_alive_stub.most_in_flight <= 3
+
+
+def test_remote_prompts_are_made_in_the_calling_thread_in_pair_order(
+    tmp_path, keep_alive_stub, monkeypatch
+):
+    made, real_build_bundle = [], pipeline.build_bundle
+
+    def build_bundle(template, system_id, *rest):
+        made.append((threading.current_thread(), system_id))
+        return real_build_bundle(template, system_id, *rest)
+
+    monkeypatch.setattr(pipeline, "build_bundle", build_bundle)
+    run_all(_remote_config(tmp_path / "out", keep_alive_stub, 3))
+    rows = (tmp_path / "out" / PREDICTIONS_FILE).read_text().splitlines()
+    assert [thread for thread, _ in made] == [threading.current_thread()] * len(rows)
+    assert [system_id for _, system_id in made] == [json.loads(row)["system_id"] for row in rows]
 
 
 def _python(version):

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,45 @@ class TestRetries:
         if base < MAX_BACKOFF_S:  # the sleeps below the cap are as they were
             assert waits[:6] == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
 
+    def test_a_429_without_retry_after_keeps_the_backoff(self, stub_server):
+        waits = []
+        backend = RemoteBackend(
+            config_for(stub_server.url("limited"), retry_limit=2, backoff_base=0.5),
+            sleep=waits.append,
+        )
+        with pytest.raises(RateLimited):
+            backend.complete("p")
+        assert waits == [0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "header, sleeps",
+        [
+            ("3", [3.0, 3.0]),
+            ("0", [0.0, 0.0]),
+            ("30", [MAX_BACKOFF_S, MAX_BACKOFF_S]),
+            ("120", [MAX_BACKOFF_S, MAX_BACKOFF_S]),  # capped
+            ("9" * 400, [MAX_BACKOFF_S, MAX_BACKOFF_S]),
+            # an HTTP-date, or anything else that is not delta-seconds, keeps the backoff
+            ("Wed, 21 Oct 2015 07:28:00 GMT", [0.5, 1.0]),
+            ("1.5", [0.5, 1.0]),
+            ("-1", [0.5, 1.0]),
+            ("\u0663", [0.5, 1.0]),  # a digit, but not an ASCII one
+            ("", [0.5, 1.0]),
+        ],
+    )
+    def test_retry_after_in_seconds_replaces_the_backoff_sleep(self, stub_server, header, sleeps):
+        stub_server.fail_first = 2
+        stub_server.retry_after = header
+        waits = []
+        backend = RemoteBackend(
+            config_for(stub_server.url("retry-after"), retry_limit=2, backoff_base=0.5),
+            sleep=waits.append,
+        )
+        assert backend.complete("p") == stub_server.completion
+        assert waits == sleeps
+        assert stub_server.hits == 3
+        assert backend.total_retries == 2
+
     def test_zero_retry_limit_means_one_attempt(self, stub_server):
         stub_server.fail_first = 1
         backend = quiet_backend(config_for(stub_server.url("flaky"), retry_limit=0))
@@ -175,6 +215,43 @@ class TestErrorTaxonomy:
         with pytest.raises(TransportError):
             backend.complete("p")
         assert stub_server.hits == 1
+
+
+class TestKeptAlive:
+    def test_sequential_calls_share_one_connection_without_a_delayed_ack(self, keep_alive_stub):
+        backend = quiet_backend(config_for(keep_alive_stub.url("echo")))
+        started = time.perf_counter()
+        for n in range(40):
+            assert backend.complete(f"prompt {n}") == f"prompt {n}"
+        elapsed = time.perf_counter() - started
+        assert keep_alive_stub.connections == 1
+        assert keep_alive_stub.hits == 40
+        # the stub writes each answer's headers and body apart: while its first segment waits
+        # for a delayed ACK (up to 40 ms), Nagle's algorithm holds the body back
+        assert elapsed < 40 * 0.040 / 4, f"40 calls took {elapsed:.2f} s"
+
+    def test_a_connection_the_server_closed_is_reopened_and_sent_once(self, keep_alive_stub):
+        backend = quiet_backend(config_for(keep_alive_stub.url("closing"), retry_limit=0))
+        for n in range(1, 4):
+            assert backend.complete("p") == keep_alive_stub.completion
+            assert keep_alive_stub.hits == n
+            assert keep_alive_stub.connections == n
+        assert backend.total_calls == 3
+        assert backend.total_retries == 0
+
+    def test_a_server_that_closes_each_connection_gets_a_new_one_a_call(self, stub_server):
+        backend = quiet_backend(config_for(stub_server.url(), retry_limit=0))
+        for n in range(1, 4):
+            assert backend.complete("p") == stub_server.completion
+            assert stub_server.connections == stub_server.hits == n
+
+    def test_a_server_error_closes_the_connection(self, keep_alive_stub):
+        keep_alive_stub.fail_first = 1
+        backend = quiet_backend(config_for(keep_alive_stub.url("flaky"), retry_limit=1))
+        assert backend.complete("p") == keep_alive_stub.completion
+        assert backend.complete("p") == keep_alive_stub.completion
+        assert keep_alive_stub.hits == 3
+        assert keep_alive_stub.connections == 2
 
 
 def test_importing_crashcast_loads_no_requests_module():
