@@ -3,7 +3,9 @@
 Input is line-delimited JSON, one record per line (UTF-8): fields guid,
 ts (RFC-3339 UTC instant, second resolution), event_id, and optional
 bugcheck / params / cause. Unknown fields are ignored. Critical crashes
-are the records with event_id 41; only those enter the corpus.
+are the records with event_id 41; only those enter the corpus. Records,
+events and sequences hold an instant as UTC epoch seconds, an int; its
+text is made here, by format_timestamp and date_text, and nowhere else.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import json
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 from importlib import resources
 from itertools import groupby
 from operator import itemgetter
@@ -23,8 +26,11 @@ from .errors import BadCode, BadTimestamp, EmptyCorpus, MalformedRecord
 
 CRITICAL_EVENT_ID = 41  # kernel event for a reboot without clean shutdown
 
-# Events earlier than this are treated as clock garbage and dropped.
-DEFAULT_EPOCH_FLOOR = datetime(2000, 1, 1, tzinfo=timezone.utc)
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+DAY = 86400  # seconds
+
+# Events earlier than this, 2000-01-01T00:00:00Z in UTC epoch seconds, are clock garbage.
+DEFAULT_EPOCH_FLOOR = 946_684_800
 
 MAX_PARAMS = 4
 
@@ -65,7 +71,7 @@ class RawLogRecord(NamedTuple):
     """One parsed log line, before any normalization."""
 
     system_id: str
-    timestamp: datetime
+    timestamp: int  # UTC epoch seconds
     event_id: int
     bugcheck_code: str | None = None
     params: tuple[str, ...] = ()
@@ -76,7 +82,7 @@ class CrashEvent(NamedTuple):
     """One critical crash: when it happened and what kind it was."""
 
     system_id: str
-    time: datetime
+    time: int  # UTC epoch seconds
     kind: str
     bugcheck_code: str
     params: tuple[str, ...] = ()
@@ -91,8 +97,20 @@ class CrashCorpus:
     dropped_before_floor: int = 0
 
 
-def parse_timestamp(text: str) -> datetime:
-    """Parse an RFC-3339 UTC instant at second resolution.
+def seconds_of(ts: datetime) -> int:
+    """A UTC instant as whole seconds since the epoch, floored: a timedelta's seconds and
+    microseconds are never negative."""
+    since = ts - EPOCH
+    return since.days * DAY + since.seconds
+
+
+def instant_of(seconds: int) -> datetime:
+    """The UTC datetime of seconds since the epoch: exact, so seconds_of inverts it."""
+    return EPOCH + timedelta(0, seconds)
+
+
+def parse_timestamp(text: str) -> int:
+    """Parse an RFC-3339 UTC instant at second resolution into UTC epoch seconds.
 
     Date-only strings and non-UTC offsets are rejected; records must
     carry a full instant even when the upstream cadence is daily.
@@ -100,17 +118,24 @@ def parse_timestamp(text: str) -> datetime:
     if _TS_RE.fullmatch(text) is None:
         raise ValueError(f"not a full UTC instant: {text!r}")
     # the pattern has checked the shape; the offset is spelled out for Python 3.10
-    return datetime.fromisoformat(text[:19] + "+00:00")
+    return seconds_of(datetime.fromisoformat(text[:19] + "+00:00"))
+
+
+@lru_cache(maxsize=1 << 12)  # a day's text is made once, not once per instant of that day
+def date_text(day: int) -> str:
+    """The ISO calendar date of a day counted in whole days from the epoch."""
+    return instant_of(day * DAY).date().isoformat()
 
 
 # "00" to "59": indexing beats a %02d conversion, which is half the cost of a format
 _TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
 
 
-def format_timestamp(ts: datetime) -> str:
-    """The instant as strftime("%Y-%m-%dT%H:%M:%SZ") writes it with glibc (year unpadded)."""
+def format_timestamp(seconds: int) -> str:
+    """UTC epoch seconds as strftime("%Y-%m-%dT%H:%M:%SZ") writes their instant, years 1000-9999."""
     d = _TWO_DIGITS
-    return f"{ts.year}-{d[ts.month]}-{d[ts.day]}T{d[ts.hour]}:{d[ts.minute]}:{d[ts.second]}Z"
+    return (f"{date_text(seconds // DAY)}T{d[seconds // 3600 % 24]}:{d[seconds // 60 % 60]}"
+            f":{d[seconds % 60]}Z")
 
 
 def canonical_code(code: str) -> str:
@@ -273,15 +298,15 @@ def _derive_kind(record: RawLogRecord, catalog: dict[str, str]) -> str:
 def build_corpus(
     records: Iterable[RawLogRecord],
     catalog: dict[str, str] | None = None,
-    epoch_floor: datetime = DEFAULT_EPOCH_FLOOR,
+    epoch_floor: int = DEFAULT_EPOCH_FLOOR,
 ) -> CrashCorpus:
     """Turn critical-only records into a deduplicated CrashCorpus.
 
     Cause text is normalized; records without a cause fall back to the
     catalog, then to the bugcheck code itself. Exact duplicates on
     (system_id, time, bugcheck_code) collapse to the first in input
-    order and are counted, as are events before the epoch floor. Raises EmptyCorpus when
-    nothing survives.
+    order and are counted, as are events before the epoch floor, in UTC
+    epoch seconds. Raises EmptyCorpus when nothing survives.
     """
     if catalog is None:
         catalog = default_catalog()

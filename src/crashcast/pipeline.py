@@ -24,7 +24,8 @@ one writer, which only encodes, writes and hashes its file; synth's also
 draws the records it writes. `run_all` without paths.logs forks one data
 writer instead of synth's and ingest's: it draws the synthetic corpus
 itself, one system at a time, and deduplicates it, writing events.jsonl
-as it goes and logs.jsonl at the end. Both synth routes, and
+as it goes, logs.jsonl at the end, and then ingest.json, which holds the
+logs' digest and the counts it made on the way. Both synth routes, and
 generate_corpus, merge the logs into time order through _log_lines. This
 process draws each system again and sequences it. `run_all` waits for
 every child before its manifest; a stage called alone waits for its
@@ -33,10 +34,9 @@ only hashlib, whose OpenSSL SHA-256 hashes the files it wrote about 6x
 as fast as the interpreter's. It sends their hex digests through a pipe,
 so this process reads none of the three back, and leaves with os._exit,
 its exit status its report of failure: 0, the errno of the OSError that
-stopped it, or 255. ingest.json, which holds the logs' digest, is
-written once the logs' writer is reaped. Every digest this process makes
-comes from `_seed.sha256`, the interpreter's own, so a baseline run's
-main process loads no OpenSSL.
+stopped it, or 255. Every digest this process makes comes from
+`_seed.sha256`, the interpreter's own, so a baseline run's main process
+loads no OpenSSL.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from array import array
 from bisect import bisect_right
 from collections import Counter, deque
 from contextlib import contextmanager, nullcontext, suppress
-from datetime import timedelta
 from functools import partial
 from itertools import accumulate, chain, groupby, islice
 from json.encoder import encode_basestring_ascii
@@ -75,7 +74,7 @@ from .errors import (
     RecordError,
 )
 from .ingest import (
-    _TWO_DIGITS,
+    DAY,
     NO_EVENTS,
     CrashCorpus,
     CrashEvent,
@@ -86,6 +85,7 @@ from .ingest import (
     encode_basestring,
     filter_critical,
     format_timestamp,
+    instant_of,
     is_utf8_encodable,
     load_catalog,
     parse_lines,
@@ -117,15 +117,12 @@ from .prompt import (
     shots_from_pairs,
 )
 from .sequencer import (
-    DAY,
     EventSequence,
     LabeledPair,
     build_sequences,
     day_floor,
     enumerate_pairs,  # not called here: bench/tracer.py wraps it by its name in this module
-    instant_of,
     partition_windows,
-    seconds_of,
     window_index_of,
 )
 from .synthgen import GeneratorConfig, generate_systems
@@ -220,26 +217,24 @@ class Writers:
 
     A stage's writer encodes and writes one file, synth's from the records
     it draws; `run_all`'s data writer also deduplicates the corpus it writes
-    (_write_data). Each child also hashes the files it wrote and sends their
-    hex digests back through a pipe opened before the fork; digests holds
-    them by path, and then() hands one, once its writer is reaped, to what
-    was registered for it while the writer ran: ingest.json. Leaving
-    the with block waits for every child, so the files the run got to are
-    whole. Left normally, it then raises the first child's failure; left
-    on an exception, it only removes a failed child's .partial files, and
-    the exception goes on. An interrupt while it waits kills the children
-    that are left. No child, and no pipe, outlives the block. A stage given
-    no Writers makes its own, so it returns with its file whole. failure is
-    the error of the first writer that could not start or failed, raised or
-    not; it names the file an OSError names, else the writer's first file.
-    waits and usage hold, by file name, the seconds wait() blocked on each
-    file's writer and that writer's CPU seconds and peak resident set (the
-    files of one writer share its figures).
+    and counts it into ingest.json (_write_data). Each child also hashes the
+    files it wrote and sends their hex digests back through a pipe opened
+    before the fork; digests holds them by path once the child is reaped.
+    Leaving the with block waits for every child, so the files the run got
+    to are whole. Left normally, it then raises the first child's failure;
+    left on an exception, it only removes a failed child's .partial files,
+    and the exception goes on. An interrupt while it waits kills the
+    children that are left. No child, and no pipe, outlives the block. A
+    stage given no Writers makes its own, so it returns with its file whole.
+    failure is the error of the first writer that could not start or failed,
+    raised or not; it names the file an OSError names, else the writer's
+    first file. waits and usage hold, by file name, the seconds wait()
+    blocked on each file's writer and that writer's CPU seconds and peak
+    resident set (the files of one writer share its figures).
     """
 
     def __init__(self) -> None:
         self._live: dict[tuple[Path, ...], tuple[int, int]] = {}  # a writer's paths: pid, pipe
-        self._then: dict[Path, Callable[[str | None], Any]] = {}  # path: fn(digest) when reaped
         self.digests: dict[Path, str] = {}  # path: hex sha256 of the file its writer wrote
         self.waits: dict[str, float] = {}  # file name: seconds wait() blocked on its writer
         self.usage: dict[str, dict[str, float]] = {}  # file name: its writer's rusage figures
@@ -250,7 +245,7 @@ class Writers:
 
     def __exit__(self, kind, err, tb) -> None:
         try:
-            self.wait(*chain.from_iterable(self._live), raising=kind is None)
+            self.wait(raising=kind is None)
         finally:
             self.stop()
 
@@ -266,9 +261,10 @@ class Writers:
     def fork(self, paths: tuple[Path, ...], write: Callable[[], Any]) -> None:
         """Call write() in a forked child, which then sends the digest of each of paths.
 
-        write() writes the files, each through its .partial sibling; one it leaves out is
-        sent as 64 "-" and gets no digest. The child exits 0, with the errno (1-254) of the
-        OSError that stopped it, having sent the index in paths of the file it names, or with 255.
+        write() writes the files, each through its .partial sibling, and may return the
+        digests it made, by path; the child hashes the others. One it leaves out is sent as
+        64 "-" and gets no digest. The child exits 0, with the errno (1-254) of the OSError
+        that stopped it, having sent the index in paths of the file it names, or with 255.
         """
         pipe: tuple[int, ...] = ()
         try:
@@ -285,9 +281,9 @@ class Writers:
             code = 255
             try:
                 os.nice(10)  # where it contends for a core, the next stage goes first
-                write()
+                made = write() or {}
                 import hashlib  # OpenSSL's SHA-256, for _file_digest: 3.5 MB, this writer's alone
-                digests = map(_file_digest, paths)
+                digests = (made.get(path) or _file_digest(path) for path in paths)
                 sent = "".join(_NO_FILE if digest is None else digest for digest in digests)
                 os.write(write_end, sent.encode())  # 64 bytes a file: one atomic write
                 code = 0
@@ -300,17 +296,13 @@ class Writers:
         os.close(write_end)  # so the read end sees end of file once the child is gone
         self._live[paths] = pid, read_end
 
-    def then(self, path: Path, fn: Callable[[str | None], Any]) -> None:
-        """Call fn with the digest that path's writer, still running, sends once reaped whole."""
-        self._then[path] = fn
-
-    def wait(self, *paths: Path, raising: bool = True) -> None:
-        """Reap the writers of paths that still run, then raise the first failure if raising.
+    def wait(self, raising: bool = True) -> None:
+        """Reap every writer that still runs, then raise the first failure if raising.
 
         A failed writer's .partial files are removed: a killed child cannot remove them.
         """
         failure: Exception | None = None
-        for key in [key for key in self._live if not set(key).isdisjoint(paths)]:
+        for key in [*self._live]:
             pid, read_end = self._live.pop(key)
             started = time.perf_counter()
             status, usage = os.wait4(pid, 0)[1:]
@@ -324,7 +316,6 @@ class Writers:
             finally:
                 os.close(read_end)
             code = os.waitstatus_to_exitcode(status)
-            thens = [self._then.pop(path, None) for path in key]
             if code:  # a signal's is negative
                 for path in key:
                     _partial_of(path).unlink(missing_ok=True)
@@ -336,21 +327,15 @@ class Writers:
             elif len(sent) != 64 * len(key):
                 failure = failure or _writer_error(key[0], "exited 0 without a full digest")
             else:
-                for index, (path, then) in enumerate(zip(key, thens)):
+                for index, path in enumerate(key):
                     if (digest := sent[64 * index:64 * (index + 1)].decode("ascii")) != _NO_FILE:
                         self.digests[path] = digest
-                    try:
-                        if then is not None:
-                            then(self.digests.get(path))
-                    except Exception as err:  # what waited for the digest failed: ingest.json
-                        failure = failure or err
         self.failure = self.failure or failure
         if failure is not None and raising:
             raise failure
 
     def stop(self) -> None:
         """Kill every writer that still runs, reap it, close its pipe, remove its .partial files."""
-        self._then.clear()
         for paths, (pid, read_end) in [*self._live.items()]:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
@@ -413,12 +398,9 @@ class FieldType(NamedTuple):
     decode: Callable[[Any], Any] | None = None
 
 
-def _timestamp_text(ts: Any) -> str:
-    """A datetime, or UTC epoch seconds as sequences hold them: ASCII, nothing to escape."""
-    if type(ts) is not int:
-        return '"' + format_timestamp(ts) + '"'
-    clock = _TWO_DIGITS[ts // 3600 % 24], _TWO_DIGITS[ts // 60 % 60], _TWO_DIGITS[ts % 60]
-    return '"%sT%s:%s:%sZ"' % (render_date(ts), *clock)  # each day's date text made once
+def _timestamp_text(seconds: int) -> str:
+    """UTC epoch seconds as a JSON string: ASCII, nothing to escape."""
+    return f'"{format_timestamp(seconds)}"'
 
 
 def _list_text(text: Callable[[Any], str]) -> Callable[[Any], str]:
@@ -574,7 +556,7 @@ def _drained(items: list[T]) -> Iterator[T]:
 def _packed(records: list[RawLogRecord]) -> tuple[array, str]:
     """One system's records as _log_lines merges them: their instants in UTC seconds, and
     their log lines as one str, each line ending in "\\n"."""
-    instants = array("q", [int(record.timestamp.timestamp()) for record in records])
+    instants = array("q", map(itemgetter(1), records))  # each record's timestamp
     return instants, "\n".join(map(record_to_line, records)) + "\n"
 
 
@@ -613,52 +595,65 @@ def synth_stage(config: RunConfig, writers: Writers | None = None) -> None:
 # --- synth and ingest, one system at a time ---------------------------------------
 
 def _system_corpus(
-    records: list[RawLogRecord], catalog: dict[str, str]
-) -> tuple[CrashCorpus, int]:
-    """The corpus of records, often one system's, and how many are critical; records is emptied.
+    records: list[RawLogRecord], catalog: dict[str, str], counts: Counter[str]
+) -> CrashCorpus:
+    """The corpus of records, often one system's; records is emptied.
 
-    build_corpus refuses a corpus with no event; this returns a corpus of no events that
-    drops every critical record.
+    It adds to counts what ingest.json holds: the records, the critical records, the
+    events, the duplicates and the records dropped before the epoch floor. build_corpus
+    refuses a corpus with no event; this returns a corpus of no events that drops every
+    critical record.
     """
+    total = len(records)
     critical = filter_critical(_drained(records))
     count = len(critical)
     try:
-        return build_corpus(_drained(critical), catalog=catalog), count
+        corpus = build_corpus(_drained(critical), catalog=catalog)
     except EmptyCorpus:
-        return CrashCorpus([], 0, count), count
+        corpus = CrashCorpus([], 0, count)
+    counts.update(records=total, critical=count, events=len(corpus.events),
+                  duplicates=corpus.duplicates, dropped_before_floor=corpus.dropped_before_floor)
+    return corpus
 
 
-def _write_data(config: RunConfig, catalog: dict[str, str]) -> None:
-    """The data writer's work: events.jsonl as each system is drawn, then logs.jsonl.
+def _write_data(config: RunConfig, catalog: dict[str, str]) -> dict[Path, str]:
+    """The data writer's work: events.jsonl as each system is drawn, then logs.jsonl, then
+    ingest.json; it returns the logs' digest, which ingest.json holds, by their path.
 
     Each system is _packed before its records go to its corpus. With no event in any
-    system it leaves no events.jsonl, as ingest_stage does.
+    system it leaves out events.jsonl and ingest.json, as ingest_stage does.
     """
     systems: list[tuple[array, str]] = []  # each system's instants and its log lines
+    counts: Counter[str] = Counter()
 
     def event_lines() -> Iterator[str]:
-        events = 0
         for records in generate_systems(config.generator, seed=config.seed):
             systems.append(_packed(records))
-            corpus = _system_corpus(records, catalog)[0]
-            events += len(corpus.events)
-            yield from (encode_line(EVENT_FIELDS, event) + "\n" for event in corpus.events)
-        if not events:
+            events = _system_corpus(records, catalog, counts).events
+            yield from (encode_line(EVENT_FIELDS, event) + "\n" for event in events)
+        if not counts["events"]:
             raise EmptyCorpus(NO_EVENTS)
 
     with suppress(EmptyCorpus):
         _write(path_of(config, EVENTS_FILE), event_lines())
-    _write(path_of(config, LOGS_FILE), _log_lines(systems))
+    logs = path_of(config, LOGS_FILE)
+    _write(logs, _log_lines(systems))
+    systems.clear()  # the logs' text is let go before hashlib is loaded
+    import hashlib  # OpenSSL's SHA-256, for _file_digest
+    digest = _file_digest(logs)
+    if counts["events"]:
+        _write_json(path_of(config, INGEST_FILE), {"source_digest": digest, **counts})
+    return {logs: digest}
 
 
 def _drawn_corpora(
-    config: RunConfig, catalog: dict[str, str], counts: dict[str, int], timings: dict[str, float]
+    config: RunConfig, catalog: dict[str, str], timings: dict[str, float]
 ) -> Iterator[CrashCorpus]:
     """Each system's corpus, drawn again here, in system_id order; EmptyCorpus if none has events.
 
-    It adds each system's records, critical records, events, duplicates and dropped records
-    to counts, and its seconds to timings' synth and ingest.
+    It adds each system's seconds to timings' synth and ingest.
     """
+    counts: Counter[str] = Counter()  # ingest.json's: the data writer writes them
     systems = generate_systems(config.generator, seed=config.seed)
     while True:
         started = time.perf_counter()
@@ -667,12 +662,7 @@ def _drawn_corpora(
         timings["synth"] += drawn - started
         if records is None:
             break
-        counts["records"] += len(records)
-        corpus, critical = _system_corpus(records, catalog)
-        counts["critical"] += critical
-        counts["events"] += len(corpus.events)
-        counts["duplicates"] += corpus.duplicates
-        counts["dropped_before_floor"] += corpus.dropped_before_floor
+        corpus = _system_corpus(records, catalog, counts)
         timings["ingest"] += time.perf_counter() - drawn
         yield corpus
     if not counts["events"]:
@@ -686,27 +676,16 @@ def ingest_stage(config: RunConfig, writers: Writers | None = None) -> CrashCorp
     the digest of the bytes it parsed."""
     digest = sha256()
     records = parse_lines(_read_lines(path_of(config, LOGS_FILE), digest))
-    counts = {"records": len(records)}
     catalog = _named_file("paths.catalog", config.paths.catalog, load_catalog, default_catalog)
-    corpus, counts["critical"] = _system_corpus(records, catalog)
+    counts: Counter[str] = Counter()
+    corpus = _system_corpus(records, catalog, counts)
     if not corpus.events:
         raise EmptyCorpus(NO_EVENTS)
-    counts.update(events=len(corpus.events), duplicates=corpus.duplicates,
-                  dropped_before_floor=corpus.dropped_before_floor)
 
     lines = (encode_line(EVENT_FIELDS, e) + "\n" for e in corpus.events)
     _write_forked(path_of(config, EVENTS_FILE), lines, writers)
-    _ingest_writer(config, counts)(digest.hexdigest())
+    _write_json(path_of(config, INGEST_FILE), {"source_digest": digest.hexdigest(), **counts})
     return corpus
-
-
-def _ingest_writer(config: RunConfig, counts: dict[str, int]) -> Callable[[str | None], None]:
-    """What writes ingest.json, holding counts, once it is given the logs' digest."""
-
-    def write_ingest(source_digest: str | None) -> None:
-        _write_json(path_of(config, INGEST_FILE), {"source_digest": source_digest, **counts})
-
-    return write_ingest
 
 
 def load_events(path: Path) -> CrashCorpus:
@@ -773,15 +752,15 @@ def rebuild_sequences(records: Iterable[dict[str, Any]]) -> list[EventSequence]:
         windows = [*group]
         if any(len(window["times"]) != len(window["causes"]) for window in windows):
             raise ValueError(f"{system_id} has a window whose times and causes are not parallel")
-        times = array("q", map(seconds_of, chain.from_iterable(w["times"] for w in windows)))
+        times = array("q", chain.from_iterable(w["times"] for w in windows))
         if not times:
             raise ValueError(f"{system_id} has windows but no events")
-        origin = instant_of(day_floor(times[0]))
+        origin = day_floor(times[0])
         for index, window in enumerate(windows):
-            offset = index * timedelta(days=window["width_days"])
-            if window["window_index"] != index or window["window_start"] - origin != offset:
+            days = index * window["width_days"]
+            if window["window_index"] != index or window["window_start"] - origin != days * DAY:
                 raise ValueError(f"{system_id} window {window['window_index']} is not"
-                                 f" window {index}, {offset.days} days after {origin}")
+                                 f" window {index}, {days} days after {instant_of(origin)}")
         kinds = chain.from_iterable(w["causes"] for w in windows)
         sequences.append(EventSequence(system_id, times, tuple(kinds)))
     return sequences
@@ -1287,21 +1266,16 @@ def run_all(config: RunConfig) -> dict[str, Any]:
         with writers:
             if config.paths.logs:
                 corpus = timed("ingest", lambda: ingest_stage(config, writers))
-            else:  # the data writer writes logs and events; here each system is drawn again
+            else:  # the data writer writes logs, events and ingest; here each system is drawn again
                 catalog = _named_file(
                     "paths.catalog", config.paths.catalog, load_catalog, default_catalog
                 )
-                data = path_of(config, LOGS_FILE), path_of(config, EVENTS_FILE)
+                data = tuple(map(partial(path_of, config), (LOGS_FILE, EVENTS_FILE, INGEST_FILE)))
                 timed("synth", lambda: writers.fork(data, lambda: _write_data(config, catalog)))
                 timings["ingest"] = 0.0
-                ingested = dict.fromkeys(
-                    ("records", "critical", "events", "duplicates", "dropped_before_floor"), 0
-                )
-                corpus = _drawn_corpora(config, catalog, ingested, timings)
+                corpus = _drawn_corpora(config, catalog, timings)
             sequences = timed("sequence", lambda: sequence_stage(config, corpus, writers))
             corpus = None  # the sequences hold what later stages need
-            if not config.paths.logs:  # the data writer sends the logs' digest when it is reaped
-                writers.then(data[0], _ingest_writer(config, ingested))
             counts["events"] = sum(map(len, sequences))
             counts["systems"] = len(sequences)
             counts["pairs"] = sum(max(len(seq) - 1, 0) for seq in sequences)

@@ -31,9 +31,9 @@ from .errors import (
     Timeout,
     TransportError,
 )
-from .ingest import is_utf8_encodable
+from .ingest import DAY, instant_of, is_utf8_encodable, seconds_of
 from .prompt import render_answer_sentence, render_date
-from .sequencer import DAY, EventSequence, instant_of, seconds_of
+from .sequencer import EventSequence
 
 BACKEND_KINDS = ("remote-llm", "baseline", "scripted")
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from importlib import resources
 from typing import Sequence
 
 from .errors import DataError, InsufficientShots, TemplateError
-from .sequencer import DAY, EventSequence, LabeledPair, instant_of
+from .ingest import DAY, date_text
+from .sequencer import EventSequence, LabeledPair
 
 TIME_QUESTION = "When will the next crash happen on system {system_id}?"
 CAUSE_QUESTION = "What will be the predicted crash cause?"
@@ -33,12 +33,7 @@ def render_answer_sentence(date_text: str, cause_text: str) -> str:
 
 def render_date(seconds: int) -> str:
     """Dates go into prompts at day granularity, ISO calendar form: UTC epoch seconds' day."""
-    return _iso_date(seconds // DAY)
-
-
-@lru_cache(maxsize=1 << 12)  # a day's text is made once, not once per event of that day
-def _iso_date(day: int) -> str:
-    return instant_of(day * DAY).date().isoformat()
+    return date_text(seconds // DAY)
 
 
 def render_history(history: EventSequence, cap: int | None = None) -> str:

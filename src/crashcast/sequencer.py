@@ -1,12 +1,13 @@
 """Per-system chronological event sequences, their pairs and their windows.
 
 A corpus becomes one strictly increasing sequence per system: two columns,
-UTC epoch seconds in an array and the shared kind strings, no object per
-event. Identical instants are resolved deterministically: the colliding group
-is ordered by kind, then each later event is pushed forward one second. A pair
-is one event of a sequence and the history before it. Sequences partition
-losslessly into abutting whole-day windows from midnight UTC of each system's
-first crash, each an index range; windows.jsonl's format is pipeline's contract.
+its events' UTC epoch seconds, as ingest gives them, in an array and the
+shared kind strings, no object per event. Identical instants are resolved
+deterministically: the colliding group is ordered by kind, then each later
+event is pushed forward one second. A pair is one event of a sequence and
+the history before it. Sequences partition losslessly into abutting
+whole-day windows from midnight UTC of each system's first crash, each an
+index range; windows.jsonl's format is pipeline's contract.
 """
 
 from __future__ import annotations
@@ -14,26 +15,12 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 from operator import itemgetter, lt
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, IndexOutOfRange
-from .ingest import CrashCorpus
-
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-DAY = 86400  # seconds
-_SECOND = timedelta(seconds=1)
-
-
-def seconds_of(ts: datetime) -> int:
-    """A UTC instant as whole seconds since the epoch, floored."""
-    return (ts - EPOCH) // _SECOND
-
-
-def instant_of(seconds: int) -> datetime:
-    """The UTC datetime of seconds since the epoch: exact, so seconds_of inverts it."""
-    return EPOCH + timedelta(0, seconds)
+from .ingest import DAY, CrashCorpus, instant_of, seconds_of
 
 
 class SeqEvent(NamedTuple):
@@ -105,7 +92,7 @@ def build_sequences(corpus: CrashCorpus) -> list[EventSequence]:
     """
     by_system: dict[str, list[tuple[int, str]]] = {}
     for system_id, time, kind, _, _ in corpus.events:
-        by_system.setdefault(system_id, []).append((seconds_of(time), kind))
+        by_system.setdefault(system_id, []).append((time, kind))
 
     sequences = []
     for system_id in sorted(by_system):

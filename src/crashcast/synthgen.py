@@ -25,7 +25,7 @@ from typing import Iterator
 
 from ._seed import derive_seed
 from .errors import ConfigError
-from .ingest import BUGCHECK_RE, RawLogRecord, default_catalog
+from .ingest import BUGCHECK_RE, DAY, RawLogRecord, default_catalog, seconds_of
 
 DEFAULT_START = datetime(2021, 1, 1, tzinfo=timezone.utc)
 DEFAULT_DOMINANT_CODE = "0x9F"
@@ -33,8 +33,7 @@ DEFAULT_DOMINANT_WEIGHT = 0.90
 
 NOISE_EVENT_IDS = (1074, 6008, 7001)
 
-_SECONDS_PER_DAY = 86400
-_SECONDS_BITS = _SECONDS_PER_DAY.bit_length()
+_SECONDS_BITS = DAY.bit_length()
 _KNUTH_MAX_RATE = 500  # Knuth's method needs exp(-rate) a normal float, so rate under ~708
 _SYSTEM_ID = "host-{:03d}".format  # of a system index
 
@@ -98,7 +97,7 @@ class GeneratorConfig:
                 f"start_date must be in year 1000 or later, got {self.start_date.date().isoformat()}"
             )
         try:
-            self.start_date + timedelta(days=self.days - 1, seconds=_SECONDS_PER_DAY - 1)
+            self.start_date + timedelta(days=self.days - 1, seconds=DAY - 1)
         except OverflowError:
             raise ConfigError(
                 f"start_date {self.start_date.date().isoformat()} plus {self.days} days"
@@ -137,13 +136,13 @@ def _system_records(
 ) -> list[RawLogRecord]:
     """One system's records.
 
-    days are the horizon's (seconds from start_date, weekday) pairs; labels are
+    days are the horizon's (midnight in UTC epoch seconds, weekday) pairs; labels are
     the catalog's (code, label) pairs, drawn by cum_weights.
     """
     rng = random.Random(derive_seed(seed, "synth", system_index))
     random_, getrandbits = rng.random, rng.getrandbits
     system_id = _SYSTEM_ID(system_index)
-    start, new = config.start_date, tuple.__new__
+    new = tuple.__new__
 
     multipliers = [1.0] * 7
     if config.bursty:
@@ -157,36 +156,36 @@ def _system_records(
     for rate in (config.per_system_rate * value for value in multipliers):
         chunks = math.ceil(rate / _KNUTH_MAX_RATE)
         thresholds.append((math.exp(-(rate / chunks)),) * chunks)
-    offsets: list[int] = []  # crash instants as seconds from start_date
-    append = offsets.append
-    for day_offset, weekday in days:
+    instants: list[int] = []  # crash instants in UTC epoch seconds
+    append = instants.append
+    for midnight, weekday in days:
         count = 0
         for threshold in thresholds[weekday]:
             product = random_()
             while product > threshold:
                 count += 1
                 product *= random_()
-        while count:  # _below(getrandbits, _SECONDS_PER_DAY) each, inlined
+        while count:  # _below(getrandbits, DAY) each, inlined
             count -= 1
             second = getrandbits(_SECONDS_BITS)
-            while second >= _SECONDS_PER_DAY:
+            while second >= DAY:
                 second = getrandbits(_SECONDS_BITS)
-            append(day_offset + second)
-    offsets.sort()
+            append(midnight + second)
+    instants.sort()
 
     # choices(labels, cum_weights=cum_weights): a bisection of the weights' running total
     total, hi = cum_weights[-1] + 0.0, len(labels) - 1
     records = []
     append = records.append
-    for offset in offsets:
+    for instant in instants:
         code, label = labels[bisect(cum_weights, random_() * total, 0, hi)]
         params = ("0x%X" % getrandbits(16), "0x0")
-        append(new(RawLogRecord, (system_id, start + timedelta(0, offset), 41, code, params, label)))
+        append(new(RawLogRecord, (system_id, instant, 41, code, params, label)))
 
     for _ in range(round(config.noise_fraction * len(records))):
-        day, second = _below(getrandbits, config.days), _below(getrandbits, _SECONDS_PER_DAY)
+        day, second = _below(getrandbits, config.days), _below(getrandbits, DAY)
         event_id = NOISE_EVENT_IDS[_below(getrandbits, len(NOISE_EVENT_IDS))]  # choice()
-        instant = start + timedelta(day, second)
+        instant = days[day][0] + second
         append(new(RawLogRecord, (system_id, instant, event_id, None, (), None)))
     return records
 
@@ -206,8 +205,8 @@ def generate_systems(
     labels = [(code, label) for code, label, _ in catalog]
     # the same draws as weights=: choices() only accumulates the weights first
     cum_weights = list(accumulate(weight for _, _, weight in catalog))
-    weekday = config.start_date.weekday()
-    days = [(day * _SECONDS_PER_DAY, (weekday + day) % 7) for day in range(config.days)]
+    start, weekday = seconds_of(config.start_date), config.start_date.weekday()
+    days = [(start + day * DAY, (weekday + day) % 7) for day in range(config.days)]
     # None never meets a str in the sort: noise has no code, event 41 one
     for index in sorted(range(config.n_systems), key=_SYSTEM_ID):
         system = _system_records(config, effective_seed, index, days, labels, cum_weights)

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import random
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from functools import reduce
 from itertools import accumulate, combinations
 from operator import add
@@ -26,13 +26,14 @@ from crashcast._seed import derive_seed
 from crashcast.config import RunConfig
 from crashcast.errors import EmptyCorpus, InsufficientData
 from crashcast.ingest import (
-    DEFAULT_EPOCH_FLOOR,
     CrashEvent,
     RawLogRecord,
     canonical_code,
     default_catalog,
+    instant_of,
     load_catalog,
     normalize_cause,
+    seconds_of,
 )
 from crashcast.postprocess import (
     NormalizationConfig,
@@ -46,6 +47,21 @@ from crashcast.predictor import MIN_SPAN_DAYS
 from crashcast.prompt import render_answer_sentence
 from crashcast.sequencer import EventSequence, LabeledPair, SeqEvent, enumerate_pairs
 from crashcast.synthgen import GeneratorConfig
+
+
+# ingest's DEFAULT_EPOCH_FLOOR as the instant it stands for
+EPOCH_FLOOR = datetime(2000, 1, 1, tzinfo=timezone.utc)
+
+
+def in_seconds(items: Sequence[tuple]) -> list[tuple]:
+    """Records or events made here, their instants (the second field) as UTC epoch seconds,
+    the form crashcast holds them in."""
+    return [item._replace(**{item._fields[1]: seconds_of(item[1])}) for item in items]
+
+
+def in_datetimes(items: Sequence[tuple]) -> list[tuple]:
+    """crashcast's records or events, their instants as the UTC datetimes these loops take."""
+    return [item._replace(**{item._fields[1]: instant_of(item[1])}) for item in items]
 
 
 def clipped_overlap_bruteforce(candidate: Sequence[str], reference: Sequence[str]) -> int:
@@ -150,7 +166,7 @@ def records_by_random_api(config: GeneratorConfig, seed: int) -> list[RawLogReco
 def build_corpus_loop(
     records: Sequence[RawLogRecord],
     catalog: dict[str, str],
-    epoch_floor: datetime = DEFAULT_EPOCH_FLOOR,
+    epoch_floor: datetime = EPOCH_FLOOR,
 ) -> tuple[list[CrashEvent], int, int]:
     """(events, duplicates, dropped_before_floor), one record at a time, first of a key kept."""
     seen = set()

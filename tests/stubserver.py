@@ -8,7 +8,9 @@ connection the test needs.
 By default the stub speaks HTTP/1.0 and closes each connection after one
 answer; StubServer(keep_alive=True) speaks HTTP/1.1 and keeps it open.
 Either way it counts the connections it accepts. Like http.server, it
-writes an answer's headers and body as two segments.
+writes an answer's headers and body as two segments. A client that hangs
+up before its answer is written ends the connection quietly: no
+traceback, and its request still counted in hits.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ class StubServer:
                 super().setup()
                 with stub.lock:
                     stub.connections += 1
+
+            def handle(self):
+                try:
+                    super().handle()
+                except (BrokenPipeError, ConnectionResetError):  # the client hung up
+                    self.close_connection = True
 
             def do_POST(self):
                 with stub.lock:

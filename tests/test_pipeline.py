@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sequence_of
-from oracles import records_by_random_api, run_by_reference, split_by_reference
+from oracles import in_seconds, records_by_random_api, run_by_reference, split_by_reference
 from crashcast import pipeline
 from crashcast.cli import main
 from crashcast.config import RunConfig, parse_run_config
@@ -43,6 +43,7 @@ from crashcast.ingest import (
     format_timestamp,
     parse_lines,
     record_to_line,
+    seconds_of,
 )
 from crashcast.predictor import PredictionRaw, baseline_answer
 from crashcast.sequencer import enumerate_pairs
@@ -242,7 +243,7 @@ REFERENCE_FILES = [name for files in pipeline.STAGES.values() for name in files]
 
 
 # the files run_all writes in this process, not in a forked writer
-MAIN_PROCESS_FILES = [INGEST_FILE, SPLIT_FILE, PREDICTIONS_FILE, REPORT_FILE, TABLE_FILE]
+MAIN_PROCESS_FILES = [SPLIT_FILE, PREDICTIONS_FILE, REPORT_FILE, TABLE_FILE]
 
 
 def _failing_write(*names, after=1):
@@ -1219,6 +1220,26 @@ class TestCli:
         assert not (out / name).exists()
         assert not [*out.glob(".*.partial")]
 
+    # the data writer writes ingest.json last, once it has hashed the logs it wrote
+    def test_a_failed_write_of_the_ingest_file_in_the_data_writer_is_exit_two(
+        self, tmp_path, monkeypatch, writer_pids
+    ):
+        monkeypatch.setattr(pipeline, "_write", _failing_write(INGEST_FILE))
+        result = self.invoke("--config", str(self.write_config(tmp_path)), "run")
+        out = tmp_path / "out"
+        ingest = out / INGEST_FILE
+        assert result.exit_code == 2, result.output
+        assert f"config error: cannot write {ingest}: No space left on device" in result.output
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {
+            "kind": "OSError",
+            "message": f"[Errno {errno.ENOSPC}] No space left on device: '{ingest}'",
+        }
+        assert (out / TIMINGS_FILE).is_file()
+        assert not ingest.exists()
+        _assert_no_writer_left(out, writer_pids)
+
     def test_rerun_never_touches_the_named_logs_file(self, tmp_path):
         out = tmp_path / "out"
         config_path = self.write_config(tmp_path)
@@ -1384,7 +1405,7 @@ def stage_run(tmp_path_factory):
 
 def _check_events(result):
     for event in result.events:
-        assert isinstance(event.time, datetime)
+        assert type(event.time) is int  # UTC epoch seconds
         assert all(isinstance(v, str) for v in (event.system_id, event.kind, event.bugcheck_code))
         assert all(isinstance(p, str) for p in event.params)
 
@@ -1436,7 +1457,11 @@ class TestStageReadersUnderCorruption:
 
 # any code point but a lone surrogate: quotes, backslashes and control characters included
 _TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
-_INSTANTS = st.datetimes(min_value=datetime(1000, 1, 1), timezones=st.just(timezone.utc))
+# UTC epoch seconds of years 1000 to 9999
+_INSTANTS = st.integers(
+    seconds_of(datetime(1000, 1, 1, tzinfo=timezone.utc)),
+    seconds_of(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc)),
+)
 # per field type: values encode_line takes, and the plain JSON value the line holds
 _FIELD_VALUES = {
     "string": (_TEXT, lambda value: value),
@@ -1639,7 +1664,7 @@ class TestWriters:
         config = small_config(out)
         synth_stage(config)
         _assert_no_writer_left(out, writer_pids)
-        records = records_by_random_api(config.generator, config.seed)
+        records = in_seconds(records_by_random_api(config.generator, config.seed))
         assert (out / LOGS_FILE).read_text() == "".join(record_to_line(r) + "\n" for r in records)
         corpus = ingest_stage(config)
         _assert_no_writer_left(out, writer_pids)
@@ -1681,7 +1706,7 @@ class TestWriters:
             writers.start(tmp_path / LOGS_FILE, ["a line"])
         assert raised.value.errno == errno.EAGAIN
         assert raised.value.filename == str(tmp_path / LOGS_FILE)
-        writers.wait(tmp_path / LOGS_FILE)  # nothing started, nothing to wait for
+        writers.wait()  # nothing started, nothing to wait for
         assert writers.waits == {}
 
     def test_a_writer_that_fails_past_an_os_error_names_the_file_and_its_status(
@@ -1734,7 +1759,7 @@ class TestWriters:
         writers = pipeline.Writers()
         writers.start(tmp_path / EVENTS_FILE, killed())
         with pytest.raises(RuntimeError, match=f"failed with status {-signal.SIGKILL}"):
-            writers.wait(tmp_path / EVENTS_FILE)
+            writers.wait()
         _assert_no_writer_left(tmp_path, writer_pids)
         assert not (tmp_path / EVENTS_FILE).exists()
 
@@ -1744,7 +1769,7 @@ class TestWriters:
         timings = json.loads((out / TIMINGS_FILE).read_text())
         assert sorted(timings["seconds"]) == sorted(pipeline.STAGES)
         waits = timings["writer_waits"]
-        assert sorted(waits) == sorted([LOGS_FILE, EVENTS_FILE, WINDOWS_FILE])
+        assert sorted(waits) == sorted([LOGS_FILE, EVENTS_FILE, INGEST_FILE, WINDOWS_FILE])
         assert all(isinstance(value, float) and value >= 0 for value in waits.values())
 
     def test_stop_kills_a_running_writer_and_removes_its_partial_file(self, tmp_path, writer_pids):
@@ -1805,7 +1830,7 @@ class TestWriters:
         writers = pipeline.Writers()
         writers.start(path, ["a line"])
         with pytest.raises(RuntimeError) as raised:
-            writers.wait(path)
+            writers.wait()
         assert str(raised.value) == f"the writer of {path} exited 0 without a full digest"
         assert writers.failure is raised.value
         assert writers.digests == {}
@@ -1834,6 +1859,29 @@ class TestWriters:
             run_all(short)
         expected = (tmp_path / "passes" / INGEST_FILE).read_bytes()
         assert (tmp_path / "fails" / INGEST_FILE).read_bytes() == expected
+
+    # the data writer writes ingest.json itself, so a run stopped once it is done keeps it
+    def test_a_run_stopped_in_sequence_keeps_the_data_writers_ingest_file(
+        self, tmp_path, monkeypatch, writer_pids
+    ):
+        run_all(small_config(tmp_path / "passes"))
+        out = tmp_path / "stopped"
+
+        def stopped_once_the_data_writer_is_done(config, corpus, writers):
+            deadline = time.monotonic() + 30
+            while not (out / INGEST_FILE).exists():  # replaced whole into place, its last file
+                assert time.monotonic() < deadline, "the data writer never wrote ingest.json"
+                time.sleep(0.005)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "sequence_stage", stopped_once_the_data_writer_is_done)
+        with pytest.raises(KeyboardInterrupt):
+            run_all(small_config(out))
+        _assert_no_writer_left(out, writer_pids)
+        assert json.loads((out / MANIFEST_FILE).read_text())["status"] == "failed"
+        ingest = json.loads((out / INGEST_FILE).read_text())
+        assert ingest["source_digest"] == hashlib.sha256((out / LOGS_FILE).read_bytes()).hexdigest()
+        assert ingest == json.loads((tmp_path / "passes" / INGEST_FILE).read_text())
 
 
 def test_run_all_drops_the_corpus_once_it_is_sequenced(tmp_path, monkeypatch):
@@ -1881,9 +1929,9 @@ def test_ingest_frees_each_record_as_it_goes(tmp_path, monkeypatch):
     synth_stage(config)
     counts, rises, real_system_corpus = [], [], pipeline._system_corpus
 
-    def measured(records, catalog):
+    def measured(records, catalog, ingested):
         counts.append(len(records))
-        corpus, rise = _peak_rise(real_system_corpus, records, catalog)
+        corpus, rise = _peak_rise(real_system_corpus, records, catalog, ingested)
         rises.append(rise)
         return corpus
 
@@ -2177,20 +2225,28 @@ HOST_1000 = GeneratorConfig(seed=3, n_systems=1001, days=1, per_system_rate=3.0)
 @example(HOST_1000)
 @settings(max_examples=25, derandomize=True, deadline=None)
 def test_the_data_writer_writes_what_the_stage_route_writes(generator):
-    records = records_by_random_api(generator, generator.seed)
+    records = in_seconds(records_by_random_api(generator, generator.seed))
     with tempfile.TemporaryDirectory() as root:
         config = dataclasses.replace(parse_run_config({"paths": {"out_dir": root}}),
                                      generator=generator)
         pipeline._write_data(config, default_catalog())
         out = Path(root)
         assert (out / LOGS_FILE).read_text() == "".join(record_to_line(r) + "\n" for r in records)
+        critical = filter_critical(records)
         try:
-            events = build_corpus(filter_critical(records)).events
+            corpus = build_corpus(critical)
         except EmptyCorpus:
             assert sorted(path.name for path in out.iterdir()) == [LOGS_FILE]
             return
-        expected = "".join(pipeline.encode_line(pipeline.EVENT_FIELDS, e) + "\n" for e in events)
+        expected = "".join(
+            pipeline.encode_line(pipeline.EVENT_FIELDS, e) + "\n" for e in corpus.events
+        )
         assert (out / EVENTS_FILE).read_text() == expected
+        assert json.loads((out / INGEST_FILE).read_text()) == {
+            "source_digest": hashlib.sha256((out / LOGS_FILE).read_bytes()).hexdigest(),
+            "records": len(records), "critical": len(critical), "events": len(corpus.events),
+            "duplicates": corpus.duplicates, "dropped_before_floor": corpus.dropped_before_floor,
+        }
 
 
 def test_the_data_writers_example_shares_instants_across_systems():
@@ -2354,13 +2410,13 @@ def test_run_all_reports_each_writers_cpu_and_peak_memory(tmp_path):
     run_all(small_config(out))
     timings = json.loads((out / TIMINGS_FILE).read_text())
     usage = timings["writer_usage"]
-    assert sorted(usage) == sorted([LOGS_FILE, EVENTS_FILE, WINDOWS_FILE])
+    assert sorted(usage) == sorted([LOGS_FILE, EVENTS_FILE, INGEST_FILE, WINDOWS_FILE])
     for figures in usage.values():
         assert sorted(figures) == ["maxrss_kb", "system_s", "user_s"]
         assert figures["maxrss_kb"] > 0 and figures["user_s"] + figures["system_s"] > 0
         assert min(figures.values()) >= 0
-    # one data writer wrote the logs and the events
-    assert usage[LOGS_FILE] == usage[EVENTS_FILE] != usage[WINDOWS_FILE]
+    # one data writer wrote the logs, the events and ingest.json
+    assert usage[LOGS_FILE] == usage[EVENTS_FILE] == usage[INGEST_FILE] != usage[WINDOWS_FILE]
 
 
 def test_a_manifest_that_cannot_be_written_leaves_the_first_error_to_propagate(

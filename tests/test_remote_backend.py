@@ -1,4 +1,6 @@
 import json
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -214,6 +216,30 @@ class TestErrorTaxonomy:
         backend = quiet_backend(config_for(stub_server.url(route), retry_limit=0))
         with pytest.raises(TransportError):
             backend.complete("p")
+        assert stub_server.hits == 1
+
+    def test_the_stub_ends_quietly_when_its_client_has_hung_up(self, stub_server, monkeypatch):
+        server, errors, ended = stub_server._server, [], threading.Event()
+        real_shutdown_request = server.shutdown_request
+
+        def shutdown_request(request):  # the last thing a handler thread does
+            real_shutdown_request(request)
+            ended.set()
+
+        # what prints the traceback of a handler's error
+        monkeypatch.setattr(server, "handle_error", lambda *_: errors.append(sys.exc_info()[1]))
+        monkeypatch.setattr(server, "shutdown_request", shutdown_request)
+        stub_server.sleep_s = 0.2
+        with socket.create_connection(server.server_address[:2]) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.sendall(b"POST /fixed HTTP/1.1\r\nHost: stub\r\nContent-Length: 2\r\n\r\n{}")
+            deadline = time.monotonic() + 10
+            while not stub_server.hits:
+                assert time.monotonic() < deadline, "the stub never read the request"
+                time.sleep(0.005)
+        # closed with a reset while the stub sleeps: its answer finds no client
+        assert ended.wait(10)
+        assert errors == []
         assert stub_server.hits == 1
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import at_day, sequence_of
 from crashcast.errors import ConfigError, IndexOutOfRange
-from crashcast.ingest import CrashCorpus, CrashEvent, format_timestamp
+from crashcast.ingest import DAY, CrashCorpus, CrashEvent, format_timestamp, instant_of, seconds_of
 from crashcast.pipeline import (
     WINDOW_FIELDS,
     _timestamp_text,
@@ -21,16 +21,13 @@ from crashcast.pipeline import (
 from crashcast.predictor import MIN_SPAN_DAYS, fit_baseline
 from crashcast.prompt import render_date
 from crashcast.sequencer import (
-    DAY,
     EventSequence,
     LabeledPair,
     SeqEvent,
     build_sequences,
     day_floor,
     enumerate_pairs,
-    instant_of,
     partition_windows,
-    seconds_of,
     window_index_of,
 )
 
@@ -39,7 +36,8 @@ UTC = timezone.utc
 
 def corpus_of(*events):
     crash_events = tuple(
-        CrashEvent(system_id=s, time=t, kind=k, bugcheck_code="0x9F") for s, t, k in events
+        CrashEvent(system_id=s, time=seconds_of(t), kind=k, bugcheck_code="0x9F")
+        for s, t, k in events
     )
     return CrashCorpus(events=crash_events)
 
@@ -166,13 +164,13 @@ class TestPartitionWindows:
             "A", (SeqEvent(datetime(2021, 3, 5, 17, 30, tzinfo=UTC), "a"),)
         )
         (window,) = window_records(seq, 7)
-        assert window["window_start"] == datetime(2021, 3, 5, tzinfo=UTC)
+        assert window["window_start"] == seconds_of(datetime(2021, 3, 5, tzinfo=UTC))
 
     def test_windows_abut_exactly(self):
         seq = sequence_of("A", [(0, "a"), (25, "b")])
         windows = window_records(seq, 7)
         for first, second in zip(windows, windows[1:]):
-            assert second["window_start"] == first["window_start"] + timedelta(days=7)
+            assert second["window_start"] == first["window_start"] + 7 * DAY
 
     def test_width_below_one_day_is_rejected(self):
         with pytest.raises(ConfigError):
@@ -182,7 +180,7 @@ class TestPartitionWindows:
         seq = sequence_of("A", [(d * 1.37, f"k{d}") for d in range(20)])
         for w in window_records(seq, 3):
             for t in w["times"]:
-                assert w["window_start"] <= t < w["window_start"] + timedelta(days=3)
+                assert w["window_start"] <= t < w["window_start"] + 3 * DAY
 
 
 def random_sequence(rng: random.Random, system_id: str) -> EventSequence:
@@ -209,7 +207,7 @@ class TestLosslessPartition:
             assert [w["window_index"] for w in windows] == list(range(len(windows)))
             times = [t for w in windows for t in w["times"]]
             causes = [c for w in windows for c in w["causes"]]
-            assert times == [e.time for e in seq]
+            assert times == [seconds_of(e.time) for e in seq]
             assert causes == [e.kind for e in seq]
 
     def test_serialized_windows_round_trip(self):
@@ -223,6 +221,16 @@ class TestLosslessPartition:
         assert rebuild_sequences(restored) == sorted(
             sequences, key=lambda s: s.system_id
         )
+
+    def test_a_window_that_starts_off_its_place_names_where_it_belongs(self):
+        seq = sequence_of("A", [(0.5, "a"), (9, "b")])
+        lines = windows_to_lines(seq, partition_windows(seq, 7), 7)
+        lines[1] = lines[1].replace("2021-03-08T00:00:00Z", "2021-03-09T00:00:00Z")
+        records = [decode_record(WINDOW_FIELDS, json.loads(line)) for line in lines]
+        with pytest.raises(ValueError) as raised:
+            rebuild_sequences(records)
+        origin = "2021-03-01 00:00:00+00:00"  # as a datetime prints
+        assert str(raised.value) == f"A window 1 is not window 1, 7 days after {origin}"
 
 
 def test_build_sequences_is_deterministic():
@@ -248,8 +256,8 @@ def test_the_seconds_helpers_agree_with_the_datetime_code_they_replace(first, se
     first, last = sorted((first, second))
     start, end = seconds_of(first), seconds_of(last)
     assert instant_of(start) == first and instant_of(end) == last
-    assert format_timestamp(instant_of(end)) == format_timestamp(last)
-    assert _timestamp_text(end) == _timestamp_text(last)  # windows.jsonl's times, from seconds
+    assert format_timestamp(end) == last.strftime("%Y-%m-%dT%H:%M:%SZ")
+    assert _timestamp_text(end) == json.dumps(format_timestamp(end))  # windows.jsonl's times
     assert render_date(end) == last.date().isoformat()
     midnight = first.replace(hour=0, minute=0, second=0)
     assert day_floor(start) == seconds_of(midnight)
