@@ -1022,7 +1022,7 @@ def predict_stage(
         def answer(pair: LabeledPair) -> PredictionRaw:
             try:
                 return baseline_answer(pair.history)
-            except HistoryTooShort:
+            except (HistoryTooShort, OverflowError):  # or a mean wait that ends past 9999-12-31
                 return PredictionRaw("", "", "baseline")
 
     else:
@@ -1142,15 +1142,8 @@ def evaluate_stage(
     backend_id = rows[-1]["backend_id"]
     scored.sort(key=lambda item: (item[0]["system_id"], item[0]["index"]))
 
-    # one dict per distinct score, which every item and category with that score shares
-    dicts: dict[RougeScore, dict[str, float]] = {}
-
     def score_dict(score: RougeScore) -> dict[str, float]:
-        if (shared := dicts.get(score)) is None:
-            shared = dicts[score] = {
-                "precision": score.precision, "recall": score.recall, "f1": score.f1
-            }
-        return shared
+        return {"precision": score.precision, "recall": score.recall, "f1": score.f1}
 
     summary = {
         "backend_id": backend_id,

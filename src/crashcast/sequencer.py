@@ -2,7 +2,8 @@
 
 A corpus becomes one strictly increasing sequence per system: two columns,
 its events' UTC epoch seconds, as ingest gives them, in an array and the
-shared kind strings, no object per event. Identical instants are resolved
+shared kind strings, no object per event: a sequence is sliced, never
+indexed, and each reader takes its columns. Identical instants are resolved
 deterministically: the colliding group is ordered by kind, then each later
 event is pushed forward one second. A pair is one event of a sequence and
 the history before it. Sequences partition losslessly into abutting
@@ -15,17 +16,11 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import datetime
 from operator import itemgetter, lt
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import ConfigError, IndexOutOfRange
-from .ingest import DAY, CrashCorpus, instant_of, seconds_of
-
-
-class SeqEvent(NamedTuple):
-    time: datetime
-    kind: str
+from .ingest import DAY, CrashCorpus
 
 
 @dataclass(frozen=True)
@@ -42,19 +37,14 @@ class EventSequence:
         if not all(map(lt, self.times, self.times[1:])):
             raise ValueError(f"times not strictly increasing for {self.system_id}")
 
-    @classmethod
-    def of(cls, system_id: str, events: Iterable[SeqEvent]) -> EventSequence:
-        times, kinds = [*zip(*events)] or [(), ()]
-        return cls(system_id, array("q", map(seconds_of, times)), kinds)
-
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def __getitem__(self, key):
-        """The event at an index, its time a datetime (so iterating builds each event); or a
-        step-1 slice's events, unchecked: part of an increasing sequence increases."""
+    def __getitem__(self, key: slice) -> EventSequence:
+        """A step-1 slice's events, unchecked: part of an increasing sequence increases. An
+        event is read from the columns, so any other key raises TypeError."""
         if not isinstance(key, slice):
-            return SeqEvent(instant_of(self.times[key]), self.kinds[key])
+            raise TypeError(f"a sequence is sliced, not indexed: {key!r}")
         part = object.__new__(EventSequence)
         part.__dict__.update(system_id=self.system_id, times=self.times[key], kinds=self.kinds[key])
         return part

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import os
 import tracemalloc
+from array import array
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from crashcast.sequencer import EventSequence, SeqEvent
+from crashcast.ingest import seconds_of
+from crashcast.sequencer import EventSequence
 
 BASE = datetime(2021, 3, 1, tzinfo=timezone.utc)
 
@@ -25,9 +27,20 @@ def at_day(day: float, base: datetime = BASE) -> datetime:
     return base + timedelta(days=day)
 
 
+def seconds_at(day: float, base: datetime = BASE) -> int:
+    """The UTC epoch seconds of a day offset from base, floored to the second."""
+    return seconds_of(at_day(day, base))
+
+
+def sequence_at(system_id: str, time_kinds) -> EventSequence:
+    """Build a sequence from (UTC epoch seconds, kind) pairs."""
+    times, kinds = [*zip(*time_kinds)] or [(), ()]
+    return EventSequence(system_id, array("q", times), tuple(kinds))
+
+
 def sequence_of(system_id: str, day_kinds) -> EventSequence:
     """Build a sequence from (day offset, kind) pairs at the shared base date."""
-    return EventSequence.of(system_id, (SeqEvent(at_day(day), kind) for day, kind in day_kinds))
+    return sequence_at(system_id, [(seconds_at(day), kind) for day, kind in day_kinds])
 
 
 def transient_peak(fn, *args):

@@ -20,7 +20,7 @@ from functools import reduce
 from itertools import accumulate, combinations
 from operator import add
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from crashcast._seed import derive_seed
 from crashcast.config import RunConfig
@@ -45,7 +45,7 @@ from crashcast.postprocess import (
 )
 from crashcast.predictor import MIN_SPAN_DAYS
 from crashcast.prompt import render_answer_sentence
-from crashcast.sequencer import EventSequence, LabeledPair, SeqEvent, enumerate_pairs
+from crashcast.sequencer import EventSequence, LabeledPair, enumerate_pairs
 from crashcast.synthgen import GeneratorConfig
 
 
@@ -62,6 +62,18 @@ def in_seconds(items: Sequence[tuple]) -> list[tuple]:
 def in_datetimes(items: Sequence[tuple]) -> list[tuple]:
     """crashcast's records or events, their instants as the UTC datetimes these loops take."""
     return [item._replace(**{item._fields[1]: instant_of(item[1])}) for item in items]
+
+
+class Event(NamedTuple):
+    """One event of a reference sequence."""
+
+    time: datetime
+    kind: str
+
+
+def in_events(sequence: EventSequence) -> list[Event]:
+    """crashcast's sequence as the events these loops take."""
+    return [Event(instant_of(time), kind) for time, kind in zip(sequence.times, sequence.kinds)]
 
 
 def clipped_overlap_bruteforce(candidate: Sequence[str], reference: Sequence[str]) -> int:
@@ -193,7 +205,7 @@ def build_corpus_loop(
     return events, duplicates, dropped
 
 
-def baseline_rates_loop(history: Sequence[SeqEvent]) -> tuple[dict[str, float], float]:
+def baseline_rates_loop(history: Sequence[Event]) -> tuple[dict[str, float], float]:
     """(rates, total_rate) as a dict counted one event at a time and summed left to right."""
     span_days = max((history[-1].time - history[0].time) / timedelta(days=1), MIN_SPAN_DAYS)
     counts: dict[str, int] = {}
@@ -260,8 +272,9 @@ def _lcs_table(a: Sequence[str], b: Sequence[str]) -> int:
     return table[len(a)][len(b)]
 
 
-def _baseline_answers(history: Sequence[SeqEvent]) -> tuple[str, str]:
-    """(time answer, cause answer): the next crash after the mean wait, of the likeliest kind."""
+def _baseline_answers(history: Sequence[Event]) -> tuple[str, str]:
+    """(time answer, cause answer): the next crash after the mean wait, of the likeliest kind;
+    none for a history too short to fit or a wait that ends past the last datetime."""
     if len(history) < 2:
         return "", ""
     rates, total = baseline_rates_loop(history)
@@ -269,7 +282,10 @@ def _baseline_answers(history: Sequence[SeqEvent]) -> tuple[str, str]:
     for kind, rate in rates.items():
         if best is None or rate > rates[best] or (rate == rates[best] and kind < best):
             best = kind
-    when = history[-1].time + timedelta(days=1.0 / total)
+    try:
+        when = history[-1].time + timedelta(days=1.0 / total)
+    except OverflowError:
+        return "", ""
     sentence = render_answer_sentence(when.date().isoformat(), best)
     return sentence, sentence
 
@@ -320,16 +336,16 @@ def run_by_reference(config: RunConfig, out_dir: Path) -> None:
     })
 
     # sequence: ties pushed one second on, then abutting windows from the first event's midnight
-    sequences: dict[str, list[SeqEvent]] = {}
+    sequences: dict[str, list[Event]] = {}
     for event in events:
-        sequences.setdefault(event.system_id, []).append(SeqEvent(event.time, event.kind))
+        sequences.setdefault(event.system_id, []).append(Event(event.time, event.kind))
     width = timedelta(days=config.window_days)
     windows = []
     for system_id in sorted(sequences):
-        shifted: list[SeqEvent] = []
+        shifted: list[Event] = []
         for event in sorted(sequences[system_id], key=lambda e: (e.time, e.kind)):
             if shifted and event.time <= shifted[-1].time:
-                event = SeqEvent(shifted[-1].time + timedelta(seconds=1), event.kind)
+                event = Event(shifted[-1].time + timedelta(seconds=1), event.kind)
             shifted.append(event)
         sequences[system_id] = shifted
         origin = shifted[0].time.replace(hour=0, minute=0, second=0)

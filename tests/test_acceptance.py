@@ -20,7 +20,7 @@ from crashcast.errors import (
     Timeout,
     TransportError,
 )
-from crashcast.ingest import default_catalog
+from crashcast.ingest import default_catalog, seconds_of
 from crashcast.metrics import ZERO_SCORE, lcs_length, rouge_1, rouge_l
 from crashcast.pipeline import (
     MANIFEST_FILE,
@@ -49,12 +49,8 @@ from crashcast.predictor import (
     mbr_next_type,
 )
 from crashcast.prompt import default_template, render_answer_sentence
-from crashcast.sequencer import (
-    EventSequence,
-    SeqEvent,
-    enumerate_pairs,
-    partition_windows,
-)
+from crashcast.sequencer import enumerate_pairs, partition_windows
+from conftest import sequence_at
 from oracles import clipped_overlap_bruteforce, lcs_bruteforce
 
 
@@ -359,8 +355,8 @@ class TestAcceptance:
             events = []
             for _ in range(rng.randrange(1, 60)):
                 t += timedelta(seconds=rng.randrange(1, 200000))
-                events.append(SeqEvent(t, rng.choice(kinds)))
-            seq = EventSequence.of(f"w{case}", events)
+                events.append((seconds_of(t), rng.choice(kinds)))
+            seq = sequence_at(f"w{case}", events)
             width = rng.randrange(1, 12)
             windows = partition_windows(seq, width)
             records = [
@@ -372,8 +368,8 @@ class TestAcceptance:
             assert indices == list(range(len(windows)))
 
             (rebuilt,) = rebuild_sequences(records)
-            assert [e.time for e in rebuilt] == [e.time for e in seq]
-            assert [e.kind for e in rebuilt] == [e.kind for e in seq]
+            assert [*rebuilt.times] == [*seq.times]
+            assert [*rebuilt.kinds] == [*seq.kinds]
             checked += 1
         assert checked == 500
         announce(

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import at_day
-from oracles import baseline_rates_loop
+from conftest import at_day, seconds_at, sequence_at, sequence_of
+from oracles import baseline_rates_loop, in_events
 from crashcast.errors import (
     ConfigError,
     HistoryTooShort,
     DataError,
     ScriptExhausted,
 )
+from crashcast.ingest import instant_of, seconds_of
 from crashcast.postprocess import extract_prediction
 from crashcast.predictor import (
     BackendConfig,
@@ -25,11 +26,10 @@ from crashcast.predictor import (
     mbr_next_time,
     mbr_next_type,
 )
-from crashcast.sequencer import EventSequence, SeqEvent
 
 
 def events_of(day_kinds):
-    return EventSequence.of("s", [SeqEvent(at_day(d), k) for d, k in day_kinds])
+    return sequence_of("s", day_kinds)
 
 
 class TestFitBaseline:
@@ -51,9 +51,9 @@ class TestFitBaseline:
         assert model.total_rate == pytest.approx(1.0)
 
     def test_short_span_is_floored_to_one_day(self):
-        history = EventSequence.of("s", [
-            SeqEvent(at_day(0), "a"),
-            SeqEvent(at_day(0) + timedelta(hours=6), "a"),
+        history = sequence_at("s", [
+            (seconds_at(0), "a"),
+            (seconds_of(at_day(0) + timedelta(hours=6)), "a"),
         ])
         model = fit_baseline(history)
         assert model.observation_span == pytest.approx(1.0)
@@ -109,7 +109,7 @@ class TestPointPredictions:
             kinds = [*order, *"aaabbc"]
             history = events_of([(n * 10 / (len(kinds) - 1), k) for n, k in enumerate(kinds)])
             model = fit_baseline(history)
-            rates, total = baseline_rates_loop(history)
+            rates, total = baseline_rates_loop(in_events(history))
             assert [*model.rates] == [*rates] == order
             assert model.rates == rates
             assert model.total_rate.hex() == total.hex()
@@ -150,8 +150,9 @@ class TestPointPredictions:
         if days[-1] - days[0] < scale:
             return
         base = events_of([(d, "ab"[d % 2]) for d in days])
-        compressed = EventSequence.of("s", [
-            SeqEvent(at_day(0) + (e.time - at_day(0)) / scale, e.kind) for e in base
+        origin = seconds_at(0)
+        compressed = sequence_at("s", [
+            (origin + (time - origin) // scale, kind) for time, kind in zip(base.times, base.kinds)
         ])
         slow = fit_baseline(base)
         fast = fit_baseline(compressed)
@@ -176,8 +177,8 @@ class TestDominantTypeRecovery:
             for _ in range(40):
                 t += timedelta(days=rng.expovariate(1.0))
                 kind = "dominant" if rng.random() < 0.8 else "rare"
-                history.append(SeqEvent(t, kind))
-            if mbr_next_type(fit_baseline(EventSequence.of("s", history))) == "dominant":
+                history.append((seconds_of(t), kind))
+            if mbr_next_type(fit_baseline(sequence_at("s", history))) == "dominant":
                 hits += 1
         assert hits >= 48
 
@@ -186,14 +187,14 @@ class TestBaselineAnswer:
     def test_renders_the_canonical_sentence_in_both_stages(self):
         start = datetime(2021, 2, 28, tzinfo=timezone.utc)
         history = [
-            SeqEvent(start + timedelta(days=d), kind)
+            (seconds_of(start + timedelta(days=d)), kind)
             for d, kind in [
                 (0, "a"), (1, "b"), (2, "a"), (3, "a"),
                 (4, "b"), (5, "a"), (6, "a"), (8, "a"),
             ]
         ]
-        assert history[-1].time == datetime(2021, 3, 8, tzinfo=timezone.utc)
-        raw = baseline_answer(EventSequence.of("s", history))
+        assert instant_of(history[-1][0]) == datetime(2021, 3, 8, tzinfo=timezone.utc)
+        raw = baseline_answer(sequence_at("s", history))
         expected = "The next crash will happen on 2021-03-09 caused by a."
         assert raw.time_answer == expected
         assert raw.cause_answer == expected

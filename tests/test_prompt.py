@@ -5,7 +5,7 @@ import pytest
 
 from conftest import sequence_of
 from crashcast.errors import DataError, InsufficientShots, TemplateError
-from crashcast.ingest import default_catalog
+from crashcast.ingest import default_catalog, instant_of
 from crashcast.postprocess import extract_prediction
 from crashcast.prompt import (
     CAUSE_QUESTION,
@@ -64,10 +64,10 @@ class TestShots:
     def test_shot_target_is_the_true_next_event(self):
         pairs = enumerate_pairs(pool_sequences(n_systems=1, length=4))
         (shot,) = shots_from_pairs(pairs, 1, seed=3)
-        match = [p for p in pairs if p.sequence[p.index - 1].kind == shot.target_cause]
+        match = [p for p in pairs if p.sequence.kinds[p.index - 1] == shot.target_cause]
         assert match
-        target = match[0].sequence[match[0].index - 1]
-        assert shot.target_time == target.time.date().isoformat()
+        target = instant_of(match[0].sequence.times[match[0].index - 1])
+        assert shot.target_time == target.date().isoformat()
 
     def test_shot_history_is_nonempty(self):
         pairs = enumerate_pairs(pool_sequences(n_systems=1, length=5))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import at_day, sequence_of
+from conftest import at_day, seconds_at, sequence_at, sequence_of
 from crashcast.errors import ConfigError, IndexOutOfRange
 from crashcast.ingest import DAY, CrashCorpus, CrashEvent, format_timestamp, instant_of, seconds_of
 from crashcast.pipeline import (
@@ -23,7 +23,6 @@ from crashcast.prompt import render_date
 from crashcast.sequencer import (
     EventSequence,
     LabeledPair,
-    SeqEvent,
     build_sequences,
     day_floor,
     enumerate_pairs,
@@ -51,7 +50,7 @@ class TestBuildSequences:
         )
         sequences = build_sequences(corpus)
         assert [s.system_id for s in sequences] == ["A", "B"]
-        assert [e.time for e in sequences[0]] == [at_day(1), at_day(2)]
+        assert [*map(instant_of, sequences[0].times)] == [at_day(1), at_day(2)]
         assert len(sequences[1]) == 1
 
     def test_single_system_keeps_every_event(self):
@@ -63,9 +62,9 @@ class TestBuildSequences:
         instant = at_day(0)
         corpus = corpus_of(("A", instant, "y"), ("A", instant, "x"))
         (seq,) = build_sequences(corpus)
-        assert [e.kind for e in seq] == ["x", "y"]
-        assert seq[0].time == instant
-        assert seq[1].time == instant + timedelta(seconds=1)
+        assert [*seq.kinds] == ["x", "y"]
+        assert instant_of(seq.times[0]) == instant
+        assert instant_of(seq.times[1]) == instant + timedelta(seconds=1)
 
     def test_displacement_cascades_through_runs(self):
         instant = at_day(0)
@@ -74,7 +73,7 @@ class TestBuildSequences:
             ("A", instant, "a"), ("A", instant, "b"), ("A", one_second, "c")
         )
         (seq,) = build_sequences(corpus)
-        assert [e.time for e in seq] == [
+        assert [*map(instant_of, seq.times)] == [
             instant,
             one_second,
             one_second + timedelta(seconds=1),
@@ -82,22 +81,29 @@ class TestBuildSequences:
 
     def test_strictly_increasing_enforced_by_the_type(self):
         with pytest.raises(ValueError):
-            EventSequence.of("A", (SeqEvent(at_day(1), "x"), SeqEvent(at_day(1), "y")))
+            sequence_at("A", [(seconds_at(1), "x"), (seconds_at(1), "y")])
+
+    def test_a_sequence_is_sliced_not_indexed(self):
+        seq = sequence_of("A", [(0, "a"), (1, "b")])
+        assert seq[1:].kinds == ("b",)
+        for read in (lambda: seq[0], lambda: [*seq]):
+            with pytest.raises(TypeError):
+                read()
 
 
 class TestTakeHistory:
     def test_interior_split(self):
         seq = sequence_of("A", [(0, "a"), (1, "b"), (2, "c")])
         pair = LabeledPair(seq, 3)
-        assert [e.kind for e in pair.history] == ["a", "b"]
-        assert seq[pair.index - 1].kind == "c"
+        assert [*pair.history.kinds] == ["a", "b"]
+        assert seq.kinds[pair.index - 1] == "c"
         assert pair.index == 3
 
     def test_first_index_gives_empty_history(self):
         seq = sequence_of("A", [(0, "a"), (1, "b"), (2, "c")])
         pair = LabeledPair(seq, 1)
-        assert tuple(pair.history) == ()
-        assert seq[pair.index - 1].kind == "a"
+        assert (tuple(pair.history.times), pair.history.kinds) == ((), ())
+        assert seq.kinds[pair.index - 1] == "a"
 
     @pytest.mark.parametrize("index", [0, 4, -1])
     def test_out_of_range_indices(self, index):
@@ -109,7 +115,9 @@ class TestTakeHistory:
         seq = sequence_of("A", [(d, f"k{d}") for d in range(6)])
         for i in range(1, 7):
             pair = LabeledPair(seq, i)
-            assert (*pair.history, seq[pair.index - 1]) == tuple(seq[:i])
+            target = pair.index - 1
+            assert [*pair.history.times, seq.times[target]] == [*seq[:i].times]
+            assert (*pair.history.kinds, seq.kinds[target]) == seq[:i].kinds
 
     def test_enumerate_pairs_respects_min_history(self):
         seq = sequence_of("A", [(0, "a"), (1, "b"), (2, "c")])
@@ -142,7 +150,7 @@ class TestPartitionWindows:
     def test_weekly_example(self):
         seq = sequence_of("A", [(0, "a"), (3, "b"), (8, "c"), (15, "d")])
         windows = partition_windows(seq, 7)
-        assert [[e.kind for e in seq[a:b]] for a, b in windows] == [["a", "b"], ["c"], ["d"]]
+        assert [[*seq[a:b].kinds] for a, b in windows] == [["a", "b"], ["c"], ["d"]]
         records = window_records(seq, 7)
         assert [w["window_index"] for w in records] == [0, 1, 2]
         assert list(records[0]["causes"]) == ["a", "b"]
@@ -160,9 +168,7 @@ class TestPartitionWindows:
         assert list(windows[1]["times"]) == []
 
     def test_window_zero_starts_at_midnight_of_first_crash(self):
-        seq = EventSequence.of(
-            "A", (SeqEvent(datetime(2021, 3, 5, 17, 30, tzinfo=UTC), "a"),)
-        )
+        seq = sequence_at("A", [(seconds_of(datetime(2021, 3, 5, 17, 30, tzinfo=UTC)), "a")])
         (window,) = window_records(seq, 7)
         assert window["window_start"] == seconds_of(datetime(2021, 3, 5, tzinfo=UTC))
 
@@ -190,11 +196,11 @@ def random_sequence(rng: random.Random, system_id: str) -> EventSequence:
     events = []
     for gap in gaps:
         day += gap
-        time = (at_day(0) + timedelta(days=day)).replace(microsecond=0)
-        if events and time <= events[-1].time:
-            time = events[-1].time + timedelta(seconds=1)
-        events.append(SeqEvent(time, rng.choice("abcde")))
-    return EventSequence.of(system_id, events)
+        time = seconds_at(day)
+        if events and time <= events[-1][0]:
+            time = events[-1][0] + 1
+        events.append((time, rng.choice("abcde")))
+    return sequence_at(system_id, events)
 
 
 class TestLosslessPartition:
@@ -207,8 +213,8 @@ class TestLosslessPartition:
             assert [w["window_index"] for w in windows] == list(range(len(windows)))
             times = [t for w in windows for t in w["times"]]
             causes = [c for w in windows for c in w["causes"]]
-            assert times == [seconds_of(e.time) for e in seq]
-            assert causes == [e.kind for e in seq]
+            assert times == [*seq.times]
+            assert causes == [*seq.kinds]
 
     def test_serialized_windows_round_trip(self):
         rng = random.Random(7)
@@ -266,6 +272,6 @@ def test_the_seconds_helpers_agree_with_the_datetime_code_they_replace(first, se
     # the same two integers of microseconds divided, so the same correctly rounded float
     assert (end - start) / DAY == (last - first) / timedelta(days=1)
     if start < end:
-        model = fit_baseline(EventSequence.of("s", [SeqEvent(first, "a"), SeqEvent(last, "b")]))
+        model = fit_baseline(sequence_at("s", [(start, "a"), (end, "b")]))
         assert model.observation_span == max((last - first) / timedelta(days=1), MIN_SPAN_DAYS)
         assert model.t_last == last
