@@ -58,7 +58,7 @@ from contextlib import contextmanager, nullcontext, suppress
 from functools import partial
 from itertools import accumulate, chain, groupby, islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -92,7 +92,7 @@ from .ingest import (
     parse_timestamp,
     record_to_line,
 )
-from .metrics import CATEGORIES, RougeScore, aggregate, score_item
+from .metrics import RougeScore, aggregate, score_item
 from .postprocess import (
     NormalizationConfig,
     default_stopwords,
@@ -215,11 +215,12 @@ def _writer_error(path: Path, reason: str) -> RuntimeError:
 class Writers:
     """Forked children, each writing its files while this process goes on.
 
-    A stage's writer encodes and writes one file, synth's from the records
-    it draws; `run_all`'s data writer also deduplicates the corpus it writes
-    and counts it into ingest.json (_write_data). Each child also hashes the
-    files it wrote and sends their hex digests back through a pipe opened
-    before the fork; digests holds them by path once the child is reaped.
+    A stage's writer (_write_forked) encodes and writes one file, synth's
+    from the records it draws; `run_all`'s data writer also deduplicates the
+    corpus it writes and counts it into ingest.json (_write_data). Each child
+    also hashes the files it wrote and sends their hex digests back through a
+    pipe opened before the fork; digests holds them by path once the child is
+    reaped, and the digest of the logs ingest_stage parsed.
     Leaving the with block waits for every child, so the files the run got
     to are whole. Left normally, it then raises the first child's failure;
     left on an exception, it only removes a failed child's .partial files,
@@ -248,15 +249,6 @@ class Writers:
             self.wait(raising=kind is None)
         finally:
             self.stop()
-
-    def start(self, path: Path, chunks: Iterable[str]) -> None:
-        """Write the text chunks to path from a forked child, which makes them, then hashes."""
-
-        def write() -> None:
-            os.nice(9)  # 19 in all: where it contends for a core, the data writer goes first
-            _write(path, chunks)
-
-        self.fork((path,), write)
 
     def fork(self, paths: tuple[Path, ...], write: Callable[[], Any]) -> None:
         """Call write() in a forked child, which then sends the digest of each of paths.
@@ -346,9 +338,15 @@ class Writers:
 
 
 def _write_forked(path: Path, chunks: Iterable[str], writers: Writers | None) -> None:
-    """Write chunks to path from a child: one of writers, or, given None, one waited for here."""
+    """Write chunks to path from a child, which makes them, then hashes: one of writers, or,
+    given None, one waited for here."""
+
+    def write() -> None:
+        os.nice(9)  # 19 in all: where it contends for a core, the data writer goes first
+        _write(path, chunks)
+
     with (nullcontext(writers) if writers is not None else Writers()) as writers:
-        writers.start(path, chunks)
+        writers.fork((path,), write)
 
 
 def _write_json(path: Path, payload: Any) -> None:
@@ -364,8 +362,10 @@ def _read_json(path: Path) -> Any:
         raise DataError(f"{path.name} is not valid JSON: {err}") from None
 
 
-def _read_lines(path: Path, digest: Any = None) -> Iterator[str]:
-    """A UTF-8 file's lines, split on "\\n" only (JSON Lines), read in chunks fed to digest."""
+def _read_lines(path: Path, digest: Any = None, key: str | None = None) -> Iterator[str]:
+    """A UTF-8 file's lines, split on "\\n" only (JSON Lines), read in chunks fed to digest; one
+    that cannot be opened is a ConfigError if key, the config key naming path, is given."""
+    tail = None  # until the file is open
     try:
         with path.open("rb") as stream:
             tail = b""
@@ -377,6 +377,8 @@ def _read_lines(path: Path, digest: Any = None) -> Iterator[str]:
             if tail:
                 yield tail.decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
+        if tail is None and key is not None:
+            raise ConfigError(f"cannot read {key}: {err}") from None
         raise DataError(f"cannot read {path.name}: {err}") from None
 
 
@@ -673,9 +675,9 @@ def _drawn_corpora(
 
 def ingest_stage(config: RunConfig, writers: Writers | None = None) -> CrashCorpus:
     """The corpus of the logs file synth_stage wrote, or paths.logs names; ingest.json holds
-    the digest of the bytes it parsed."""
-    digest = sha256()
-    records = parse_lines(_read_lines(path_of(config, LOGS_FILE), digest))
+    the digest of the bytes it parsed, and so does writers.digests, given writers."""
+    logs, digest = path_of(config, LOGS_FILE), sha256()
+    records = parse_lines(_read_lines(logs, digest, "paths.logs" if config.paths.logs else None))
     catalog = _named_file("paths.catalog", config.paths.catalog, load_catalog, default_catalog)
     counts: Counter[str] = Counter()
     corpus = _system_corpus(records, catalog, counts)
@@ -684,6 +686,8 @@ def ingest_stage(config: RunConfig, writers: Writers | None = None) -> CrashCorp
 
     lines = (encode_line(EVENT_FIELDS, e) + "\n" for e in corpus.events)
     _write_forked(path_of(config, EVENTS_FILE), lines, writers)
+    if writers is not None:  # the manifest's, so the logs are not read again for it
+        writers.digests[logs] = digest.hexdigest()
     _write_json(path_of(config, INGEST_FILE), {"source_digest": digest.hexdigest(), **counts})
     return corpus
 
@@ -935,20 +939,28 @@ def _bundle_for(
 def _answer_ahead(
     width: int,
     validation: Iterable[LabeledPair],
-    bundle_of: Callable[[LabeledPair], PromptBundle],
-    answer: Callable[[PromptBundle], PredictionRaw],
+    bundle_of: Callable[[LabeledPair], T],
+    answer: Callable[[T], PredictionRaw],
     keep: Callable[[LabeledPair, PredictionRaw], None],
 ) -> None:
     """Answer each pair on width worker threads while this thread makes the next bundles.
 
     Up to width bundles wait, in validation's order, so a worker starts its
     next pair as soon as its last one is answered, and at most width pairs
-    are in flight. The first error in a worker, or an error or interrupt
-    here, stops every pair no worker has taken: the workers finish the
-    pairs they hold, close their connections and are joined before it
-    propagates.
+    are in flight. With width 1 this thread answers each pair itself and
+    starts no thread, so an interrupt reaches the call it is in. The first
+    error in a worker, or an error or interrupt here, stops every pair no
+    worker has taken: the workers finish the pairs they hold and are joined
+    before it propagates. Every thread that answered closes its connections.
     """
-    made: deque[tuple[LabeledPair, PromptBundle]] = deque()
+    if width == 1:  # no worker to hand a pair to and wait on
+        try:
+            for pair in validation:
+                keep(pair, answer(bundle_of(pair)))
+        finally:
+            close_connections()
+        return
+    made: deque[tuple[LabeledPair, T]] = deque()
     turn = threading.Condition()
     stopped: list[BaseException] = []  # why the workers take no more pairs
     all_made = False
@@ -1003,25 +1015,26 @@ def predict_stage(
     config: RunConfig,
     pairs: tuple[Sequence[LabeledPair], Sequence[LabeledPair]] | None = None,
 ) -> list[dict[str, Any]]:
-    """Answer every validation pair, at most `width` pairs in flight.
+    """Answer every validation pair through _answer_ahead, at most `width` pairs in flight.
 
     pairs is (train, validation); None restores them from split.json and
     windows.jsonl. Both are taken in (system_id, index) order, so the
     shots drawn from train do not depend on where the pairs came from.
-    With more than one pair in flight, worker threads answer while this
-    thread makes the prompts (see _answer_ahead). The first backend error
-    stops submission; on any error or interrupt the rows finished so far
-    are flushed before it propagates.
+    Each backend kind gives a bundle of each pair, and an answer of each
+    bundle: the baseline's bundle is the pair's history. The first backend
+    error stops submission; on any error or interrupt the rows finished so
+    far are flushed before it propagates.
     """
     if pairs is None:
         pairs = load_split(config, load_sequences(config))
     train, validation = (sorted(pool, key=_pair_key) for pool in pairs)
 
     if config.backend.kind == "baseline":
+        bundle_of: Callable[[LabeledPair], Any] = attrgetter("history")
 
-        def answer(pair: LabeledPair) -> PredictionRaw:
+        def answer(history: EventSequence) -> PredictionRaw:
             try:
-                return baseline_answer(pair.history)
+                return baseline_answer(history)
             except (HistoryTooShort, OverflowError):  # or a mean wait that ends past 9999-12-31
                 return PredictionRaw("", "", "baseline")
 
@@ -1036,8 +1049,7 @@ def predict_stage(
         def bundle_of(pair: LabeledPair) -> PromptBundle:
             return _bundle_for(config, template, pair, pools[pair.system_id])
 
-        def answer(pair: LabeledPair) -> PredictionRaw:
-            return _predict_one(backend, bundle_of(pair))
+        answer = partial(_predict_one, backend)
 
     width = config.backend.max_in_flight if config.backend.kind == "remote-llm" else 1
     rows: dict[tuple[str, int], dict[str, Any]] = {}
@@ -1051,13 +1063,8 @@ def predict_stage(
         rows[(pair.system_id, pair.index)] = dict(zip(PREDICTION_FIELDS, values))
 
     try:
-        if width == 1:  # answered in this thread: no worker to hand a pair to and wait on
-            for pair in validation:
-                keep(pair, answer(pair))
-        else:
-            _answer_ahead(width, validation, bundle_of, partial(_predict_one, backend), keep)
+        _answer_ahead(width, validation, bundle_of, answer, keep)
     finally:
-        close_connections()  # this thread's, kept by a remote backend with one pair in flight
         ordered = [rows[key] for key in sorted(rows)]
         _write_lines(
             path_of(config, PREDICTIONS_FILE),
@@ -1087,36 +1094,38 @@ _REPORT_ROW = (
 )
 
 
-def _report_rows(rows: Iterable[dict[str, Any]]) -> Iterator[str]:
-    """report.json's "items" list as _INDENTED writes it at depth 1, one chunk per row."""
+def _item_rows(
+    row: dict[str, Any], status: str, scores: dict[str, tuple[RougeScore, RougeScore]]
+) -> Iterator[str]:
+    """report.json's item rows of one prediction row: one text a category of scores, in order."""
     text = encode_basestring_ascii
-    separator = "["
-    for row in rows:
-        r1, rl = row["rouge1"], row["rougeL"]
-        yield separator + _REPORT_ROW % (
-            text(row["category"]), row["index"],
-            r1["f1"], r1["precision"], r1["recall"], rl["f1"], rl["precision"], rl["recall"],
-            text(row["status"]), text(row["system_id"]), row["window_index"],
+    for category, (r1, rl) in scores.items():
+        yield _REPORT_ROW % (
+            text(category), row["index"],
+            r1.f1, r1.precision, r1.recall, rl.f1, rl.precision, rl.recall,
+            text(status), text(row["system_id"]), row["window_index"],
         )
-        separator = ","
-    yield "[]" if separator == "[" else "\n  ]"
 
 
-def report_chunks(report: dict[str, Any]) -> Iterator[str]:
-    """report.json's text, as _write_json writes report, in chunks: the item rows by template.
+def report_chunks(summary: dict[str, Any], items: Iterable[str]) -> Iterator[str]:
+    """report.json's text in chunks, as _write_json writes {**summary, "items": [...]}.
 
-    report["items"] may be any iterable of item dicts, a generator included: each row is
-    encoded as it comes.
+    items are the item rows' texts, as _item_rows makes them; they may come from a
+    generator, each written as it comes.
     """
     separator = "{"
-    for key in sorted(report):
+    for key in sorted([*summary, "items"]):
         yield f"{separator}\n  {encode_basestring_ascii(key)}: "
-        if key == "items":
-            yield from _report_rows(report[key])
+        if key == "items":  # the list at depth 1, one chunk a row
+            separator = "["
+            for item in items:
+                yield separator + item
+                separator = ","
+            yield "[]" if separator == "[" else "\n  ]"
         else:  # a value at depth 1: each of its lines one level further in
-            yield _INDENTED.encode(report[key]).replace("\n", "\n  ")
+            yield _INDENTED.encode(summary[key]).replace("\n", "\n  ")
         separator = ","
-    yield "\n}\n" if report else "{}\n"
+    yield "\n}\n"
 
 
 def evaluate_stage(
@@ -1124,8 +1133,8 @@ def evaluate_stage(
 ) -> dict[str, Any]:
     """Score the prediction rows and write the report; None reads them from predictions.jsonl.
 
-    Returns the report's summary, every key of report.json but "items": each item row is
-    made as report.json is written and let go once encoded.
+    Returns the report's summary, every key of report.json but "items": each item row's
+    text is made from its scores as report.json is written, and let go once written.
     """
     normalization = _normalization_of(config.normalization, config.paths.stopwords)
     if rows is None:
@@ -1142,32 +1151,17 @@ def evaluate_stage(
     backend_id = rows[-1]["backend_id"]
     scored.sort(key=lambda item: (item[0]["system_id"], item[0]["index"]))
 
-    def score_dict(score: RougeScore) -> dict[str, float]:
-        return {"precision": score.precision, "recall": score.recall, "f1": score.f1}
-
     summary = {
         "backend_id": backend_id,
         "normalization": dataclasses.asdict(config.normalization),
         "item_count": len(rows),
         "categories": {
-            category: {"rouge1": score_dict(r1), "rougeL": score_dict(rl)}
+            category: {"rouge1": dataclasses.asdict(r1), "rougeL": dataclasses.asdict(rl)}
             for category, (r1, rl) in means.items()
         },
     }
-    items = (
-        {
-            "system_id": row["system_id"],
-            "index": row["index"],
-            "window_index": row["window_index"],
-            "status": status,
-            "category": category,
-            "rouge1": score_dict(scores[category][0]),
-            "rougeL": score_dict(scores[category][1]),
-        }
-        for row, status, scores in scored
-        for category in CATEGORIES
-    )
-    _write(path_of(config, REPORT_FILE), report_chunks({**summary, "items": items}))
+    items = (text for item in scored for text in _item_rows(*item))
+    _write(path_of(config, REPORT_FILE), report_chunks(summary, items))
 
     table_lines = ["backend_id,category,metric,precision,recall,f1"] + [
         f"{backend_id},{category},{metric},{s.precision:.6f},{s.recall:.6f},{s.f1:.6f}"

@@ -249,28 +249,23 @@ class RemoteBackend:
         self.total_retries = 0
 
     def complete(self, prompt: str) -> str:
-        attempts = self.config.retry_limit + 1
-        last_error: Exception | None = None
-        delay = min(self.config.backoff_base, MAX_BACKOFF_S)
-        for attempt in range(attempts):
-            if attempt:
-                asked = getattr(last_error, "retry_after", None)  # a 429's Retry-After, capped
-                self._sleep(delay if asked is None else asked)  # else backoff_base * 2 ** (attempt - 1)
+        """The completion of prompt; every call is counted, however it ends, with its retries."""
+        retries, delay = 0, min(self.config.backoff_base, MAX_BACKOFF_S)
+        try:
+            while True:
+                try:
+                    return self._request_once(prompt)
+                except (Timeout, TransportError, RateLimited) as err:
+                    if retries == self.config.retry_limit:
+                        raise
+                    asked = getattr(err, "retry_after", None)  # a 429's Retry-After, capped
+                self._sleep(delay if asked is None else asked)  # else backoff_base * 2 ** retries
                 delay = min(2 * delay, MAX_BACKOFF_S)  # doubled exactly, capped
-            try:
-                text = self._request_once(prompt)
-            except (Timeout, TransportError, RateLimited) as err:
-                last_error = err
-                continue
+                retries += 1
+        finally:
             with self._lock:
                 self.total_calls += 1
-                self.total_retries += attempt
-            return text
-        with self._lock:
-            self.total_calls += 1
-            self.total_retries += attempts - 1
-        assert last_error is not None
-        raise last_error
+                self.total_retries += retries
 
     def _request_once(self, prompt: str) -> str:
         body = {

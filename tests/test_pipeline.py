@@ -15,6 +15,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from itertools import chain, islice
 from pathlib import Path
@@ -45,6 +46,7 @@ from crashcast.ingest import (
     record_to_line,
     seconds_of,
 )
+from crashcast.metrics import RougeScore
 from crashcast.predictor import PredictionRaw, baseline_answer
 from crashcast.sequencer import enumerate_pairs
 from crashcast.synthgen import GeneratorConfig, generate_systems
@@ -331,6 +333,7 @@ UNREADABLE_CONFIG_FILES = {
         "paths.catalog",
         lambda tmp: {"paths": {"catalog": str(tmp / "bad-hex.txt")}},
     ),
+    "missing-logs": ("paths.logs", lambda tmp: {"paths": {"logs": str(tmp / "nope.jsonl")}}),
 }
 
 # a remote backend whose calls the tests replace, so no request is sent
@@ -1525,16 +1528,28 @@ _REPORTS = st.fixed_dictionaries({
 })
 
 
+def _report_of(report):
+    """report_chunks' arguments for report: its summary, and its item rows made by _item_rows."""
+    summary = {key: value for key, value in report.items() if key != "items"}
+    items = (
+        text
+        for item in report["items"]
+        for text in pipeline._item_rows(item, item["status"], {
+            item["category"]: (RougeScore(**item["rouge1"]), RougeScore(**item["rougeL"]))
+        })
+    )
+    return summary, items
+
+
 @given(_REPORTS)
 @settings(max_examples=200)
 def test_report_chunks_write_what_the_indenting_encoder_writes(report):
     expected = json.JSONEncoder(sort_keys=True, indent=2).encode(report) + "\n"
-    assert "".join(pipeline.report_chunks(report)) == expected
+    assert "".join(pipeline.report_chunks(*_report_of(report))) == expected
 
 
 def test_report_chunks_of_an_empty_report_and_no_items():
-    assert "".join(pipeline.report_chunks({})) == "{}\n"
-    assert "".join(pipeline.report_chunks({"items": []})) == '{\n  "items": []\n}\n'
+    assert "".join(pipeline.report_chunks({}, [])) == '{\n  "items": []\n}\n'
 
 
 def test_report_chunks_encode_items_a_generator_yields():
@@ -1546,8 +1561,9 @@ def test_report_chunks_encode_items_a_generator_yields():
     ]
     report = {"item_count": 2, "items": rows}
     expected = json.JSONEncoder(sort_keys=True, indent=2).encode(report) + "\n"
-    assert "".join(pipeline.report_chunks({**report, "items": iter(rows)})) == expected
-    empty = "".join(pipeline.report_chunks({"items": (row for row in ())}))
+    summary, items = _report_of(report)
+    assert "".join(pipeline.report_chunks(summary, items)) == expected
+    empty = "".join(pipeline.report_chunks({}, (row for row in ())))
     assert empty == '{\n  "items": []\n}\n'
 
 
@@ -1716,7 +1732,7 @@ class TestWriters:
         monkeypatch.setattr(os, "fork", lambda: _refused(errno.EAGAIN))
         writers = pipeline.Writers()
         with pytest.raises(OSError) as raised:
-            writers.start(tmp_path / LOGS_FILE, ["a line"])
+            pipeline._write_forked(tmp_path / LOGS_FILE, ["a line"], writers)
         assert raised.value.errno == errno.EAGAIN
         assert raised.value.filename == str(tmp_path / LOGS_FILE)
         writers.wait()  # nothing started, nothing to wait for
@@ -1770,7 +1786,7 @@ class TestWriters:
             os.kill(os.getpid(), signal.SIGKILL)
 
         writers = pipeline.Writers()
-        writers.start(tmp_path / EVENTS_FILE, killed())
+        pipeline._write_forked(tmp_path / EVENTS_FILE, killed(), writers)
         with pytest.raises(RuntimeError, match=f"failed with status {-signal.SIGKILL}"):
             writers.wait()
         _assert_no_writer_left(tmp_path, writer_pids)
@@ -1794,7 +1810,7 @@ class TestWriters:
                 yield "a line"
 
         writers = pipeline.Writers()
-        writers.start(path, endless())
+        pipeline._write_forked(path, endless(), writers)
         deadline = time.monotonic() + 10
         while not (tmp_path / f".{EVENTS_FILE}.partial").exists():
             assert time.monotonic() < deadline, "the writer never started"
@@ -1821,6 +1837,26 @@ class TestWriters:
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert manifest["outputs"][name.split(".")[0]] == digest, name
 
+    def test_a_run_on_named_logs_hashes_them_only_as_it_parses_them(self, tmp_path, monkeypatch):
+        synth_stage(small_config(tmp_path / "seed"))
+        logs = tmp_path / "named.jsonl"
+        logs.write_bytes((tmp_path / "seed" / LOGS_FILE).read_bytes())
+        hashed = []  # every path this process hashes through _file_digest
+        real_file_digest = pipeline._file_digest
+
+        def spy(path):
+            hashed.append(str(path))
+            return real_file_digest(path)
+
+        monkeypatch.setattr(pipeline, "_file_digest", spy)
+        out = tmp_path / "out"
+        run_all(small_config(out, paths={"logs": str(logs)}))
+        assert str(logs) not in hashed
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        source_digest = json.loads((out / INGEST_FILE).read_text())["source_digest"]
+        digest = hashlib.sha256(logs.read_bytes()).hexdigest()
+        assert manifest["outputs"]["logs"] == source_digest == digest
+
     def test_each_writer_reports_the_sha256_of_its_file(self, tmp_path, writer_pids):
         files = {
             tmp_path / "empty.jsonl": [],
@@ -1829,7 +1865,7 @@ class TestWriters:
         }
         with pipeline.Writers() as writers:
             for path, lines in files.items():
-                writers.start(path, lines)
+                pipeline._write_forked(path, lines, writers)
         for path in files:
             assert writers.digests[path] == hashlib.sha256(path.read_bytes()).hexdigest()
         _assert_no_writer_left(tmp_path, writer_pids)
@@ -1841,7 +1877,7 @@ class TestWriters:
         monkeypatch.setattr(pipeline, "_file_digest", lambda path: sent)
         path = tmp_path / EVENTS_FILE
         writers = pipeline.Writers()
-        writers.start(path, ["a line"])
+        pipeline._write_forked(path, ["a line"], writers)
         with pytest.raises(RuntimeError) as raised:
             writers.wait()
         assert str(raised.value) == f"the writer of {path} exited 0 without a full digest"
@@ -1860,8 +1896,9 @@ class TestWriters:
                 run_all(small_config(tmp_path / "out"))
         else:
             writers = pipeline.Writers()
-            writers.start(tmp_path / EVENTS_FILE, iter(lambda: time.sleep(0.01) or "a line", None))
-            writers.start(tmp_path / WINDOWS_FILE, ["a line"])
+            endless = iter(lambda: time.sleep(0.01) or "a line", None)
+            pipeline._write_forked(tmp_path / EVENTS_FILE, endless, writers)
+            pipeline._write_forked(tmp_path / WINDOWS_FILE, ["a line"], writers)
             writers.stop()
         assert sorted(os.listdir("/proc/self/fd")) == open_before
 
@@ -2114,6 +2151,31 @@ def test_answer_ahead_answers_each_pair_once_with_at_most_width_in_flight():
     _answer_ahead_checked(8, 600, answer, kept, bundle_of=lambda pair: -pair)
     assert sorted(kept, reverse=True) == [-pair for pair in range(600)]
     assert most[0] <= 8
+
+
+@pytest.mark.parametrize("failing", [None, 2])
+def test_answer_ahead_at_width_one_answers_here_and_closes_this_threads_connection(
+    monkeypatch, failing
+):
+    here, threads_before = threading.current_thread(), threading.active_count()
+    answered, closed, kept = [], [], []
+    monkeypatch.setattr(
+        pipeline, "close_connections", lambda: closed.append(threading.current_thread())
+    )
+
+    def answer(bundle):
+        answered.append((threading.current_thread(), threading.active_count()))
+        if bundle == failing:
+            raise TransportError("down")
+        return -bundle
+
+    with pytest.raises(TransportError) if failing is not None else nullcontext():
+        pipeline._answer_ahead(1, range(5), lambda pair: pair, answer,
+                               lambda pair, raw: kept.append((pair, raw)))
+    answered_pairs = 5 if failing is None else failing + 1
+    assert answered == [(here, threads_before)] * answered_pairs  # no thread was started
+    assert kept == [(pair, -pair) for pair in range(5 if failing is None else failing)]
+    assert closed == [here]
 
 
 @pytest.mark.parametrize("where", ["worker", "here"])

@@ -97,6 +97,12 @@ class TestRetries:
             backend.complete("p")
         assert stub_server.hits == 1
 
+    def test_a_call_that_ends_in_an_error_it_does_not_retry_is_counted(self, stub_server):
+        backend = quiet_backend(config_for(stub_server.url("rejected"), retry_limit=5))
+        with pytest.raises(ProtocolError):
+            backend.complete("p")
+        assert (backend.total_calls, backend.total_retries) == (1, 0)
+
     def test_backoff_doubles_per_attempt(self, stub_server):
         stub_server.fail_first = 3
         waits = []
