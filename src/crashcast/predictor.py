@@ -11,6 +11,7 @@ template the prompts teach, so everything downstream is backend-agnostic.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from collections import Counter
@@ -77,19 +78,43 @@ class BackendConfig:
             raise ConfigError("backoff_base must not be negative")
         if self.max_output_tokens < 1:
             raise ConfigError("max_output_tokens must be at least 1")
-        # the client speaks HTTP and HTTPS alone
-        if self.kind == "remote-llm" and not _is_http_url(self.endpoint):
-            raise ConfigError(
-                f"remote-llm backend requires an http:// or https:// endpoint, got {self.endpoint!r}"
-            )
+        if self.kind == "remote-llm":
+            # split once here, not at the first request: RemoteBackend dials what this checked
+            object.__setattr__(self, "address", _address_of(self.endpoint))
 
 
-def _is_http_url(endpoint: str | None) -> bool:
+def _address_of(endpoint: str | None) -> tuple[str, str, int, str, str]:
+    """The scheme, host, port, Host header and request target of an endpoint the client can dial.
+
+    Host and port are split as http.client splits them: the host keeps its case and loses an
+    IPv6 literal's brackets, and the port defaults to the scheme's. Anything else is a
+    ConfigError naming backend.endpoint: another scheme, no host, credentials (which the client
+    never sends), a port that is not a number from 0 to 65535, a space, a control character or
+    a character that is not ASCII.
+    """
     try:
         url = urlsplit(endpoint or "")
-    except ValueError:
-        return False
-    return url.scheme in ("http", "https") and bool(url.netloc)
+        port = url.port  # a ValueError for a port that is not a number from 0 to 65535
+    except ValueError as err:
+        raise ConfigError(f"backend.endpoint {endpoint!r} cannot be dialled: {err}") from None
+    # the client speaks HTTP and HTTPS alone
+    if url.scheme not in ("http", "https") or not url.netloc:
+        raise ConfigError(
+            f"remote-llm backend requires an http:// or https:// endpoint, got {endpoint!r}"
+        )
+    if "@" in url.netloc or not url.hostname:
+        raise ConfigError(f"backend.endpoint {endpoint!r} must name a host, and no credentials")
+    if " " in endpoint or not (endpoint.isascii() and endpoint.isprintable()):
+        raise ConfigError(f"backend.endpoint {endpoint!r} must be printable ASCII without spaces")
+    colon, bracket = url.netloc.rfind(":"), url.netloc.rfind("]")
+    host = url.netloc[:colon] if colon > bracket else url.netloc
+    host = host.removeprefix("[").removesuffix("]")
+    default_port = 443 if url.scheme == "https" else 80
+    port = default_port if port is None else port
+    host_header = f"[{host}]" if ":" in host else host
+    host_header += f":{port}" if port != default_port else ""
+    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    return url.scheme, host, port, host_header, target
 
 
 @dataclass(frozen=True)
@@ -193,10 +218,18 @@ class ScriptedBackend:
 
 # --- remote chat-completion backend -------------------------------------------
 
-# each thread's kept-alive connection and the (scheme, netloc, timeout) it was made for. It
-# lives here, not on the backend, because what make_backend returns may be wrapped so that
-# only complete() reaches it: a thread closes its connection through close_connections()
+# each thread's kept-alive connection, a (socket, buffered reader) pair, and the (scheme, host,
+# port, timeout) it was made for. It lives here, not on the backend, because what make_backend
+# returns may be wrapped so that only complete() reaches it: a thread closes its connection
+# through close_connections()
 _kept = threading.local()
+
+# http.client's limits on an answer's head: the longest line, and the most lines of header
+# fields (the blank line that ends them counted), so that a server cannot grow the client
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+# HTTP/1.x, then a status from 100 to 999 and the reason, as http.client reads them
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\S*)\s+([1-9]\d\d)(?:\s.*)?", re.DOTALL)
 
 
 def close_connections() -> None:
@@ -209,7 +242,9 @@ def close_connections() -> None:
     connection = getattr(_kept, "connection", None)
     _kept.connection = _kept.origin = None
     if connection is not None:
-        connection.close()
+        sock, reader = connection
+        reader.close()
+        sock.close()
 
 
 def _retry_after(value: str | None) -> float | None:
@@ -221,6 +256,80 @@ def _retry_after(value: str | None) -> float | None:
     if not (text.isascii() and text.isdigit()):
         return None
     return min(float(text), MAX_BACKOFF_S)
+
+
+def _fields(reader) -> dict[bytes, bytes]:
+    """Header or trailer fields up to the blank line: lowercased names, the first value of each."""
+    fields: dict[bytes, bytes] = {}
+    for _ in range(_MAX_HEADERS):
+        line = reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise TransportError(f"a header line is longer than {_MAX_LINE} bytes")
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, _, value = line.partition(b":")
+        fields.setdefault(name.lower(), value.strip())
+    raise TransportError(f"more than {_MAX_HEADERS - 1} header fields")
+
+
+def _exactly(reader, size: int) -> bytes:
+    """The answer's next size bytes, a MiB a read: memory grows with what came, not the claim."""
+    parts = []
+    while size > 0:
+        parts.append(reader.read(min(size, 1 << 20)))
+        if not parts[-1]:
+            raise TransportError("the connection closed inside the answer's body")
+        size -= len(parts[-1])
+    return b"".join(parts)
+
+
+def _chunks(reader) -> bytes:
+    """A chunked body (RFC 9112 §7.1): the size lines' extensions and the trailer are skipped."""
+    chunks = []
+    while True:
+        line = reader.readline(_MAX_LINE + 1)
+        size = int(line.partition(b";")[0], 16) if len(line) <= _MAX_LINE else -1
+        if size < 0:
+            raise TransportError("a chunk size line is malformed")
+        if size == 0:
+            _fields(reader)
+            return b"".join(chunks)
+        chunks.append(_exactly(reader, size))
+        if reader.read(2) != b"\r\n":
+            raise TransportError("a chunk does not end where its size line said")
+
+
+def _answer(reader, line: bytes) -> tuple[int, str | None, bytes, bool]:
+    """The rest of an answer whose first status line is read: its status, Retry-After, body,
+    and whether the connection may carry the next request.
+
+    Interim 1xx answers are skipped. The body is sized by RFC 9112 §6.3: none for a
+    204 or 304, else chunked, else Content-Length, else all the server sends before it closes.
+    """
+    while True:
+        status_line = _STATUS_LINE.fullmatch(line)
+        if status_line is None or len(line) > _MAX_LINE:
+            raise TransportError(f"malformed status line {line[:80]!r}")
+        minor, status = status_line.groups()
+        fields = _fields(reader)
+        if not status.startswith(b"1"):
+            break
+        line = reader.readline(_MAX_LINE + 1)
+    connection = fields.get(b"connection", b"").lower()
+    keep = b"keep-alive" in connection if minor == b"0" else b"close" not in connection
+    length = fields.get(b"content-length")
+    if status in (b"204", b"304"):
+        body = b""
+    elif fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        body = _chunks(reader)
+    elif length is not None:
+        if not length.isdigit():
+            raise TransportError(f"malformed Content-Length {length!r}")
+        body = _exactly(reader, int(length))
+    else:
+        body, keep = reader.read(), False
+    retry_after = fields.get(b"retry-after")
+    return int(status), None if retry_after is None else retry_after.decode("latin-1"), body, keep
 
 
 class RemoteBackend:
@@ -242,9 +351,13 @@ class RemoteBackend:
         self.backend_id = f"remote:{config.model_name or 'default'}"
         self._sleep = sleep
         self._lock = threading.Lock()
-        url = urlsplit(config.endpoint)
-        self._origin = (url.scheme, url.netloc, config.timeout)
-        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        scheme, host, port, host_header, target = config.address
+        self._origin = (scheme, host, port, config.timeout)
+        # the request's head up to its Content-Length, the header fields http.client sends
+        self._head = (
+            f"POST {target} HTTP/1.1\r\nHost: {host_header}\r\nAccept-Encoding: identity\r\n"
+            "Content-Type: application/json\r\nContent-Length: "
+        ).encode("ascii")
         self.total_calls = 0
         self.total_retries = 0
 
@@ -299,45 +412,58 @@ class RemoteBackend:
         """POST payload on this thread's connection: the status, Retry-After and body.
 
         A kept-alive connection that the server closed while it sat idle fails
-        at the send or answers nothing; the request then goes once more, on a
-        new connection, which is not a retry. Any failure closes the connection.
+        at the send or gives no status line; the request then goes once more,
+        on a new connection, which is not a retry. Any failure closes the
+        connection, and so does an answer after which the server closes it.
         """
-        # imported here, not at module level: they load ssl, email and socket, which only this needs
-        import http.client
-        import socket
+        import socket  # here, not at module level: only a remote call needs it
 
         reused = answered = False
         try:
-            connection = self._connection()
-            reused = connection.sock is not None
-            connection.request("POST", self._target, payload, {"Content-Type": "application/json"})
+            reused = getattr(_kept, "origin", None) == self._origin
+            sock, reader = _kept.connection if reused else self._connect()
+            sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(payload), payload))
             if hasattr(socket, "TCP_QUICKACK"):
                 # sending left delayed-ACK mode on: ACK the answer's first segment at once, or a
                 # server that writes its headers and body apart holds the body back (Nagle), ~40 ms
-                connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
-            response = connection.getresponse()
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+            line = reader.readline(_MAX_LINE + 1)
+            if not line:
+                raise ConnectionResetError("the server closed the connection without an answer")
             answered = True
-            return response.status, response.getheader("Retry-After"), response.read()
+            status, retry_after, body, keep = _answer(reader, line)
+            if not keep:
+                close_connections()
+            return status, retry_after, body
         except BaseException as err:
             close_connections()
             if resend and reused and not answered and isinstance(err, ConnectionError):
                 return self._exchange(payload, resend=False)
             if isinstance(err, TimeoutError):
                 raise Timeout(f"no response within {self.config.timeout}s") from err
-            if isinstance(err, (OSError, http.client.HTTPException)):
+            if isinstance(err, (OSError, ValueError)):  # ValueError: a chunk size not in hex
                 raise TransportError(str(err)) from err
             raise
 
-    def _connection(self):
-        """This thread's connection to the endpoint, made if it has none; it connects on first use."""
-        import http.client
+    def _connect(self):
+        """A new connection to the endpoint, kept as this thread's: a socket and a reader of it."""
+        import socket
 
-        if getattr(_kept, "origin", None) != self._origin:
-            close_connections()
-            scheme, netloc, timeout = self._origin
-            kind = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
-            _kept.connection = kind(netloc, timeout=timeout)
-            _kept.origin = self._origin
+        close_connections()
+        scheme, host, port, timeout = self._origin
+        sock = socket.create_connection((host, port), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":  # verified against the system's CA certificates, as http.client
+                import ssl
+
+                context = ssl.create_default_context()
+                context.set_alpn_protocols(["http/1.1"])
+                sock = context.wrap_socket(sock, server_hostname=host)
+        except BaseException:
+            sock.close()
+            raise
+        _kept.connection, _kept.origin = (sock, sock.makefile("rb")), self._origin
         return _kept.connection
 
 

@@ -10,19 +10,30 @@ answer; StubServer(keep_alive=True) speaks HTTP/1.1 and keeps it open.
 Either way it counts the connections it accepts. Like http.server, it
 writes an answer's headers and body as two segments. A client that hangs
 up before its answer is written ends the connection quietly: no
-traceback, and its request still counted in hits.
+traceback, and its request still counted in hits. StubServer(context=...)
+serves through that SSL context, at an https:// URL.
+
+RawStub answers every request with canned bytes, written as given, for
+tests of how a client reads an answer, malformed ones included.
+
+Run as a script, it serves a kept-alive StubServer from a process of its
+own: it prints the URL of its fixed route and stops when its standard
+input closes.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import struct
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 class StubServer:
-    def __init__(self, keep_alive: bool = False):
+    def __init__(self, keep_alive: bool = False, context=None):
         self.hits = 0
         self.connections = 0
         self.retry_after = "1"  # the Retry-After header of a /retry-after 429
@@ -140,6 +151,10 @@ class StubServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.scheme = "http"
+        if context is not None:  # each accepted connection does its TLS handshake first
+            self._server.socket = context.wrap_socket(self._server.socket, server_side=True)
+            self.scheme = "https"
         # a short poll lets stop() return within 20 ms, not the default 0.5 s
         self._thread = threading.Thread(
             target=self._server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
@@ -151,8 +166,119 @@ class StubServer:
 
     def url(self, route: str = "fixed") -> str:
         host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}/{route}"
+        return f"{self.scheme}://{host}:{port}/{route}"
 
     def stop(self):
         self._server.shutdown()
         self._server.server_close()
+
+
+# RawStub's steps besides bytes and seconds: close the connection, or close it with a TCP reset
+CLOSE = "close"
+RESET = "reset"
+
+
+class RawStub:
+    """Answers every request with the same canned steps, on a raw socket.
+
+    A bytes step is written as one segment, a number is slept in seconds,
+    and CLOSE or RESET ends the connection; steps that end with neither
+    leave it open for the next request. It counts the connections it
+    accepts and the requests it reads, and keeps each request's head.
+    """
+
+    def __init__(self, *steps):
+        self.steps = steps
+        self.connections = 0
+        self.hits = 0
+        self.heads: list[bytes] = []
+        self.lock = threading.Lock()
+        self._open: list[socket.socket] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.02)  # how soon the accepting thread sees stop()
+        self._stopped = threading.Event()
+        self._threads = [threading.Thread(target=self._accept, daemon=True)]
+
+    def start(self) -> "RawStub":
+        self._threads[0].start()
+        return self
+
+    @property
+    def port(self) -> int:
+        return self._listener.getsockname()[1]
+
+    def url(self, route: str = "raw") -> str:
+        return f"http://127.0.0.1:{self.port}/{route}"
+
+    def stop(self):
+        self._stopped.set()
+        self._threads[0].join(10)
+        self._listener.close()
+        with self.lock:
+            for conn in self._open:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)  # wakes a thread blocked reading it
+                except OSError:
+                    pass
+        for thread in self._threads:
+            thread.join(10)
+
+    def _accept(self):
+        while not self._stopped.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
+            with self.lock:
+                self.connections += 1
+                self._open.append(conn)
+                self._threads.append(thread)
+            thread.start()
+
+    def _serve(self, conn: socket.socket):
+        reader = conn.makefile("rb")
+        try:
+            while self._answer(conn, reader):
+                pass
+        except OSError:  # the client hung up, or stop() shut the connection
+            pass
+        finally:
+            reader.close()
+            conn.close()
+
+    def _answer(self, conn: socket.socket, reader) -> bool:
+        """Read one request and write the steps; False once the connection is over."""
+        head = b""
+        while not head.endswith(b"\r\n\r\n"):
+            line = reader.readline()
+            if not line:
+                return False
+            head += line
+        length = 0
+        for line in head.split(b"\r\n"):
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        reader.read(length)
+        with self.lock:
+            self.hits += 1
+            self.heads.append(head)
+        for step in self.steps:
+            if step == RESET:
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                return False
+            if step == CLOSE:
+                return False
+            if isinstance(step, bytes):
+                conn.sendall(step)
+            else:
+                time.sleep(step)
+        return True
+
+
+if __name__ == "__main__":
+    server = StubServer(keep_alive=True).start()
+    print(server.url(), flush=True)
+    sys.stdin.read()
+    server.stop()
