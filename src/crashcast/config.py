@@ -22,6 +22,7 @@ from typing import Any, Mapping, get_args, get_origin, get_type_hints
 from ._seed import sha256
 from .errors import ConfigError
 from .ingest import is_utf8_encodable
+from .postprocess import NormalizationFlags
 from .predictor import BackendConfig
 from .synthgen import GeneratorConfig
 
@@ -33,15 +34,6 @@ class RunPaths:
     template: str | None = None
     stopwords: str | None = None
     out_dir: str = "out"
-
-
-@dataclass(frozen=True)
-class NormalizationFlags:
-    """Tokenizer switches; the stopword list itself loads at evaluate time."""
-
-    lowercase: bool = True
-    strip_punctuation: bool = True
-    remove_stopwords: bool = False
 
 
 @dataclass(frozen=True)

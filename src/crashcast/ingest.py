@@ -16,15 +16,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
-from importlib import resources
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import BadCode, BadTimestamp, EmptyCorpus, MalformedRecord
+from .errors import BadCode, BadTimestamp, MalformedRecord
 
 CRITICAL_EVENT_ID = 41  # kernel event for a reboot without clean shutdown
+
+DATA_DIR = Path(__file__).with_name("data")  # the packaged defaults: catalog, template, stopwords
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 DAY = 86400  # seconds
@@ -33,8 +34,6 @@ DAY = 86400  # seconds
 DEFAULT_EPOCH_FLOOR = 946_684_800
 
 MAX_PARAMS = 4
-
-NO_EVENTS = "zero crash events survived corpus construction"  # EmptyCorpus's message
 
 # Both patterns must match the whole value (fullmatch), in ASCII digits only.
 BUGCHECK_RE = re.compile(r"0x[0-9A-Fa-f]{1,8}")
@@ -276,12 +275,8 @@ def load_catalog(path: str | Path) -> dict[str, str]:
     return catalog
 
 
-def default_catalog_path() -> Path:
-    return Path(str(resources.files("crashcast").joinpath("data/bugcheck_catalog.txt")))
-
-
 def default_catalog() -> dict[str, str]:
-    return load_catalog(default_catalog_path())
+    return load_catalog(DATA_DIR / "bugcheck_catalog.txt")
 
 
 def _derive_kind(record: RawLogRecord, catalog: dict[str, str]) -> str:
@@ -296,17 +291,15 @@ def _derive_kind(record: RawLogRecord, catalog: dict[str, str]) -> str:
 
 
 def build_corpus(
-    records: Iterable[RawLogRecord],
-    catalog: dict[str, str] | None = None,
-    epoch_floor: int = DEFAULT_EPOCH_FLOOR,
+    records: Iterable[RawLogRecord], catalog: dict[str, str] | None = None
 ) -> CrashCorpus:
     """Turn critical-only records into a deduplicated CrashCorpus.
 
     Cause text is normalized; records without a cause fall back to the
     catalog, then to the bugcheck code itself. Exact duplicates on
     (system_id, time, bugcheck_code) collapse to the first in input
-    order and are counted, as are events before the epoch floor, in UTC
-    epoch seconds. Raises EmptyCorpus when nothing survives.
+    order and are counted, as are events before DEFAULT_EPOCH_FLOOR.
+    The corpus may hold no event: the stages refuse it, not this.
     """
     if catalog is None:
         catalog = default_catalog()
@@ -319,7 +312,7 @@ def build_corpus(
     dropped = 0
     for record in records:
         system_id, timestamp, _, raw, params, cause = record
-        if timestamp < epoch_floor:
+        if timestamp < DEFAULT_EPOCH_FLOOR:
             dropped += 1
             continue
         if (code := codes.get(raw)) is None:
@@ -327,9 +320,6 @@ def build_corpus(
         if (kind := kinds.get((cause, raw))) is None:
             kind = kinds[cause, raw] = _derive_kind(record, catalog)
         systems[system_id].append(new(CrashEvent, (system_id, timestamp, kind, code, params)))
-
-    if not systems:
-        raise EmptyCorpus(NO_EVENTS)
 
     # (system_id, time, bugcheck_code) order, one system's keys alive at a time; each sort is
     # stable, so the first of each run of equal keys is the first in input order

@@ -15,7 +15,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .postprocess import ExtractedPrediction, NormalizationConfig, tokenize
+from .postprocess import ExtractedPrediction, NormalizationFlags, tokenize
 from .prompt import render_answer_sentence
 
 CATEGORIES = ("time", "cause", "full")
@@ -95,7 +95,11 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
 
 
 def score_item(
-    pred: ExtractedPrediction, target_date: str, target_cause: str, config: NormalizationConfig
+    pred: ExtractedPrediction,
+    target_date: str,
+    target_cause: str,
+    flags: NormalizationFlags,
+    stopwords: frozenset[str],
 ) -> dict[str, tuple[RougeScore, RougeScore]]:
     """Score one prediction in every category as {category: (rouge1, rougeL)}.
 
@@ -104,18 +108,18 @@ def score_item(
     prediction with nothing extracted scores zero across the board, full
     category included, but is still counted.
     """
-    time_candidate = tokenize(pred.time_text or "", config)
-    cause_candidate = tokenize(pred.cause_text or "", config)
+    def tokens(text: str) -> list[str]:
+        return tokenize(text, flags, stopwords)
+
     if pred.extraction_status == "none":
         full_candidate: list[str] = []
     else:
-        full_candidate = tokenize(pred.full_text, config)
-
+        full_candidate = tokens(pred.full_text)
     reference_sentence = render_answer_sentence(target_date, target_cause)
     pairs = {
-        "time": (time_candidate, tokenize(target_date, config)),
-        "cause": (cause_candidate, tokenize(target_cause, config)),
-        "full": (full_candidate, tokenize(reference_sentence, config)),
+        "time": (tokens(pred.time_text or ""), tokens(target_date)),
+        "cause": (tokens(pred.cause_text or ""), tokens(target_cause)),
+        "full": (full_candidate, tokens(reference_sentence)),
     }
     return {
         category: (rouge_1(cand, ref), rouge_l(cand, ref))

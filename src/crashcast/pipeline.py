@@ -63,7 +63,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._seed import derive_seed, sha256
-from .config import NormalizationFlags, RunConfig, config_digest, resolved_dict
+from .config import RunConfig, config_digest, resolved_dict
 from .errors import (
     BackendError,
     ConfigError,
@@ -75,7 +75,6 @@ from .errors import (
 )
 from .ingest import (
     DAY,
-    NO_EVENTS,
     CrashCorpus,
     CrashEvent,
     RawLogRecord,
@@ -94,7 +93,6 @@ from .ingest import (
 )
 from .metrics import RougeScore, aggregate, score_item
 from .postprocess import (
-    NormalizationConfig,
     default_stopwords,
     extract_prediction,
     load_stopwords,
@@ -596,23 +594,21 @@ def synth_stage(config: RunConfig, writers: Writers | None = None) -> None:
 
 # --- synth and ingest, one system at a time ---------------------------------------
 
+NO_EVENTS = "zero crash events survived corpus construction"  # the stages' EmptyCorpus message
+
+
 def _system_corpus(
     records: list[RawLogRecord], catalog: dict[str, str], counts: Counter[str]
 ) -> CrashCorpus:
     """The corpus of records, often one system's; records is emptied.
 
     It adds to counts what ingest.json holds: the records, the critical records, the
-    events, the duplicates and the records dropped before the epoch floor. build_corpus
-    refuses a corpus with no event; this returns a corpus of no events that drops every
-    critical record.
+    events, the duplicates and the records dropped before the epoch floor.
     """
     total = len(records)
     critical = filter_critical(_drained(records))
     count = len(critical)
-    try:
-        corpus = build_corpus(_drained(critical), catalog=catalog)
-    except EmptyCorpus:
-        corpus = CrashCorpus([], 0, count)
+    corpus = build_corpus(_drained(critical), catalog=catalog)
     counts.update(records=total, critical=count, events=len(corpus.events),
                   duplicates=corpus.duplicates, dropped_before_floor=corpus.dropped_before_floor)
     return corpus
@@ -895,22 +891,6 @@ def load_split(
     return train, validation
 
 
-def _normalization_of(
-    flags: NormalizationFlags, stopwords_path: str | None
-) -> NormalizationConfig:
-    stopword_list = frozenset()
-    if flags.remove_stopwords:
-        stopword_list = _named_file(
-            "paths.stopwords", stopwords_path, load_stopwords, default_stopwords
-        )
-    return NormalizationConfig(
-        lowercase=flags.lowercase,
-        strip_punctuation=flags.strip_punctuation,
-        remove_stopwords=flags.remove_stopwords,
-        stopword_list=stopword_list,
-    )
-
-
 def _predict_one(
     backend: Backend, bundle: PromptBundle
 ) -> PredictionRaw:
@@ -1111,32 +1091,44 @@ def report_chunks(summary: dict[str, Any], items: Iterable[str]) -> Iterator[str
     """report.json's text in chunks, as _write_json writes {**summary, "items": [...]}.
 
     items are the item rows' texts, as _item_rows makes them; they may come from a
-    generator, each written as it comes.
+    generator, each written as it comes into the gap the summary's text leaves for them.
     """
-    separator = "{"
-    for key in sorted([*summary, "items"]):
-        yield f"{separator}\n  {encode_basestring_ascii(key)}: "
-        if key == "items":  # the list at depth 1, one chunk a row
-            separator = "["
-            for item in items:
-                yield separator + item
-                separator = ","
-            yield "[]" if separator == "[" else "\n  ]"
-        else:  # a value at depth 1: each of its lines one level further in
-            yield _INDENTED.encode(summary[key]).replace("\n", "\n  ")
+    # the marker is there once: the encoder escapes a string's every '"', and no nested
+    # key is "items"; a second one would fail this unpacking
+    head, tail = _INDENTED.encode({**summary, "items": []}).split('"items": []')
+    yield head + '"items": '
+    separator = "["
+    for item in items:
+        yield separator + item
         separator = ","
-    yield "\n}\n"
+    yield ("[]" if separator == "[" else "\n  ]") + tail + "\n"
+
+
+def _stopwords_of(config: RunConfig) -> frozenset[str]:
+    """The stopwords evaluate removes: none unless normalization.remove_stopwords is set."""
+    if not config.normalization.remove_stopwords:
+        return frozenset()
+    stopwords = _named_file(
+        "paths.stopwords", config.paths.stopwords, load_stopwords, default_stopwords
+    )
+    if not stopwords:
+        raise ConfigError("remove_stopwords set but the stopword list is empty")
+    return stopwords
 
 
 def evaluate_stage(
-    config: RunConfig, rows: Sequence[dict[str, Any]] | None = None
+    config: RunConfig,
+    rows: Sequence[dict[str, Any]] | None = None,
+    stopwords: frozenset[str] | None = None,
 ) -> dict[str, Any]:
-    """Score the prediction rows and write the report; None reads them from predictions.jsonl.
+    """Score the prediction rows and write the report. rows None reads predictions.jsonl;
+    stopwords None makes the set through _stopwords_of.
 
     Returns the report's summary, every key of report.json but "items": each item row's
     text is made from its scores as report.json is written, and let go once written.
     """
-    normalization = _normalization_of(config.normalization, config.paths.stopwords)
+    if stopwords is None:
+        stopwords = _stopwords_of(config)
     if rows is None:
         rows = load_predictions(config)
 
@@ -1145,7 +1137,9 @@ def evaluate_stage(
         merged = merge_extractions(
             extract_prediction(row["time_answer"]), extract_prediction(row["cause_answer"])
         )
-        scores = score_item(merged, row["target_time"], row["target_cause"], normalization)
+        scores = score_item(
+            merged, row["target_time"], row["target_cause"], config.normalization, stopwords
+        )
         scored.append((row, merged.extraction_status, scores))
     means = aggregate([scores for _, _, scores in scored])
     backend_id = rows[-1]["backend_id"]
@@ -1250,6 +1244,7 @@ def run_all(config: RunConfig) -> dict[str, Any]:
             timings[name] = time.perf_counter() - started - (sum(timings.values()) - recorded)
 
     try:
+        stopwords = _stopwords_of(config)  # a bad list stops the run before any stage
         with writers:
             if config.paths.logs:
                 corpus = timed("ingest", lambda: ingest_stage(config, writers))
@@ -1273,7 +1268,7 @@ def run_all(config: RunConfig) -> dict[str, Any]:
             predictions = timed("predict", lambda: predict_stage(config, (train, validation)))
             counts["predictions"] = len(predictions)
             backend_id = predictions[0]["backend_id"] if predictions else None
-            report = timed("evaluate", lambda: evaluate_stage(config, predictions))
+            report = timed("evaluate", lambda: evaluate_stage(config, predictions, stopwords))
     except BaseException as err:
         # a stage's error, a failed write, an interrupt or a failed writer gets a failed
         # manifest; a bug, none

@@ -9,12 +9,10 @@ backend is free to answer prose that carries neither piece.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from importlib import resources
 
-from .errors import ConfigError
-from .ingest import normalize_cause
+from .ingest import DATA_DIR, normalize_cause
 
 DATE_RE = re.compile(r"\b[0-9]{4}-[0-9]{2}-[0-9]{2}\b")
 CAUSE_MARKER_RE = re.compile(r"caused\s+by", re.IGNORECASE)
@@ -81,33 +79,28 @@ def merge_extractions(
 
 
 @dataclass(frozen=True)
-class NormalizationConfig:
+class NormalizationFlags:
+    """Tokenizer switches; the stopword list itself loads at evaluate time."""
+
     lowercase: bool = True
     strip_punctuation: bool = True
     remove_stopwords: bool = False
-    stopword_list: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.remove_stopwords and not self.stopword_list:
-            raise ConfigError("remove_stopwords set but the stopword list is empty")
 
 
-def tokenize(text: str, config: NormalizationConfig) -> list[str]:
+def tokenize(text: str, flags: NormalizationFlags, stopwords: frozenset[str]) -> list[str]:
     """Split into tokens, keeping date-shaped tokens whole.
 
-    Steps apply in config order: lowercase, punctuation split, stopword
+    Steps apply in flag order: lowercase, punctuation split, stopword
     removal. Stopword removal never touches date tokens.
     """
-    if config.lowercase:
+    if flags.lowercase:
         text = text.lower()
-    if config.strip_punctuation:
+    if flags.strip_punctuation:
         tokens = _TOKEN_RE.findall(text)
     else:
         tokens = text.split()
-    if config.remove_stopwords:
-        tokens = [
-            t for t in tokens if t not in config.stopword_list or DATE_RE.fullmatch(t)
-        ]
+    if flags.remove_stopwords:
+        tokens = [t for t in tokens if t not in stopwords or DATE_RE.fullmatch(t)]
     return tokens
 
 
@@ -121,9 +114,5 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
-def default_stopwords_path() -> Path:
-    return Path(str(resources.files("crashcast").joinpath("data/stopwords.txt")))
-
-
 def default_stopwords() -> frozenset[str]:
-    return load_stopwords(default_stopwords_path())
+    return load_stopwords(DATA_DIR / "stopwords.txt")

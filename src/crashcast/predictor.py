@@ -78,6 +78,8 @@ class BackendConfig:
             raise ConfigError("backoff_base must not be negative")
         if self.max_output_tokens < 1:
             raise ConfigError("max_output_tokens must be at least 1")
+        if self.kind == "scripted" and not self.script_path:
+            raise ConfigError("scripted backend requires script_path")
         if self.kind == "remote-llm":
             # split once here, not at the first request: RemoteBackend dials what this checked
             object.__setattr__(self, "address", _address_of(self.endpoint))
@@ -472,8 +474,6 @@ def make_backend(config: BackendConfig) -> Backend:
     if config.kind == "remote-llm":
         return RemoteBackend(config)
     if config.kind == "scripted":
-        if not config.script_path:
-            raise ConfigError("scripted backend requires script_path")
         try:
             with open(config.script_path, encoding="utf-8") as fh:
                 completions = [json.loads(line) for line in fh if line.strip()]

@@ -12,11 +12,10 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from importlib import resources
 from typing import Sequence
 
 from .errors import DataError, InsufficientShots, TemplateError
-from .ingest import DAY, date_text
+from .ingest import DATA_DIR, DAY, date_text
 from .sequencer import EventSequence, LabeledPair
 
 TIME_QUESTION = "When will the next crash happen on system {system_id}?"
@@ -106,12 +105,8 @@ def load_template(path: str | Path) -> PromptTemplate:
     return parse_template(Path(path).read_text(encoding="utf-8"))
 
 
-def default_template_path() -> Path:
-    return Path(str(resources.files("crashcast").joinpath("data/prompt_template.txt")))
-
-
 def default_template() -> PromptTemplate:
-    return load_template(default_template_path())
+    return load_template(DATA_DIR / "prompt_template.txt")
 
 
 def shot_from_pair(pair: LabeledPair, history_cap: int | None = None) -> Shot:

@@ -36,7 +36,6 @@ from crashcast.ingest import (
     seconds_of,
 )
 from crashcast.postprocess import (
-    NormalizationConfig,
     default_stopwords,
     extract_prediction,
     load_stopwords,
@@ -409,9 +408,6 @@ def run_by_reference(config: RunConfig, out_dir: Path) -> None:
     if flags.remove_stopwords:
         paths = config.paths
         stopwords = load_stopwords(paths.stopwords) if paths.stopwords else default_stopwords()
-    normalization = NormalizationConfig(
-        flags.lowercase, flags.strip_punctuation, flags.remove_stopwords, stopwords
-    )
     categories = ("time", "cause", "full")
     items = []
     for row in rows:
@@ -430,8 +426,8 @@ def run_by_reference(config: RunConfig, out_dir: Path) -> None:
             "full": render_answer_sentence(row["target_time"], row["target_cause"]),
         }
         for category in categories:
-            candidate = tokenize(candidates[category], normalization)
-            reference = tokenize(references[category], normalization)
+            candidate = tokenize(candidates[category], flags, stopwords)
+            reference = tokenize(references[category], flags, stopwords)
             items.append({
                 "system_id": row["system_id"], "index": row["index"],
                 "window_index": row["window_index"], "status": status, "category": category,

@@ -11,19 +11,19 @@ from oracles import build_corpus_loop, in_datetimes, in_seconds
 from crashcast.errors import (
     BadCode,
     BadTimestamp,
-    EmptyCorpus,
     MalformedRecord,
     RecordError,
 )
 from crashcast.ingest import (
+    DATA_DIR,
     DEFAULT_EPOCH_FLOOR,
+    CrashCorpus,
     RawLogRecord,
     _derive_kind,
     build_corpus,
     canonical_code,
     decode_json,
     default_catalog,
-    default_catalog_path,
     filter_critical,
     format_timestamp,
     instant_of,
@@ -249,7 +249,7 @@ class TestBuildCorpus:
         assert corpus.events[0].kind == catalog_label
         raw = dict(
             line.split(None, 1)
-            for line in default_catalog_path().read_text().splitlines()
+            for line in (DATA_DIR / "bugcheck_catalog.txt").read_text().splitlines()
             if line.strip() and not line.startswith("#")
         )
         assert normalize_cause(raw["0x9F"]) == catalog_label
@@ -270,9 +270,10 @@ class TestBuildCorpus:
         assert len(corpus.events) == 1
         assert DEFAULT_EPOCH_FLOOR == seconds_of(datetime(2000, 1, 1, tzinfo=UTC))
 
-    def test_empty_corpus_raises(self):
-        with pytest.raises(EmptyCorpus):
-            build_corpus([])
+    def test_empty_corpus_is_returned_empty(self):
+        assert build_corpus([]) == CrashCorpus(events=[])
+        ancient = RawLogRecord("A1", seconds_of(datetime(1999, 1, 1, tzinfo=UTC)), 41)
+        assert build_corpus([ancient, ancient]) == CrashCorpus([], 0, dropped_before_floor=2)
 
     def test_events_sorted_by_system_then_time(self):
         records = [

@@ -15,7 +15,7 @@ from crashcast.metrics import (
     rouge_l,
     score_item,
 )
-from crashcast.postprocess import NormalizationConfig, extract_prediction
+from crashcast.postprocess import NormalizationFlags, extract_prediction
 from crashcast.prompt import render_answer_sentence
 from oracles import clipped_overlap_bruteforce, lcs_bruteforce
 
@@ -110,12 +110,12 @@ class TestLcs:
 
 
 class TestScoreItem:
-    config = NormalizationConfig()
+    flags = NormalizationFlags()
     date_text = "2021-03-04"
     cause = "driver power state failure"
 
     def score(self, pred, date_text=date_text, cause=cause):
-        return score_item(pred, date_text, cause, self.config)
+        return score_item(pred, date_text, cause, self.flags, frozenset())
 
     def test_exact_answer_scores_one_everywhere(self):
         pred = extract_prediction(render_answer_sentence(self.date_text, self.cause))

@@ -31,6 +31,7 @@ from crashcast import pipeline
 from crashcast.cli import main
 from crashcast.config import RunConfig, parse_run_config
 from crashcast.errors import (
+    ConfigError,
     DataError,
     EmptyCorpus,
     InsufficientData,
@@ -746,6 +747,16 @@ class TestStages:
         written = json.loads((tmp_path / "out" / REPORT_FILE).read_text())
         assert written["normalization"]["remove_stopwords"] is True
 
+    def test_stopword_flag_requires_a_list(self, tmp_path):
+        (tmp_path / "stop.txt").write_text("# a comment and no word\n")
+        config = small_config(
+            tmp_path / "out",
+            paths={"stopwords": str(tmp_path / "stop.txt")},
+            normalization={"remove_stopwords": True},
+        )
+        with pytest.raises(ConfigError, match="stopword list is empty"):
+            evaluate_stage(config)
+
     def test_predictions_rows_are_sorted_and_complete(self, tmp_path):
         config = small_config(tmp_path / "out")
         run_all(config)
@@ -1305,6 +1316,37 @@ class TestCli:
         assert manifest["item_counts"]["predictions"] == len(rows)
         assert all(row["time_answer"] == stub_server.completion for row in rows)
 
+    @pytest.mark.parametrize("stopwords, message", [
+        ("comments.txt", "remove_stopwords set but the stopword list is empty"),
+        ("absent.txt", "cannot read paths.stopwords"),
+    ])
+    def test_a_bad_stopword_list_stops_run_before_its_first_stage(
+        self, tmp_path, stub_server, stopwords, message
+    ):
+        (tmp_path / "comments.txt").write_text("# a comment and no word\n")
+        config_path = self.write_config(
+            tmp_path,
+            paths={"stopwords": str(tmp_path / stopwords)},
+            normalization={"remove_stopwords": True},
+            backend={"kind": "remote-llm", "endpoint": stub_server.url(), "model_name": "m",
+                     "max_in_flight": 2},
+        )
+        result = self.invoke("--config", str(config_path), "run")
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert stub_server.hits == 0
+        out = tmp_path / "out"
+        assert sorted(path.name for path in out.iterdir()) == [MANIFEST_FILE, TIMINGS_FILE]
+        manifest = json.loads((out / MANIFEST_FILE).read_text())
+        assert (manifest["status"], manifest["error"]["kind"]) == ("failed", "ConfigError")
+
+    def test_a_scripted_backend_without_a_script_is_exit_two_before_any_stage(self, tmp_path):
+        config_path = self.write_config(tmp_path)
+        result = self.invoke("--config", str(config_path), "--backend", "scripted", "run")
+        assert result.exit_code == 2, result.output
+        assert "scripted backend requires script_path" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_unreachable_backend_is_exit_four(self, tmp_path):
         config_path = self.write_config(
             tmp_path,
@@ -1506,6 +1548,7 @@ def test_encode_line_writes_what_the_record_dict_encodes_to(name, data):
 
 _SCORE = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, 1.0, 1e-07, 1 / 3])
 _SCORES = st.fixed_dictionaries({"precision": _SCORE, "recall": _SCORE, "f1": _SCORE})
+_SCORE_EXAMPLE = {"precision": 1.0, "recall": 0.5, "f1": 2 / 3}
 _REPORTS = st.fixed_dictionaries({
     "backend_id": st.none() | _TEXT,
     "normalization": st.dictionaries(_TEXT, st.booleans(), max_size=3),
@@ -1541,7 +1584,21 @@ def _report_of(report):
     return summary, items
 
 
+# a backend id that holds report_chunks' marker and a non-ASCII character, with 0 and 3 items
+_MARKED_SUMMARY = {
+    "backend_id": 'remote:m "items": [] \u00e9', "normalization": {"lowercase": True},
+    "item_count": 3, "categories": {"time": {"rouge1": _SCORE_EXAMPLE, "rougeL": _SCORE_EXAMPLE}},
+}
+_MARKED_ITEMS = [
+    {"system_id": "s\u00e9", "index": i, "window_index": 0, "status": "both", "category": "time",
+     "rouge1": _SCORE_EXAMPLE, "rougeL": _SCORE_EXAMPLE}
+    for i in (2, 3, 4)
+]
+
+
 @given(_REPORTS)
+@example({**_MARKED_SUMMARY, "items": []})
+@example({**_MARKED_SUMMARY, "items": _MARKED_ITEMS})
 @settings(max_examples=200)
 def test_report_chunks_write_what_the_indenting_encoder_writes(report):
     expected = json.JSONEncoder(sort_keys=True, indent=2).encode(report) + "\n"
@@ -2309,9 +2366,8 @@ def test_the_data_writer_writes_what_the_stage_route_writes(generator):
         out = Path(root)
         assert (out / LOGS_FILE).read_text() == "".join(record_to_line(r) + "\n" for r in records)
         critical = filter_critical(records)
-        try:
-            corpus = build_corpus(critical)
-        except EmptyCorpus:
+        corpus = build_corpus(critical)
+        if not corpus.events:
             assert sorted(path.name for path in out.iterdir()) == [LOGS_FILE]
             return
         expected = "".join(

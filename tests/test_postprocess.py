@@ -1,10 +1,8 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crashcast.errors import ConfigError
 from crashcast.postprocess import (
-    NormalizationConfig,
+    NormalizationFlags,
     default_stopwords,
     extract_prediction,
     load_stopwords,
@@ -143,46 +141,42 @@ class TestMerge:
 
 
 class TestTokenize:
+    plain = NormalizationFlags()
+    filtering = NormalizationFlags(remove_stopwords=True)
+
     def test_lowercase_and_punctuation(self):
-        config = NormalizationConfig()
-        assert tokenize("Crash at NOON!", config) == ["crash", "at", "noon"]
+        assert tokenize("Crash at NOON!", self.plain, frozenset()) == ["crash", "at", "noon"]
 
     def test_date_kept_whole(self):
-        config = NormalizationConfig()
-        assert tokenize("crash on 2021-03-04", config) == ["crash", "on", "2021-03-04"]
+        tokens = tokenize("crash on 2021-03-04", self.plain, frozenset())
+        assert tokens == ["crash", "on", "2021-03-04"]
 
     def test_only_ascii_digits_make_a_date_token(self):
-        assert tokenize(f"crash on {ARABIC_INDIC_DATE}", NormalizationConfig()) == ["crash", "on"]
+        tokens = tokenize(f"crash on {ARABIC_INDIC_DATE}", self.plain, frozenset())
+        assert tokens == ["crash", "on"]
 
     def test_stopword_removal(self):
-        config = NormalizationConfig(
-            remove_stopwords=True, stopword_list=frozenset({"the", "at"})
-        )
-        assert tokenize("the crash at the dock", config) == ["crash", "dock"]
+        tokens = tokenize("the crash at the dock", self.filtering, frozenset({"the", "at"}))
+        assert tokens == ["crash", "dock"]
 
     def test_empty_input(self):
-        assert tokenize("", NormalizationConfig()) == []
+        assert tokenize("", self.plain, frozenset()) == []
 
     def test_whitespace_mode_keeps_punctuation(self):
-        config = NormalizationConfig(strip_punctuation=False)
-        assert tokenize("Crash at NOON!", config) == ["crash", "at", "noon!"]
+        flags = NormalizationFlags(strip_punctuation=False)
+        assert tokenize("Crash at NOON!", flags, frozenset()) == ["crash", "at", "noon!"]
 
     def test_no_lowercase_mode(self):
-        config = NormalizationConfig(lowercase=False)
-        assert tokenize("Crash At NOON", config) == ["Crash", "At", "NOON"]
+        flags = NormalizationFlags(lowercase=False)
+        assert tokenize("Crash At NOON", flags, frozenset()) == ["Crash", "At", "NOON"]
 
     def test_dates_survive_stopword_removal(self):
-        config = NormalizationConfig(
-            remove_stopwords=True,
-            stopword_list=frozenset({"2021-03-04", "on"}),
-        )
-        assert tokenize("on 2021-03-04", config) == ["2021-03-04"]
+        stopwords = frozenset({"2021-03-04", "on"})
+        assert tokenize("on 2021-03-04", self.filtering, stopwords) == ["2021-03-04"]
 
     def test_date_embedded_in_prose_with_default_list(self):
-        config = NormalizationConfig(
-            remove_stopwords=True, stopword_list=default_stopwords()
-        )
-        tokens = tokenize("The next crash will happen on 2021-03-04.", config)
+        text = "The next crash will happen on 2021-03-04."
+        tokens = tokenize(text, self.filtering, default_stopwords())
         assert "2021-03-04" in tokens
         assert "the" not in tokens
         assert "on" not in tokens
@@ -190,39 +184,29 @@ class TestTokenize:
     @given(st.text(max_size=80))
     @settings(max_examples=300)
     def test_idempotent_under_default_config(self, text):
-        config = NormalizationConfig()
-        once = tokenize(text, config)
-        assert tokenize(" ".join(once), config) == once
+        once = tokenize(text, self.plain, frozenset())
+        assert tokenize(" ".join(once), self.plain, frozenset()) == once
 
     @given(st.text(max_size=80))
     @settings(max_examples=300)
     def test_idempotent_with_stopwords(self, text):
-        config = NormalizationConfig(
-            remove_stopwords=True, stopword_list=default_stopwords()
-        )
-        once = tokenize(text, config)
-        assert tokenize(" ".join(once), config) == once
+        stopwords = default_stopwords()
+        once = tokenize(text, self.filtering, stopwords)
+        assert tokenize(" ".join(once), self.filtering, stopwords) == once
 
     @given(st.text(max_size=80))
     @settings(max_examples=200)
     def test_stopword_removal_never_grows_the_stream(self, text):
-        plain = NormalizationConfig()
-        filtered = NormalizationConfig(
-            remove_stopwords=True, stopword_list=default_stopwords()
-        )
-        assert len(tokenize(text, filtered)) <= len(tokenize(text, plain))
+        filtered = tokenize(text, self.filtering, default_stopwords())
+        assert len(filtered) <= len(tokenize(text, self.plain, frozenset()))
 
 
-class TestNormalizationConfig:
-    def test_stopword_flag_requires_a_list(self):
-        with pytest.raises(ConfigError):
-            NormalizationConfig(remove_stopwords=True, stopword_list=frozenset())
-
+class TestNormalizationFlags:
     def test_defaults(self):
-        config = NormalizationConfig()
-        assert config.lowercase
-        assert config.strip_punctuation
-        assert not config.remove_stopwords
+        flags = NormalizationFlags()
+        assert flags.lowercase
+        assert flags.strip_punctuation
+        assert not flags.remove_stopwords
 
 
 class TestStopwordFile:
