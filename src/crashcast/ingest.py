@@ -222,21 +222,21 @@ def parse_record(line: str, line_no: int | None = None) -> RawLogRecord:
 _RECORD_LINE = '{"guid": %s, "ts": "%s", "event_id": %d%s%s%s}'
 
 
-def record_to_line(record: RawLogRecord) -> str:
-    """Serialize back to the canonical line form; parse(record_to_line(r)) == r.
+def as_template(text: str) -> str:
+    """text as a %-template: each NUL a %s slot, each "%" escaped; JSON text holds no raw NUL."""
+    return text.replace("%", "%%").replace("\0", "%s")
 
-    The line is json.dumps(ensure_ascii=False) of {guid, ts, event_id[, bugcheck][, params]
-    [, cause]}, an optional field left out when None (params: empty), built by one template.
-    """
-    system_id, timestamp, event_id, bugcheck, params, cause = record
-    return _RECORD_LINE % (
-        encode_basestring(system_id),
-        format_timestamp(timestamp),
-        event_id,
+
+def record_template(system_id: str, event_id: int, bugcheck: str | None, params: bool,
+                    cause: str | None) -> str:
+    """A logs.jsonl line, json.dumps(ensure_ascii=False) of a record's dict, as a template: slots
+    for its ts text and, if params, their JSON list text; bugcheck or cause None is left out."""
+    return as_template(_RECORD_LINE % (
+        encode_basestring(system_id), "\0", event_id,
         "" if bugcheck is None else ', "bugcheck": ' + encode_basestring(bugcheck),
-        ', "params": [' + ", ".join(map(encode_basestring, params)) + "]" if params else "",
+        ', "params": \0' if params else "",
         "" if cause is None else ', "cause": ' + encode_basestring(cause),
-    )
+    ))
 
 
 def parse_lines(lines: Iterable[str]) -> list[RawLogRecord]:
@@ -279,7 +279,7 @@ def default_catalog() -> dict[str, str]:
     return load_catalog(DATA_DIR / "bugcheck_catalog.txt")
 
 
-def _derive_kind(record: RawLogRecord, catalog: dict[str, str]) -> str:
+def derive_kind(record: RawLogRecord, catalog: dict[str, str]) -> str:
     if record.cause is not None and (cause := normalize_cause(record.cause)):
         return cause
     if record.bugcheck_code is not None:
@@ -318,7 +318,7 @@ def build_corpus(
         if (code := codes.get(raw)) is None:
             code = codes[raw] = canonical_code(raw) if raw else ""
         if (kind := kinds.get((cause, raw))) is None:
-            kind = kinds[cause, raw] = _derive_kind(record, catalog)
+            kind = kinds[cause, raw] = derive_kind(record, catalog)
         systems[system_id].append(new(CrashEvent, (system_id, timestamp, kind, code, params)))
 
     # (system_id, time, bugcheck_code) order, one system's keys alive at a time; each sort is

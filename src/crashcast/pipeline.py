@@ -21,19 +21,20 @@ The three large files (logs.jsonl, events.jsonl, windows.jsonl) are
 written by children made with os.fork(), so this module needs POSIX,
 while this process goes on to the next stage. A stage called alone forks
 one writer, which only encodes, writes and hashes its file; synth's also
-draws the records it writes. `run_all` without paths.logs forks one data
-writer instead of synth's and ingest's: it draws the synthetic corpus
-itself, one system at a time, and deduplicates it, writing events.jsonl
-as it goes, logs.jsonl at the end, and then ingest.json, which holds the
-logs' digest and the counts it made on the way. Both synth routes, and
-generate_corpus, merge the logs into time order through _log_lines. This
-process draws each system again and sequences it. `run_all` waits for
-every child before its manifest; a stage called alone waits for its
-child before it returns. A child logs and prints nothing, and imports
-only hashlib, whose OpenSSL SHA-256 hashes the files it wrote about 6x
-as fast as the interpreter's. It sends their hex digests through a pipe,
-so this process reads none of the three back, and leaves with os._exit,
-its exit status its report of failure: 0, the errno of the OSError that
+draws the corpus it writes. `run_all` without paths.logs forks one data
+writer instead of synth's and ingest's: it draws the corpus one system
+at a time and fills each system's log and event lines straight from the
+draw, one template per system and cause, with the events and counts that
+build_corpus makes of its records. It writes events.jsonl as it goes,
+then logs.jsonl, merged into time order by _log_lines as synth's are,
+then ingest.json. This process draws each system again, builds its
+records and corpus, and sequences it. `run_all` waits for every child
+before its manifest; a stage called alone waits for its child before it
+returns. A child logs and prints nothing, and imports only hashlib,
+whose OpenSSL SHA-256 hashes the files it wrote about 6x as fast as the
+interpreter's. It sends their hex digests through a pipe, so this
+process reads none of the three back, and leaves with os._exit, its
+exit status its report of failure: 0, the errno of the OSError that
 stopped it, or 255. Every digest this process makes comes from
 `_seed.sha256`, the interpreter's own, so a baseline run's main process
 loads no OpenSSL.
@@ -52,10 +53,11 @@ import sys
 import threading
 import time
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from contextlib import contextmanager, nullcontext, suppress
 from functools import partial
+from io import BytesIO
 from itertools import accumulate, chain, groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
@@ -74,13 +76,18 @@ from .errors import (
     RecordError,
 )
 from .ingest import (
+    CRITICAL_EVENT_ID,
     DAY,
+    DEFAULT_EPOCH_FLOOR,
     CrashCorpus,
     CrashEvent,
     RawLogRecord,
+    as_template,
     build_corpus,
+    canonical_code,
     decode_json,
     default_catalog,
+    derive_kind,
     encode_basestring,
     filter_critical,
     format_timestamp,
@@ -89,7 +96,7 @@ from .ingest import (
     load_catalog,
     parse_lines,
     parse_timestamp,
-    record_to_line,
+    record_template,
 )
 from .metrics import RougeScore, aggregate, score_item
 from .postprocess import (
@@ -123,7 +130,7 @@ from .sequencer import (
     partition_windows,
     window_index_of,
 )
-from .synthgen import GeneratorConfig, generate_systems
+from .synthgen import GeneratorConfig, draw_systems, generate_systems
 
 LOGS_FILE = "logs.jsonl"
 EVENTS_FILE = "events.jsonl"
@@ -214,8 +221,8 @@ class Writers:
     """Forked children, each writing its files while this process goes on.
 
     A stage's writer (_write_forked) encodes and writes one file, synth's
-    from the records it draws; `run_all`'s data writer also deduplicates the
-    corpus it writes and counts it into ingest.json (_write_data). Each child
+    from the corpus it draws; `run_all`'s data writer writes the logs and
+    events of the corpus it draws, and ingest.json (_write_data). Each child
     also hashes the files it wrote and sends their hex digests back through a
     pipe opened before the fork; digests holds them by path once the child is
     reaped, and the digest of the logs ingest_stage parsed.
@@ -553,43 +560,46 @@ def _drained(items: list[T]) -> Iterator[T]:
 
 # --- synth ---------------------------------------------------------------------
 
-def _packed(records: list[RawLogRecord]) -> tuple[array, str]:
-    """One system's records as _log_lines merges them: their instants in UTC seconds, and
-    their log lines as one str, each line ending in "\\n"."""
-    instants = array("q", map(itemgetter(1), records))  # each record's timestamp
-    return instants, "\n".join(map(record_to_line, records)) + "\n"
+def _system_logs(draw: tuple) -> tuple[tuple[array, bytes], list[str], list[str]]:
+    """One system's log lines as _log_lines merges them, their instants and UTF-8 text, each one
+    % of a template; then each crash's ts and params texts, made once for both of its lines."""
+    system_id, instants, causes, params, noise = draw
+    stamps, texts = [*map(format_timestamp, instants)], [*map(_list_text(STRINGS.text), params)]
+    crash = {cause: record_template(system_id, CRITICAL_EVENT_ID, cause[0], True, cause[1])
+             + "\n" for cause in {*causes}}
+    lines = [*map(operator.mod, map(crash.__getitem__, causes), zip(stamps, texts))]
+    quiet = {event_id: record_template(system_id, event_id, None, False, None) + "\n"
+             for event_id in {*map(itemgetter(1), noise)}}
+    lines += [quiet[event_id] % format_timestamp(instant) for instant, event_id in noise]
+    keys = [*instants, *map(itemgetter(0), noise)]  # sorted stably: at one instant, crashes first
+    lines = [*map(lines.__getitem__, sorted(range(len(keys)), key=keys.__getitem__))]
+    return (array("q", sorted(keys)), "".join(lines).encode()), stamps, texts
 
 
-def _lines_in(text: str) -> Iterator[str]:
-    """The lines of text, each ending in "\\n", sliced out one at a time."""
-    start = 0
-    while end := text.find("\n", start) + 1:
-        yield text[start:end]
-        start = end
-
-
-def _log_lines(systems: Iterable[tuple[array, str]]) -> Iterator[str]:
-    """The lines of logs.jsonl, each ending in "\\n", from the systems _packed made, in
-    system_id order: merged on the instant once the first line is asked for.
+def _log_lines(systems: Iterable[tuple[array, bytes]]) -> Iterator[str]:
+    """The lines of logs.jsonl, each ending in "\\n", from each system's instants and UTF-8
+    text, in system_id order: merged on the instant once the first line is asked for.
 
     heapq.merge is stable: ties keep system_id order, then each system's own, so the lines
     come in (timestamp, system_id, event_id, bugcheck_code, params) order.
     """
-    streams = [zip(instants, _lines_in(text)) for instants, text in systems]
+    # BytesIO shares each text's bytes and reads their lines in C, one at a time
+    streams = [zip(instants, map(bytes.decode, BytesIO(text))) for instants, text in systems]
     yield from map(itemgetter(1), heapq.merge(*streams, key=itemgetter(0)))
 
 
 def generate_corpus(config: GeneratorConfig, seed: int | None = None) -> list[str]:
     """Raw log lines, one record per line, as synth_stage writes them to logs.jsonl."""
-    return [line[:-1] for line in _log_lines(map(_packed, generate_systems(config, seed)))]
+    systems = (_system_logs(draw)[0] for draw in draw_systems(config, seed))
+    return [line[:-1] for line in _log_lines(systems)]
 
 
 def synth_stage(config: RunConfig, writers: Writers | None = None) -> None:
     """Write logs.jsonl from a forked writer that draws the records; paths.logs is never written."""
     if config.paths.logs:
         raise ConfigError(f"synth never writes to paths.logs ({config.paths.logs}): unset it")
-    systems = generate_systems(config.generator, seed=config.seed)  # drawn in the writer
-    _write_forked(path_of(config, LOGS_FILE), _log_lines(map(_packed, systems)), writers)
+    systems = (_system_logs(draw)[0] for draw in draw_systems(config.generator, config.seed))
+    _write_forked(path_of(config, LOGS_FILE), _log_lines(systems), writers)
 
 
 # --- synth and ingest, one system at a time ---------------------------------------
@@ -618,17 +628,32 @@ def _write_data(config: RunConfig, catalog: dict[str, str]) -> dict[Path, str]:
     """The data writer's work: events.jsonl as each system is drawn, then logs.jsonl, then
     ingest.json; it returns the logs' digest, which ingest.json holds, by their path.
 
-    Each system is _packed before its records go to its corpus. With no event in any
-    system it leaves out events.jsonl and ingest.json, as ingest_stage does.
+    Event lines reuse their crash lines' texts, with the events, order and counts build_corpus
+    makes. With no event it leaves out events.jsonl and ingest.json, as ingest_stage does.
     """
-    systems: list[tuple[array, str]] = []  # each system's instants and its log lines
+    kinds = {(code, label): (derive_kind(RawLogRecord("", 0, CRITICAL_EVENT_ID, code, (), label),
+                                         catalog), canonical_code(code))
+             for code, label, _ in config.generator.resolved_catalog()}
+    systems: list[tuple[array, bytes]] = []  # each system's instants and its log lines
     counts: Counter[str] = Counter()
 
     def event_lines() -> Iterator[str]:
-        for records in generate_systems(config.generator, seed=config.seed):
-            systems.append(_packed(records))
-            events = _system_corpus(records, catalog, counts).events
-            yield from (encode_line(EVENT_FIELDS, event) + "\n" for event in events)
+        for draw in draw_systems(config.generator, seed=config.seed):
+            logs, stamps, texts = _system_logs(draw)
+            systems.append(logs)
+            system_id, times, causes, _, noise = draw
+            event = {cause: as_template(EVENT_FIELDS.template % (encode_basestring(system_id),
+                     '"\0"', *map(encode_basestring, kind), "\0")) + "\n"
+                     for cause, kind in kinds.items()}
+            floor = bisect_left(times, DEFAULT_EPOCH_FLOOR)  # the crashes before it are dropped
+            kept: Iterable[int] = range(floor, len(times))
+            if len(set(times)) < len(times):  # first of each (time, canonical code) kept
+                key = [(at, kinds[cause][1]) for at, cause in zip(times, causes)].__getitem__
+                kept = [next(group) for _, group in groupby(sorted(kept, key=key), key)]
+            lines = [event[causes[i]] % (stamps[i], texts[i]) for i in kept]
+            counts.update(records=len(times) + len(noise), critical=len(times), events=len(lines),
+                          duplicates=len(times) - floor - len(lines), dropped_before_floor=floor)
+            yield "".join(lines)
         if not counts["events"]:
             raise EmptyCorpus(NO_EVENTS)
 

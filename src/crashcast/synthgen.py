@@ -1,4 +1,4 @@
-"""Generate seeded synthetic crash records, one list per system, for the raw log format.
+"""Draw seeded synthetic crash records, system by system, for the raw log format.
 
 Each system is an independent homogeneous Poisson process over a horizon
 of whole days, with causes drawn from a weighted catalog. A bursty mode
@@ -25,13 +25,13 @@ from typing import Iterator
 
 from ._seed import derive_seed
 from .errors import ConfigError
-from .ingest import BUGCHECK_RE, DAY, RawLogRecord, default_catalog, seconds_of
+from .ingest import BUGCHECK_RE, CRITICAL_EVENT_ID, DAY, RawLogRecord, default_catalog, seconds_of
 
 DEFAULT_START = datetime(2021, 1, 1, tzinfo=timezone.utc)
 DEFAULT_DOMINANT_CODE = "0x9F"
 DEFAULT_DOMINANT_WEIGHT = 0.90
 
-NOISE_EVENT_IDS = (1074, 6008, 7001)
+NOISE_EVENT_IDS = (1074, 6008, 7001)  # each above 41: a crash's line comes first at its instant
 
 _SECONDS_BITS = DAY.bit_length()
 _KNUTH_MAX_RATE = 500  # Knuth's method needs exp(-rate) a normal float, so rate under ~708
@@ -126,23 +126,21 @@ def _below(getrandbits, n: int) -> int:
     return value
 
 
-def _system_records(
+def _system_draw(
     config: GeneratorConfig,
     seed: int,
     system_index: int,
     days: list[tuple[int, int]],
     labels: list[tuple[str, str]],
     cum_weights: list[float],
-) -> list[RawLogRecord]:
-    """One system's records.
+) -> tuple:
+    """One system's draw (see draw_systems), each column in the order of its log lines.
 
-    days are the horizon's (midnight in UTC epoch seconds, weekday) pairs; labels are
-    the catalog's (code, label) pairs, drawn by cum_weights.
+    days are the horizon's (midnight in UTC epoch seconds, weekday) pairs; labels are the
+    catalog's (code, label) pairs, drawn by cum_weights.
     """
     rng = random.Random(derive_seed(seed, "synth", system_index))
     random_, getrandbits = rng.random, rng.getrandbits
-    system_id = _SYSTEM_ID(system_index)
-    new = tuple.__new__
 
     multipliers = [1.0] * 7
     if config.bursty:
@@ -175,29 +173,24 @@ def _system_records(
 
     # choices(labels, cum_weights=cum_weights): a bisection of the weights' running total
     total, hi = cum_weights[-1] + 0.0, len(labels) - 1
-    records = []
-    append = records.append
-    for instant in instants:
-        code, label = labels[bisect(cum_weights, random_() * total, 0, hi)]
-        params = ("0x%X" % getrandbits(16), "0x0")
-        append(new(RawLogRecord, (system_id, instant, 41, code, params, label)))
+    drawn = [(labels[bisect(cum_weights, random_() * total, 0, hi)],
+              ("0x%X" % getrandbits(16), "0x0")) for _ in instants]
+    causes, params = zip(*drawn) if drawn else ((), ())
 
-    for _ in range(round(config.noise_fraction * len(records))):
+    noise = []
+    for _ in range(round(config.noise_fraction * len(instants))):
         day, second = _below(getrandbits, config.days), _below(getrandbits, DAY)
         event_id = NOISE_EVENT_IDS[_below(getrandbits, len(NOISE_EVENT_IDS))]  # choice()
-        instant = days[day][0] + second
-        append(new(RawLogRecord, (system_id, instant, event_id, None, (), None)))
-    return records
+        noise.append((days[day][0] + second, event_id))
+    if len(set(instants)) < len(instants):  # crashes at one instant: in (code, params) order
+        crashes = sorted(zip(instants, causes, params), key=lambda c: (c[0], c[1][0], c[2]))
+        instants, causes, params = map(list, zip(*crashes))
+    return _SYSTEM_ID(system_index), instants, causes, params, sorted(noise)
 
 
-def generate_systems(
-    config: GeneratorConfig, seed: int | None = None
-) -> Iterator[list[RawLogRecord]]:
-    """Each system's records, systems in system_id order, each list sorted on (timestamp,
-    event_id, bugcheck_code, params): the order a system's lines keep in logs.jsonl.
-
-    "host-1000" comes before "host-999": the order is the ids', not the indices'.
-    """
+def draw_systems(config: GeneratorConfig, seed: int | None = None) -> Iterator[tuple]:
+    """Each system's draw, systems in system_id order ("host-1000" before "host-999"): its id;
+    its crashes' instants, (code, label) pairs and params; its noise's (instant, event_id)s."""
     effective_seed = config.seed if config.seed is not None else seed
     if effective_seed is None:
         raise ConfigError("generator needs a seed, none given")
@@ -207,8 +200,20 @@ def generate_systems(
     cum_weights = list(accumulate(weight for _, _, weight in catalog))
     start, weekday = seconds_of(config.start_date), config.start_date.weekday()
     days = [(start + day * DAY, (weekday + day) % 7) for day in range(config.days)]
-    # None never meets a str in the sort: noise has no code, event 41 one
     for index in sorted(range(config.n_systems), key=_SYSTEM_ID):
-        system = _system_records(config, effective_seed, index, days, labels, cum_weights)
-        system.sort(key=itemgetter(1, 2, 3, 4))
+        yield _system_draw(config, effective_seed, index, days, labels, cum_weights)
+
+
+def generate_systems(
+    config: GeneratorConfig, seed: int | None = None
+) -> Iterator[list[RawLogRecord]]:
+    """Each system's records, systems in system_id order, each list sorted on (timestamp,
+    event_id, bugcheck_code, params): the order a system's lines keep in logs.jsonl."""
+    new = tuple.__new__
+    for system_id, instants, causes, params, noise in draw_systems(config, seed):
+        system = [new(RawLogRecord, (system_id, instant, CRITICAL_EVENT_ID, code, param, label))
+                  for instant, (code, label), param in zip(instants, causes, params)]
+        system += [new(RawLogRecord, (system_id, instant, event_id, None, (), None))
+                   for instant, event_id in noise]
+        system.sort(key=itemgetter(1))  # stable: at one instant, the crashes come first
         yield system

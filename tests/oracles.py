@@ -30,6 +30,7 @@ from crashcast.ingest import (
     RawLogRecord,
     canonical_code,
     default_catalog,
+    format_timestamp,
     instant_of,
     load_catalog,
     normalize_cause,
@@ -157,6 +158,20 @@ def system_records_by_random_api(
         )
         records.append(RawLogRecord(system_id, instant, rng.choice((1074, 6008, 7001))))
     return records
+
+
+def record_line(record: RawLogRecord) -> str:
+    """A record's logs.jsonl line: json.dumps(ensure_ascii=False) of its dict, an optional field
+    left out when None (params: empty)."""
+    obj = {"guid": record.system_id, "ts": format_timestamp(record.timestamp),
+           "event_id": record.event_id}
+    if record.bugcheck_code is not None:
+        obj["bugcheck"] = record.bugcheck_code
+    if record.params:
+        obj["params"] = list(record.params)
+    if record.cause is not None:
+        obj["cause"] = record.cause
+    return json.dumps(obj, ensure_ascii=False)
 
 
 def records_by_random_api(config: GeneratorConfig, seed: int) -> list[RawLogRecord]:

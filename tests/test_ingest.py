@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import transient_peak
-from oracles import build_corpus_loop, in_datetimes, in_seconds
+from oracles import build_corpus_loop, in_datetimes, in_seconds, record_line
 from crashcast.errors import (
     BadCode,
     BadTimestamp,
@@ -19,11 +19,11 @@ from crashcast.ingest import (
     DEFAULT_EPOCH_FLOOR,
     CrashCorpus,
     RawLogRecord,
-    _derive_kind,
     build_corpus,
     canonical_code,
     decode_json,
     default_catalog,
+    derive_kind,
     filter_critical,
     format_timestamp,
     instant_of,
@@ -32,7 +32,7 @@ from crashcast.ingest import (
     parse_lines,
     parse_record,
     parse_timestamp,
-    record_to_line,
+    record_template,
     seconds_of,
 )
 from crashcast.pipeline import generate_corpus
@@ -200,7 +200,7 @@ _record_strategy = st.builds(
 @given(_record_strategy)
 @settings(max_examples=200)
 def test_serialization_round_trips(record):
-    assert parse_record(record_to_line(record)) == record
+    assert parse_record(record_line(record)) == record
 
 
 class TestFilterCritical:
@@ -319,7 +319,7 @@ def test_corpus_kinds_and_codes_match_a_per_record_derivation(records, catalog):
     assert len(corpus.events) == len(kept)
     for event in corpus.events:
         record = kept[event.system_id, event.time, event.bugcheck_code]
-        assert event.kind == _derive_kind(record, resolved)
+        assert event.kind == derive_kind(record, resolved)
         if record.bugcheck_code:
             assert event.bugcheck_code == canonical_code(record.bugcheck_code)
 
@@ -429,19 +429,6 @@ _MARCH_1 = seconds_of(datetime(2021, 3, 1, tzinfo=UTC))
 _TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
 
 
-def _record_line_by_dict(record):
-    """record_to_line's line as json.dumps(ensure_ascii=False) writes the record's dict,
-    optional fields left out."""
-    obj = {"guid": record.system_id, "ts": format_timestamp(record.timestamp), "event_id": record.event_id}
-    if record.bugcheck_code is not None:
-        obj["bugcheck"] = record.bugcheck_code
-    if record.params:
-        obj["params"] = list(record.params)
-    if record.cause is not None:
-        obj["cause"] = record.cause
-    return json.dumps(obj, ensure_ascii=False)
-
-
 @given(
     st.builds(
         RawLogRecord,
@@ -456,8 +443,11 @@ def _record_line_by_dict(record):
 @example(RawLogRecord('a"\\\x00\x1f\x7f \U0001f600', _MARCH_1, 41))
 @example(RawLogRecord("h%s", _MARCH_1, 6008, "%d", ("", '"'), ""))
 @settings(max_examples=300)
-def test_record_to_line_writes_what_the_record_dict_encodes_to(record):
-    assert record_to_line(record) == _record_line_by_dict(record)
+def test_a_filled_record_template_writes_what_the_record_dict_encodes_to(record):
+    system_id, timestamp, event_id, bugcheck, params, cause = record
+    template = record_template(system_id, event_id, bugcheck, bool(params), cause)
+    listed = (json.dumps(list(params), ensure_ascii=False),) if params else ()
+    assert template % (format_timestamp(timestamp), *listed) == record_line(record)
 
 
 def _outcome(decode, text):

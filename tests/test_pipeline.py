@@ -26,7 +26,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sequence_of
-from oracles import in_seconds, records_by_random_api, run_by_reference, split_by_reference
+from oracles import (
+    in_seconds, record_line, records_by_random_api, run_by_reference, split_by_reference,
+)
 from crashcast import pipeline
 from crashcast.cli import main
 from crashcast.config import RunConfig, parse_run_config
@@ -44,13 +46,12 @@ from crashcast.ingest import (
     filter_critical,
     format_timestamp,
     parse_lines,
-    record_to_line,
     seconds_of,
 )
 from crashcast.metrics import RougeScore
 from crashcast.predictor import PredictionRaw, baseline_answer
 from crashcast.sequencer import enumerate_pairs
-from crashcast.synthgen import GeneratorConfig, generate_systems
+from crashcast.synthgen import DEFAULT_START, GeneratorConfig, generate_systems
 from crashcast.pipeline import (
     EVENTS_FILE,
     INGEST_FILE,
@@ -1167,6 +1168,31 @@ class TestCli:
         assert f"cause_catalog code {code!r}" in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("catalog, message", [
+        ([], "cause_catalog must not be empty"),
+        ([["0x9F", "", 1.0]], "empty cause label for 0x9F"),
+    ])
+    def test_a_catalog_without_causes_is_exit_two(self, tmp_path, catalog, message):
+        generator = {**SMALL_RUN["generator"], "cause_catalog": catalog}
+        result = self.invoke("--config", str(self.write_config(tmp_path, generator=generator)), "run")
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_ingest_of_noise_alone_is_exit_three(self, tmp_path):
+        logs = tmp_path / "noise.jsonl"
+        logs.write_text("".join(
+            json.dumps({"guid": "x", "ts": f"2021-03-0{day}T05:06:07Z", "event_id": 6008}) + "\n"
+            for day in range(1, 4)
+        ))
+        config_path = self.write_config(
+            tmp_path, paths={"logs": str(logs), "out_dir": str(tmp_path / "out")}
+        )
+        result = self.invoke("--config", str(config_path), "ingest")
+        assert result.exit_code == 3, result.output
+        assert "zero crash events survived corpus construction" in result.output
+        assert not (tmp_path / "out" / EVENTS_FILE).exists()
+
     def test_an_output_under_a_regular_file_is_exit_two(self, tmp_path):
         (tmp_path / "a-file").write_text("")
         out = tmp_path / "a-file" / "out"
@@ -1218,11 +1244,11 @@ class TestCli:
     ):
         test_pid = os.getpid()
 
-        def killed(record):
-            assert os.getpid() != test_pid, "record_to_line ran outside the logs' writer"
+        def killed(*args):
+            assert os.getpid() != test_pid, "_system_logs ran outside the logs' writer"
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(pipeline, "record_to_line", _not_a_record if status == 255 else killed)
+        monkeypatch.setattr(pipeline, "_system_logs", _not_a_record if status == 255 else killed)
         result = self.invoke("--config", str(self.write_config(tmp_path)), "run")
         assert result.exit_code == 2, result.output
         logs = tmp_path / "out" / LOGS_FILE
@@ -1751,7 +1777,7 @@ class TestWriters:
         synth_stage(config)
         _assert_no_writer_left(out, writer_pids)
         records = in_seconds(records_by_random_api(config.generator, config.seed))
-        assert (out / LOGS_FILE).read_text() == "".join(record_to_line(r) + "\n" for r in records)
+        assert (out / LOGS_FILE).read_text() == "".join(record_line(r) + "\n" for r in records)
         corpus = ingest_stage(config)
         _assert_no_writer_left(out, writer_pids)
         assert load_events(out / EVENTS_FILE).events == corpus.events
@@ -1800,10 +1826,10 @@ class TestWriters:
     ):
         out = tmp_path / "out"
 
-        def broken(record):
+        def broken(*args):
             raise ValueError("not a record")
 
-        monkeypatch.setattr(pipeline, "record_to_line", broken)
+        monkeypatch.setattr(pipeline, "_system_logs", broken)
         with pytest.raises(RuntimeError) as raised:
             run_all(small_config(out))
         assert str(raised.value) == f"the writer of {out / LOGS_FILE} failed with status 255"
@@ -1816,7 +1842,7 @@ class TestWriters:
         self, tmp_path, monkeypatch, writer_pids, failure, kind
     ):
         out = tmp_path / "out"
-        monkeypatch.setattr(pipeline, "record_to_line", failure)
+        monkeypatch.setattr(pipeline, "_system_logs", failure)
         with pytest.raises((OSError, RuntimeError)) as raised:
             run_all(small_config(out))
         assert type(raised.value).__name__ == kind
@@ -1948,7 +1974,7 @@ class TestWriters:
         if ending == "ok":
             run_all(small_config(tmp_path / "out"))
         elif ending == "failed writer":
-            monkeypatch.setattr(pipeline, "record_to_line", _not_a_record)
+            monkeypatch.setattr(pipeline, "_system_logs", _not_a_record)
             with pytest.raises(RuntimeError):
                 run_all(small_config(tmp_path / "out"))
         else:
@@ -2335,15 +2361,35 @@ def test_the_default_run_writes_its_pinned_outputs_on_every_python(tmp_path, ver
 
 # --- run_all's streamed route: one data writer; this process draws and sequences each system --
 
+# catalog entries that a line template must carry as they are: two spellings of one code with
+# different labels, labels holding "%", "%s", '"', "\\" and a non-ASCII character, and labels
+# that normalize to empty, whose kind falls back to the catalog, or to the code
+ADVERSARIAL_CAUSES = (
+    ("0x9f", "driver power state failure", 4.0),
+    ("0x0000009F", "Driver_Power %s at 100%", 2.0),
+    ("0x1A", 'memory "management" \\ en été', 1.0),
+    ("0x00000050", "_", 1.0),
+    ("0xDEAD", "_", 1.0),
+)
+BEFORE_THE_FLOOR = datetime(1999, 12, 25, tzinfo=timezone.utc)  # 2000-01-01 is a week in
+
+
 @st.composite
 def _generator_configs(draw):
-    """Small corpora; at the high rate, records of one system and of several share instants."""
+    """Small corpora; at the high rate, records of one system and of several share instants.
+
+    Some draw their causes from ADVERSARIAL_CAUSES, and some start before the epoch floor.
+    """
     rate = draw(st.sampled_from([0.5, 20.0, 3000.0]))
+    causes = draw(st.none() | st.lists(st.sampled_from(ADVERSARIAL_CAUSES), min_size=1,
+                                       unique=True))
     return GeneratorConfig(
         seed=draw(st.integers(0, 2**32)),
         n_systems=draw(st.integers(1, 3 if rate > 100 else 12)),
         days=1 if rate > 100 else draw(st.integers(1, 30)),
         per_system_rate=rate,
+        cause_catalog=None if causes is None else tuple(causes),
+        start_date=draw(st.sampled_from([DEFAULT_START, BEFORE_THE_FLOOR])),
         noise_fraction=draw(st.sampled_from([0.0, 0.2, 0.5])),
         bursty=draw(st.booleans()),
     )
@@ -2356,6 +2402,11 @@ HOST_1000 = GeneratorConfig(seed=3, n_systems=1001, days=1, per_system_rate=3.0)
 
 @given(_generator_configs())
 @example(HOST_1000)
+# both spellings of 0x9F at shared instants; and events on both sides of the epoch floor
+@example(GeneratorConfig(seed=8, n_systems=2, days=1, per_system_rate=3000.0,
+                         cause_catalog=ADVERSARIAL_CAUSES, noise_fraction=0.2))
+@example(GeneratorConfig(seed=8, n_systems=3, days=14, per_system_rate=20.0,
+                         cause_catalog=ADVERSARIAL_CAUSES, start_date=BEFORE_THE_FLOOR))
 @settings(max_examples=25, derandomize=True, deadline=None)
 def test_the_data_writer_writes_what_the_stage_route_writes(generator):
     records = in_seconds(records_by_random_api(generator, generator.seed))
@@ -2364,7 +2415,7 @@ def test_the_data_writer_writes_what_the_stage_route_writes(generator):
                                      generator=generator)
         pipeline._write_data(config, default_catalog())
         out = Path(root)
-        assert (out / LOGS_FILE).read_text() == "".join(record_to_line(r) + "\n" for r in records)
+        assert (out / LOGS_FILE).read_text() == "".join(record_line(r) + "\n" for r in records)
         critical = filter_critical(records)
         corpus = build_corpus(critical)
         if not corpus.events:
@@ -2495,16 +2546,16 @@ def test_an_interrupt_in_any_stage_leaves_no_writer_pipe_or_partial_file(
 def test_a_killed_data_writer_leaves_no_writer_pipe_or_partial_file(
     tmp_path, monkeypatch, writer_pids
 ):
-    test_pid, real_encode_line, encoded = os.getpid(), pipeline.encode_line, []
+    test_pid, real_system_logs, encoded = os.getpid(), pipeline._system_logs, []
 
-    def killed_partway(table, values):  # in the data writer, with events.jsonl half written
-        if os.getpid() != test_pid and table is pipeline.EVENT_FIELDS:
-            encoded.append(values)
-            if len(encoded) == 100:
+    def killed_partway(draw):  # in the data writer, with events.jsonl half written
+        if os.getpid() != test_pid:
+            encoded.append(draw)
+            if len(encoded) == 3:
                 os.kill(os.getpid(), signal.SIGKILL)
-        return real_encode_line(table, values)
+        return real_system_logs(draw)
 
-    monkeypatch.setattr(pipeline, "encode_line", killed_partway)
+    monkeypatch.setattr(pipeline, "_system_logs", killed_partway)
     result, no_fd_left = _run_cli(tmp_path)
     assert result.exit_code == 2, result.output
     logs = tmp_path / "out" / LOGS_FILE

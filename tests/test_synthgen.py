@@ -8,6 +8,7 @@ from oracles import in_seconds, records_by_random_api
 from crashcast.config import RunConfig, parse_run_config, resolved_dict
 from crashcast.errors import ConfigError
 from crashcast.ingest import build_corpus, filter_critical, instant_of, parse_lines, seconds_of
+from crashcast import synthgen
 from crashcast.pipeline import generate_corpus
 from crashcast.synthgen import (
     DEFAULT_DOMINANT_CODE,
@@ -147,6 +148,11 @@ class TestCauseFrequencies:
         top_code, top_count = counts.most_common(1)[0]
         assert top_code == DEFAULT_DOMINANT_CODE
         assert top_count / sum(counts.values()) > DEFAULT_DOMINANT_WEIGHT - 0.05
+
+    def test_a_shipped_catalog_without_the_dominant_code_is_a_config_error(self, monkeypatch):
+        monkeypatch.setattr(synthgen, "default_catalog", lambda: {"0xA": "irql not less or equal"})
+        with pytest.raises(ConfigError, match=f"dominant code {DEFAULT_DOMINANT_CODE} not in"):
+            default_cause_catalog()
 
     def test_default_catalog_weights(self):
         catalog = default_cause_catalog()
